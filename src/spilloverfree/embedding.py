@@ -14,7 +14,9 @@ eigenvectors are X_1 Th: the updated pairs span the same subspace.
 Both coefficient updates are congruent low-rank corrections, so they
 also come in Sherman-Morrison-Woodbury form where only p x p systems
 are solved; that path is cheaper for small p and, with identity
-parameters, returns the original matrices bit for bit.
+parameters, returns the original matrices bit for bit. A PreparedUpdate
+holds the parameter-independent part, so a search over GammaTilde1
+measures each trial's Rec.MK in O(p^3) without forming any n x n matrix.
 
 The module also contains the verifier and reconstructor for the
 spectral characterization of this pencil class: which (X, J, Gamma, Phi)
@@ -40,7 +42,6 @@ from .pencil import (
     CheckReport,
     ConditionCheck,
     DEFAULT_RCOND,
-    StructuredPencil,
     rcond_estimate,
     validate_pencil,
 )
@@ -281,65 +282,115 @@ def _symmetrized(A, name):
     return 0.5 * (A + A.T)
 
 
-def _prepare_update(p, old, target_Lambda, params):
-    """Shared validation and ingredient assembly for both update paths.
-
-    Returns (X1, X1u, iL1, iLt, iG1, iGt, Theta). All four inverses are
-    computed with the same solver call shape, so that identical inputs
-    give bitwise identical inverses (the low-rank paths cancel exactly
-    for the trivial parameter choice).
-    """
-    if not isinstance(old, RealSpectralData):
-        raise DimensionMismatch("old eigendata must be RealSpectralData")
-    X1 = old.X
-    if X1.shape[0] != p.n:
-        raise DimensionMismatch(
-            f"eigendata has {X1.shape[0]} rows, pencil order is {p.n}"
-        )
-    q = old.p
-    Lt = np.ascontiguousarray(np.asarray(target_Lambda, dtype=float))
-    if Lt.shape != (q, q):
-        raise DimensionMismatch(
-            f"target matrix has shape {Lt.shape}, expected {(q, q)}"
-        )
-    if params.p != q:
-        raise DimensionMismatch(
-            f"parameter set is {params.p}x{params.p}, eigendata has p={q}"
-        )
-    s_t = infer_pair_count(Lt)
-    if s_t != params.s_tilde:
+def _check_commutes(name, G, iL):
+    """The block layouts make G Lambda^-1 symmetric; everything downstream assumes it."""
+    C = G @ iL
+    dev = np.abs(C - C.T).max() / max(np.abs(C).max(), 1e-300)
+    if dev > _COMMUTATION_TOL:
         raise MalformedBlocks(
-            f"target has {s_t} conjugate-pair blocks but the parameter set "
-            f"declares s_tilde={params.s_tilde}"
+            f"{name} does not commute with its eigenvalue matrix "
+            f"(relative deviation {dev:.3e}); block layouts disagree"
         )
 
-    iL1 = _inverse_of(np.ascontiguousarray(old.Lambda), "Lambda_1")
-    iLt = _inverse_of(Lt, "the target eigenvalue matrix")
-    G1 = compute_gamma1(p, X1, s=old.s)
-    iG1 = _inverse_of(G1, "Gamma_1")
-    iGt = _inverse_of(params.GammaTilde1, "GammaTilde_1")
 
-    # The block layouts make Gamma * Lambda^-1 symmetric; confirm, since
-    # everything downstream silently assumes it.
-    for nm, G, iL in (("Gamma_1", G1, iL1), ("GammaTilde_1", params.GammaTilde1, iLt)):
-        C = G @ iL
-        dev = np.abs(C - C.T).max() / max(np.abs(C).max(), 1e-300)
-        if dev > _COMMUTATION_TOL:
-            raise MalformedBlocks(
-                f"{nm} does not commute with its eigenvalue matrix "
-                f"(relative deviation {dev:.3e}); block layouts disagree"
+def _sym_norm(A):
+    """Spectral norm of a symmetric matrix via its eigenvalues."""
+    if A.size == 0:
+        return 0.0
+    return float(np.abs(np.linalg.eigvalsh(A)).max())
+
+
+class PreparedUpdate:
+    """The parameter-independent part of one update, built once by
+    prepare_update(p, old, target_Lambda): W = M_u X_1u, Z = K X_1 and the
+    p x p WtX = X_1u^T W, ZtX = X_1^T Z. It holds no n x n array, so a
+    search reuses it for every trial (Theta, GammaTilde1).
+
+    All inverses use the same solver call shape as GammaTilde1^-1, so
+    identical inputs give bitwise identical inverses (the low-rank paths
+    cancel exactly for the trivial parameter choice).
+    """
+
+    def __init__(self, p, old, target_Lambda):
+        if not isinstance(old, RealSpectralData):
+            raise DimensionMismatch("old eigendata must be RealSpectralData")
+        X1 = old.X
+        if X1.shape[0] != p.n:
+            raise DimensionMismatch(
+                f"eigendata has {X1.shape[0]} rows, pencil order is {p.n}"
             )
+        q = old.p
+        Lt = np.ascontiguousarray(np.asarray(target_Lambda, dtype=float))
+        if Lt.shape != (q, q):
+            raise DimensionMismatch(
+                f"target matrix has shape {Lt.shape}, expected {(q, q)}"
+            )
+        self.pencil, self.X1, self.s_tilde = p, X1, infer_pair_count(Lt)
 
-    r = p.k_rcond()
-    if r < ILL_DEFINED_RCOND:
-        raise IllDefined(
-            f"the stiffness matrix K is not invertible at working precision "
-            f"(rcond {r:.3e}); the update is not well defined"
-        )
-    if r < DEFAULT_RCOND:
-        log.warning("K condition estimate %.3e exceeds 1e12; results are suspect", 1.0 / r)
+        self.iL1 = _inverse_of(np.ascontiguousarray(old.Lambda), "Lambda_1")
+        self.iLt = _inverse_of(Lt, "the target eigenvalue matrix")
+        G1 = compute_gamma1(p, X1, s=old.s)
+        self.iG1 = _inverse_of(G1, "Gamma_1")
+        _check_commutes("Gamma_1", G1, self.iL1)
 
-    return X1, X1[: p.n_u], iL1, iLt, iG1, iGt, params.Theta
+        r = p.k_rcond()
+        if r < ILL_DEFINED_RCOND:
+            raise IllDefined(
+                f"the stiffness matrix K is not invertible at working precision "
+                f"(rcond {r:.3e}); the update is not well defined"
+            )
+        if r < DEFAULT_RCOND:
+            log.warning("K condition estimate %.3e exceeds 1e12; results are suspect", 1.0 / r)
+
+        X1u = X1[: p.n_u]
+        self.W, self.Z = p.M_u @ X1u, p.K @ X1
+        self.WtX, self.ZtX = X1u.T @ self.W, X1.T @ self.Z
+        self._distance_factors = None
+
+    def gamma_tilde_inverse(self, params):
+        """Check params against the prepared data; return GammaTilde1^-1."""
+        if params.p != self.X1.shape[1]:
+            raise DimensionMismatch(f"parameter set is {params.p}x{params.p}, "
+                                    f"eigendata has p={self.X1.shape[1]}")
+        if params.s_tilde != self.s_tilde:
+            raise MalformedBlocks(f"target has {self.s_tilde} conjugate-pair blocks but the "
+                                  f"parameter set declares s_tilde={params.s_tilde}")
+        _check_commutes("GammaTilde_1", params.GammaTilde1, self.iLt)
+        return _inverse_of(params.GammaTilde1, "GammaTilde_1")
+
+    def woodbury_cores(self, params):
+        """(core_m, cap_m, core_k, cap_k) of M_u~ = M_u - W core_m cap_m^-1 W^T
+        and K~ = K - Z core_k cap_k^-1 Z^T; trivial parameters give zero cores."""
+        iGt = self.gamma_tilde_inverse(params)
+        Th = params.Theta
+        eye = np.eye(Th.shape[0])
+        core_m = Th @ iGt @ Th.T - self.iG1
+        cap_m = eye + self.WtX @ core_m
+        core_k = self.iL1 @ self.iG1 - Th @ self.iLt @ iGt @ Th.T
+        cap_k = eye + self.ZtX @ core_k
+        for name, cap in (("mass", cap_m), ("stiffness", cap_k)):
+            if rcond_estimate(cap) < ILL_DEFINED_RCOND:
+                raise IllDefined(f"the p x p capacitance matrix of the {name} update is "
+                                 f"singular; the update is not well defined")
+        return core_m, cap_m, core_k, cap_k
+
+    def rec_mk(self, params, tau1=1.0, tau2=1.0):
+        """Rec.MK of the update with these parameters in O(p^3): with
+        C_m = core_m cap_m^-1 and the thin QR W = Q_w R_w, ||M_u - M_u~|| =
+        ||R_w sym(C_m) R_w^T||, likewise for K with Z. The R factors and
+        ||M_u||, ||K|| are computed on the first call."""
+        core_m, cap_m, core_k, cap_k = self.woodbury_cores(params)
+        if self._distance_factors is None:
+            self._distance_factors = (np.linalg.qr(self.W, mode="r"), np.linalg.qr(self.Z, mode="r"),
+                                      _sym_norm(self.pencil.M_u), _sym_norm(self.pencil.K))
+        R_w, R_z, norm_m, norm_k = self._distance_factors
+        C_m = _symmetrized(sla.solve(cap_m.T, core_m.T).T, "the mass update core")
+        C_k = _symmetrized(sla.solve(cap_k.T, core_k.T).T, "the stiffness update core")
+        return (tau1 * _sym_norm(R_w @ C_m @ R_w.T) / norm_m
+                + tau2 * _sym_norm(R_z @ C_k @ R_z.T) / norm_k)
+
+
+prepare_update = PreparedUpdate
 
 
 def embed_direct(p, old, target_Lambda, params):
@@ -348,7 +399,10 @@ def embed_direct(p, old, target_Lambda, params):
     Cost is two dense inversions of orders n_u and n; prefer the
     Woodbury path when p is small relative to n_u.
     """
-    X1, X1u, iL1, iLt, iG1, iGt, Th = _prepare_update(p, old, target_Lambda, params)
+    prep = prepare_update(p, old, target_Lambda)
+    iGt = prep.gamma_tilde_inverse(params)
+    X1, iL1, iLt, iG1, Th = prep.X1, prep.iL1, prep.iLt, prep.iG1, params.Theta
+    X1u = X1[: p.n_u]
 
     iMu = _inverse_of(p.M_u, "M_u")
     inner_m = iMu - X1u @ iG1 @ X1u.T + X1u @ Th @ iGt @ Th.T @ X1u.T
@@ -377,36 +431,17 @@ def embed_smw(p, old, target_Lambda, params):
     choice the p x p cores vanish identically and the original matrices
     are returned exactly.
     """
-    X1, X1u, iL1, iLt, iG1, iGt, Th = _prepare_update(p, old, target_Lambda, params)
-    q = old.p
-    eye = np.eye(q)
-
-    core_m = Th @ iGt @ Th.T - iG1
-    W = p.M_u @ X1u
-    cap = eye + (X1u.T @ W) @ core_m
-    if rcond_estimate(cap) < ILL_DEFINED_RCOND:
-        raise IllDefined(
-            "the p x p capacitance matrix of the mass update is singular; "
-            "the update is not well defined"
-        )
-    Mt = p.M_u - W @ core_m @ sla.solve(cap, W.T)
-
-    core_k = iL1 @ iG1 - Th @ iLt @ iGt @ Th.T
-    Z = p.K @ X1
-    cap = eye + (X1.T @ Z) @ core_k
-    if rcond_estimate(cap) < ILL_DEFINED_RCOND:
-        raise IllDefined(
-            "the p x p capacitance matrix of the stiffness update is singular; "
-            "the update is not well defined"
-        )
-    Kt = p.K - Z @ core_k @ sla.solve(cap, Z.T)
+    prep = prepare_update(p, old, target_Lambda)
+    core_m, cap_m, core_k, cap_k = prep.woodbury_cores(params)
+    Mt = p.M_u - prep.W @ core_m @ sla.solve(cap_m, prep.W.T)
+    Kt = p.K - prep.Z @ core_k @ sla.solve(cap_k, prep.Z.T)
 
     return UpdatedSystem(
         M_u_tilde=_symmetrized(Mt, "M_u_tilde"),
         K_tilde=_symmetrized(Kt, "K_tilde"),
         params=params,
         method="smw",
-        X1_tilde=X1 @ Th,
+        X1_tilde=prep.X1 @ params.Theta,
     )
 
 

@@ -19,8 +19,9 @@ from .embedding import (
     ILL_DEFINED_RCOND,
     ParameterSet,
     UpdatedSystem,
-    embed,
+    _sym_norm,
     gamma_free_params,
+    prepare_update,
     structured_gamma,
 )
 from .errors import (
@@ -44,13 +45,6 @@ log = logging.getLogger(__name__)
 # Small enough that a dense full solve for the retained eigendata is
 # cheap; above this the caller must supply the retained data itself.
 ORACLE_LIMIT = 64
-
-
-def _sym_norm(A):
-    """Spectral norm of a symmetric matrix via its eigenvalues."""
-    if A.size == 0:
-        return 0.0
-    return float(np.abs(np.linalg.eigvalsh(A)).max())
 
 
 def _spec_norm(A):
@@ -223,7 +217,8 @@ def residual_report(
 
 @dataclass(frozen=True)
 class OptimizeConfig:
-    """Nelder-Mead settings for the update-distance minimization."""
+    """Nelder-Mead settings for the update-distance minimization. method
+    must name an embedding path but no longer changes the objective."""
 
     max_evals: int = 0  # 0 means 200 * p
     fatol: float = 1e-10
@@ -245,11 +240,18 @@ class OptimizationResult:
     trace: tuple
 
 
-def evaluate_rec_mk(p, old, target_Lambda, params, method="auto", tau1=1.0, tau2=1.0):
-    """Objective value for one parameter set: run the update, measure the
-    coefficient movement. Raises whatever the embedding raises."""
-    u = embed(p, old, target_Lambda, params, method=method)
-    return rec_mk(p.M_u, p.K, u.M_u_tilde, u.K_tilde, tau1, tau2)
+def evaluate_rec_mk(
+    p, old, target_Lambda, params, method="auto", tau1=1.0, tau2=1.0, *, prepared=None
+):
+    """Rec.MK of one parameter set via PreparedUpdate.rec_mk, without
+    forming the updated coefficients; raises whatever embed would raise.
+    method is checked but no longer changes the value. `prepared`, from
+    prepare_update(p, old, target_Lambda), saves rebuilding it."""
+    if method not in ("auto", "smw", "direct"):
+        raise DimensionMismatch(f"unknown embedding method {method!r}")
+    if prepared is None:
+        prepared = prepare_update(p, old, target_Lambda)
+    return prepared.rec_mk(params, tau1, tau2)
 
 
 def _restart_points(x0, s_tilde):
@@ -276,7 +278,8 @@ def optimize_gamma_tilde(p, old, target_Lambda, Theta, seed, config=None):
     scalars. Infeasible trial points (singular GammaTilde1, ill-defined
     update) score the configured penalty, so the search is effectively
     unconstrained. Evaluation of the seed itself is not shielded: a seed
-    that cannot be embedded raises immediately.
+    that cannot be embedded raises immediately. The update is prepared
+    once, so each evaluation costs O(p^3) whatever the pencil order.
     """
     if config is None:
         config = OptimizeConfig()
@@ -297,19 +300,21 @@ def optimize_gamma_tilde(p, old, target_Lambda, Theta, seed, config=None):
             mode="choice_b",
         )
 
+    prepared = prepare_update(p, old, target_Lambda)
+
+    def evaluate(params):
+        return evaluate_rec_mk(p, old, target_Lambda, params, config.method,
+                               config.tau1, config.tau2, prepared=prepared)
+
     x0 = gamma_free_params(seed.GammaTilde1, s_tilde)
-    f0 = evaluate_rec_mk(
-        p, old, target_Lambda, seed, config.method, config.tau1, config.tau2
-    )
+    f0 = evaluate(seed)
     baseline = f0 if seed.mode == "choice_a" else None
 
     trace = []
 
     def objective(x):
         try:
-            value = evaluate_rec_mk(
-                p, old, target_Lambda, build(x), config.method, config.tau1, config.tau2
-            )
+            value = evaluate(build(x))
         except (IllDefined, Singular, RankDeficient, MalformedBlocks):
             value = config.penalty
         if not np.isfinite(value):

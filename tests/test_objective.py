@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 import spilloverfree as sf
+import spilloverfree.embedding
 import spilloverfree.objective
-from spilloverfree.errors import DimensionMismatch, IllDefined, NoFeasiblePoint
+from spilloverfree.errors import DimensionMismatch, IllDefined, MalformedBlocks, NoFeasiblePoint
 
 from conftest import EmbeddingCase, make_pencil
+from test_acceptance import scale_case
 
 
 def test_rec_mk_zero_for_identical_systems(small_pencil):
@@ -210,4 +212,90 @@ def test_optimize_propagates_seed_failure():
         sf.optimize_gamma_tilde(
             pencil, old, np.array([[2.0]]), np.eye(1), seed,
             sf.OptimizeConfig(max_evals=10, restarts=1),
+        )
+
+
+def _embedded_rec_mk(p, old, target_Lambda, params, method="auto", tau1=1.0, tau2=1.0,
+                     *, prepared=None):
+    """Reference objective: form the updated coefficients, then measure."""
+    u = sf.embed(p, old, target_Lambda, params, method=method)
+    return sf.rec_mk(p.M_u, p.K, u.M_u_tilde, u.K_tilde, tau1, tau2)
+
+
+def _trial_params(case, count, seed):
+    """The seed parameters, then count - 1 perturbed GammaTilde1 points
+    with the same block layout (signs kept, pair entries shifted)."""
+    s_tilde, q = case.params.s_tilde, case.old.p
+    x0 = sf.gamma_free_params(case.params.GammaTilde1, s_tilde)
+    rng = np.random.default_rng(seed)
+    out = [case.params]
+    for _ in range(count - 1):
+        x = x0 * np.exp(0.3 * rng.standard_normal(q))
+        x[: 2 * s_tilde] += 0.1 * np.abs(x0).max() * rng.standard_normal(2 * s_tilde)
+        out.append(sf.ParameterSet(np.eye(q), sf.structured_gamma(x, s_tilde, q), s_tilde))
+    return out
+
+
+def test_prepared_objective_matches_embedded_reference():
+    cases = [scale_case(seed) for seed in range(20)]
+    cases.append(EmbeddingCase(10, 4, s_sel=1, n_real=1, s_tilde=0, seed=3))
+    cases.append(EmbeddingCase(8, 4, s_sel=1, n_real=2, s_tilde=1, seed=2))
+    assert cases[-2].old.s != cases[-2].target.s
+    assert 4 * cases[-1].old.p > cases[-1].pencil.n_u
+    for i, c in enumerate(cases):
+        prepared = spilloverfree.embedding.prepare_update(c.pencil, c.old, c.target.Lambda)
+        for params in _trial_params(c, 6, seed=i):
+            fast = sf.evaluate_rec_mk(c.pencil, c.old, c.target.Lambda, params)
+            assert prepared.rec_mk(params) == fast
+            for embed in (sf.embed_smw, sf.embed_direct):
+                u = embed(c.pencil, c.old, c.target.Lambda, params)
+                ref = sf.rec_mk(c.pencil.M_u, c.pencil.K, u.M_u_tilde, u.K_tilde)
+                # absolute up to Rec.MK = 1; beyond, the n x n inversions of
+                # embed_direct round in proportion to the size of the update
+                assert abs(fast - ref) <= 1e-13 * max(1.0, ref), (i, embed.__name__, fast, ref)
+
+
+def test_prepared_objective_rejects_wrong_pair_count_like_embed():
+    c = scale_case(0)
+    q = c.old.p
+    G = sf.structured_gamma(np.arange(1.0, q + 1), 1, q)
+    wrong = sf.ParameterSet(np.eye(q), G, s_tilde=1)
+    assert c.target.s == 2
+    for path in (sf.evaluate_rec_mk, sf.embed_smw, sf.embed_direct):
+        with pytest.raises(MalformedBlocks, match="conjugate-pair blocks"):
+            path(c.pencil, c.old, c.target.Lambda, wrong)
+
+
+def test_prepared_objective_warns_on_asymmetric_core(caplog):
+    c = EmbeddingCase(10, 4, s_sel=1, n_real=2, s_tilde=1, seed=3)
+    params = _trial_params(c, 2, seed=0)[1]
+    prepared = spilloverfree.embedding.prepare_update(c.pencil, c.old, c.target.Lambda)
+    with caplog.at_level("WARNING", logger="spilloverfree.embedding"):
+        prepared.rec_mk(params)
+        assert "asymmetric" not in caplog.text
+        # break the symmetry of X_1u^T M_u X_1u, as severe rounding would
+        prepared.WtX = prepared.WtX + np.triu(np.full_like(prepared.WtX, 1e-4), 1)
+        prepared.rec_mk(params)
+    assert "the mass update core came out asymmetric" in caplog.text
+
+
+@pytest.mark.parametrize("seed", [0, 7, 13])
+def test_optimizer_trajectory_matches_embedded_reference(monkeypatch, seed):
+    c = scale_case(seed)
+    cfg = sf.OptimizeConfig(max_evals=150, restarts=1)
+    args = (c.pencil, c.old, c.target.Lambda, np.eye(c.old.p), c.params, cfg)
+    fast = sf.optimize_gamma_tilde(*args)
+    monkeypatch.setattr(spilloverfree.objective, "evaluate_rec_mk", _embedded_rec_mk)
+    ref = sf.optimize_gamma_tilde(*args)
+    assert fast.iterations == ref.iterations
+    assert fast.best_rec_mk == pytest.approx(ref.best_rec_mk, rel=1e-12, abs=0)
+    assert fast.baseline_rec_mk == pytest.approx(ref.baseline_rec_mk, rel=1e-12, abs=0)
+
+
+def test_optimize_rejects_unknown_method():
+    c = EmbeddingCase(8, 3, s_sel=1, n_real=1, s_tilde=1, seed=7)
+    with pytest.raises(DimensionMismatch, match="unknown embedding method"):
+        sf.optimize_gamma_tilde(
+            c.pencil, c.old, c.target.Lambda, np.eye(c.old.p), c.params,
+            sf.OptimizeConfig(max_evals=10, restarts=1, method="qz"),
         )
