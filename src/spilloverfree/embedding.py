@@ -59,27 +59,15 @@ RECONSTRUCT_TOL = 1e-8
 _COMMUTATION_TOL = 1e-10
 _PATTERN_TOL = 1e-8
 
+# The update paths embed can take; "auto" picks one by size.
+METHODS = ("auto", "smw", "direct")
+
 
 def _structure_deviation(G, s_tilde):
-    """Largest entry of G outside the paired block pattern, plus the
-    mismatch of each 2x2 block against [[a, b], [b, -a]]."""
-    p = G.shape[0]
-    dev = 0.0
-    mask = np.zeros((p, p), dtype=bool)
-    for j in range(s_tilde):
-        i = 2 * j
-        dev = max(
-            dev,
-            abs(G[i, i] + G[i + 1, i + 1]),
-            abs(G[i, i + 1] - G[i + 1, i]),
-        )
-        mask[i : i + 2, i : i + 2] = True
-    for i in range(2 * s_tilde, p):
-        mask[i, i] = True
-    off = np.abs(np.where(mask, 0.0, G))
-    if off.size:
-        dev = max(dev, float(off.max()))
-    return dev
+    """Largest entry of G that the block pattern [[a, b], [b, -a]], then
+    scalars, does not reproduce from G's own free parameters."""
+    rebuilt = structured_gamma(gamma_free_params(G, s_tilde), s_tilde, G.shape[0])
+    return float(np.abs(G - rebuilt).max(initial=0.0))
 
 
 def structured_gamma(values, s_tilde, p):
@@ -384,10 +372,20 @@ class PreparedUpdate:
             self._distance_factors = (np.linalg.qr(self.W, mode="r"), np.linalg.qr(self.Z, mode="r"),
                                       _sym_norm(self.pencil.M_u), _sym_norm(self.pencil.K))
         R_w, R_z, norm_m, norm_k = self._distance_factors
-        C_m = _symmetrized(sla.solve(cap_m.T, core_m.T).T, "the mass update core")
-        C_k = _symmetrized(sla.solve(cap_k.T, core_k.T).T, "the stiffness update core")
-        return (tau1 * _sym_norm(R_w @ C_m @ R_w.T) / norm_m
-                + tau2 * _sym_norm(R_z @ C_k @ R_z.T) / norm_k)
+        dist = []
+        for name, R, core, cap, norm in (("mass", R_w, core_m, cap_m, norm_m),
+                                         ("stiffness", R_z, core_k, cap_k, norm_k)):
+            C = sla.solve(cap.T, core.T).T
+            # The asymmetry the updated matrix would carry, relative to its
+            # pencil norm; the Frobenius norm bounds the 2-norm from above.
+            skew = R @ (C - C.T) @ R.T
+            if np.linalg.norm(skew) > ASYMMETRY_WARN * norm:
+                dev = np.linalg.norm(skew, 2) / norm
+                if dev > ASYMMETRY_WARN:
+                    log.warning("the %s update core came out asymmetric by %.3e relative; "
+                                "conditioning is suspect", name, dev)
+            dist.append(_sym_norm(R @ (0.5 * (C + C.T)) @ R.T))
+        return tau1 * dist[0] / norm_m + tau2 * dist[1] / norm_k
 
 
 prepare_update = PreparedUpdate
@@ -454,13 +452,12 @@ def embed(p, old, target_Lambda, params, method="auto"):
     """
     if not isinstance(old, RealSpectralData):
         raise DimensionMismatch("old eigendata must be RealSpectralData")
+    if method not in METHODS:
+        raise DimensionMismatch(f"unknown embedding method {method!r}")
     if method == "auto":
         method = "smw" if 4 * old.p <= p.n_u else "direct"
-    if method == "direct":
-        return embed_direct(p, old, target_Lambda, params)
-    if method == "smw":
-        return embed_smw(p, old, target_Lambda, params)
-    raise DimensionMismatch(f"unknown embedding method {method!r}")
+    path = embed_smw if method == "smw" else embed_direct
+    return path(p, old, target_Lambda, params)
 
 
 def verify_theorem1(X, J1, Gamma11, Phi, tol):

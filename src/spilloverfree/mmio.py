@@ -25,7 +25,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .errors import MalformedBlocks, ParseError
-from .spectral import RealSpectralData, block_eigenvalues
+from .spectral import RealSpectralData, block_eigenvalues, block_matrix
 
 _FLOAT = "%.17e"
 
@@ -199,24 +199,20 @@ def read_spectral(path):
     if s < 0 or 2 * s > p:
         raise MalformedBlocks(f"{s} conjugate-pair blocks do not fit into p={p}")
 
-    Lam = np.zeros((p, p))
+    values = []
     for j in range(s):
         line_no, line = next_line("a 'pair alpha beta' line")
         toks = _tokens(line)
         if len(toks) != 3 or toks[0] != "pair":
             _fail(path, line_no, 1, f"expected 'pair alpha beta', got {line!r}")
-        a = _parse_float(toks[1], path, line_no, line)
-        b = _parse_float(toks[2], path, line_no, line)
-        i = 2 * j
-        Lam[i, i] = Lam[i + 1, i + 1] = a
-        Lam[i, i + 1] = b
-        Lam[i + 1, i] = -b
+        values.append(complex(_parse_float(toks[1], path, line_no, line),
+                              _parse_float(toks[2], path, line_no, line)))
     for k in range(p - 2 * s):
         line_no, line = next_line("a 'real lambda' line")
         toks = _tokens(line)
         if len(toks) != 2 or toks[0] != "real":
             _fail(path, line_no, 1, f"expected 'real lambda', got {line!r}")
-        Lam[2 * s + k, 2 * s + k] = _parse_float(toks[1], path, line_no, line)
+        values.append(_parse_float(toks[1], path, line_no, line))
 
     line_no, line = next_line("the 'n p' eigenvector size line")
     toks = _tokens(line)
@@ -238,7 +234,7 @@ def read_spectral(path):
             filled += 1
     if filled < len(slots):
         _fail(path, len(lines) or 1, 1, f"expected {len(slots)} eigenvector values, found {filled}")
-    return RealSpectralData(Lambda=Lam, X=X, s=s)
+    return RealSpectralData(Lambda=block_matrix(values, s), X=X, s=s)
 
 
 def write_spectral(d, path):

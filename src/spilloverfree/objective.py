@@ -17,6 +17,7 @@ import scipy.optimize
 
 from .embedding import (
     ILL_DEFINED_RCOND,
+    METHODS,
     ParameterSet,
     UpdatedSystem,
     _sym_norm,
@@ -35,7 +36,7 @@ from .errors import (
 from .pencil import rcond_estimate, solve_spectrum
 from .spectral import (
     DEFAULT_MATCH_TOL,
-    block_eigenvalues,
+    from_real_representation,
     retained_eigendata,
     select_eigendata,
 )
@@ -112,13 +113,7 @@ def _retained_block_data(p, old, retained, match_tol):
     if retained is None:
         if p.n > ORACLE_LIMIT:
             return None
-        vals = block_eigenvalues(old.Lambda, old.s)
-        full = []
-        for j, z in enumerate(vals):
-            if j < old.s:
-                full.extend([z, z.conjugate()])
-            else:
-                full.append(z)
+        full = [lam for lam, _ in from_real_representation(old)]
         spectrum = solve_spectrum(p)
         _, kept_idx = select_eigendata(spectrum, full, match_tol=match_tol)
         retained = retained_eigendata(spectrum, kept_idx) if kept_idx else None
@@ -247,7 +242,7 @@ def evaluate_rec_mk(
     forming the updated coefficients; raises whatever embed would raise.
     method is checked but no longer changes the value. `prepared`, from
     prepare_update(p, old, target_Lambda), saves rebuilding it."""
-    if method not in ("auto", "smw", "direct"):
+    if method not in METHODS:
         raise DimensionMismatch(f"unknown embedding method {method!r}")
     if prepared is None:
         prepared = prepare_update(p, old, target_Lambda)

@@ -330,12 +330,12 @@ def solve_spectrum(p, *, degeneracy_tol=DEGENERACY_TOL):
             f"(tolerance {degeneracy_tol:.1e} x spectral radius {scale:.3e})"
         )
 
-    # Classify and pair. Real QZ on symmetric real data returns exact
-    # conjugate partners; the greedy matching below is belt and braces.
-    real_idx = [i for i in range(p.n_u) if abs(lam[i].imag) <= _REAL_AXIS_TOL * max(scale, 1.0)]
-    pos_idx = [i for i in range(p.n_u) if i not in real_idx and lam[i].imag > 0]
-    neg_idx = [i for i in range(p.n_u) if i not in real_idx and lam[i].imag < 0]
-    if len(pos_idx) != len(neg_idx):
+    # Classify. Real QZ on real data returns exact conjugate partners, so
+    # only the counts need to agree; each pair is kept by its upper member.
+    is_real = np.abs(lam.imag) <= _REAL_AXIS_TOL * max(scale, 1.0)
+    real_idx = np.flatnonzero(is_real)
+    pos_idx = np.flatnonzero(~is_real & (lam.imag > 0))
+    if len(pos_idx) != np.count_nonzero(~is_real & (lam.imag < 0)):
         raise DegenerateSpectrum(
             "complex eigenvalues do not split into conjugate pairs; "
             "the spectrum is too close to the real axis to classify"
@@ -347,11 +347,7 @@ def solve_spectrum(p, *, degeneracy_tol=DEGENERACY_TOL):
         return np.concatenate([u, R @ u])
 
     pairs = []
-    remaining = list(neg_idx)
     for i in pos_idx:
-        dists = [abs(lam[i] - np.conj(lam[j])) for j in remaining]
-        k = int(np.argmin(dists))
-        remaining.pop(k)
         x = _normalize_vector(lift(V[:, i]))
         pairs.append((lam[i], x))
     pairs.sort(key=lambda t: (t[0].real, t[0].imag))

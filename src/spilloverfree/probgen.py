@@ -16,11 +16,10 @@ from .errors import (
     DegenerateSpectrum,
     DimensionMismatch,
     GenerationFailed,
-    NotConjugateClosed,
     StructureInfeasible,
-    ZeroEigenvalue,
 )
 from .pencil import solve_spectrum, validate_pencil
+from .spectral import _split_conjugates
 
 # Targets (and their imaginary parts, for conjugate pairs) must keep at
 # least this modulus: zero and near-axis targets break the simple
@@ -92,37 +91,6 @@ def generate_pencil(spec, *, retries=5):
     )
 
 
-def _classify(old_eigs):
-    """Split a conjugate-closed list into pair representatives
-    (positive imaginary part) and reals."""
-    vals = [complex(v) for v in old_eigs]
-    scale = max(abs(v) for v in vals) if vals else 0.0
-    if not vals or min(abs(v) for v in vals) < 1e-14 * max(scale, 1e-300):
-        raise ZeroEigenvalue("eigenvalues to perturb must be nonzero")
-    pairs = []
-    reals = []
-    used = [False] * len(vals)
-    for i, v in enumerate(vals):
-        if used[i]:
-            continue
-        if v.imag == 0.0:
-            reals.append(v.real)
-            used[i] = True
-            continue
-        partner = None
-        for j in range(len(vals)):
-            if j != i and not used[j] and abs(vals[j] - v.conjugate()) <= 1e-10 * scale:
-                partner = j
-                break
-        if partner is None:
-            raise NotConjugateClosed(
-                f"eigenvalue {v:.8e} has no conjugate partner; cannot perturb"
-            )
-        used[i] = used[partner] = True
-        pairs.append(v if v.imag > 0 else v.conjugate())
-    return pairs, reals
-
-
 def _ordered(pairs, reals):
     pairs = sorted(pairs, key=lambda z: (z.real, z.imag))
     reals = sorted(reals)
@@ -160,7 +128,10 @@ def perturb_targets(old_eigs, s_tilde, max_perturbation, seed, avoid=()):
     from `avoid` (pass the retained spectrum there). Targets are
     returned pairs first, conjugate partners adjacent.
     """
-    pairs, reals = _classify(old_eigs)
+    old_eigs = [complex(v) for v in old_eigs]
+    pair_idx, real_idx = _split_conjugates(old_eigs)
+    pairs = [old_eigs[i] for i in pair_idx]
+    reals = [old_eigs[i].real for i in real_idx]
     m = len(old_eigs)
     if not (0 <= 2 * s_tilde <= m):
         raise StructureInfeasible(

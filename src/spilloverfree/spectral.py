@@ -10,9 +10,17 @@ scalar blocks.
 The canonical ordering used everywhere: pairs sorted by ascending real
 part then ascending imaginary part, followed by real eigenvalues in
 ascending order.
+
+Each piece of this layout has one implementation here. _split_conjugates
+is the only conjugate-pairing routine (to_real_representation,
+real_lambda_from_eigenvalues and probgen.perturb_targets use it).
+block_matrix encodes the layout from its values and block_eigenvalues
+decodes it; the block-structure check is decode, re-encode, compare.
+from_real_representation expands blocks back into a conjugate-closed
+list.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,29 +82,21 @@ class RealSpectralData:
 
 
 def _validate_block_structure(Lam, s):
-    p = Lam.shape[0]
-    scale = max(np.abs(Lam).max(), 1e-300) if Lam.size else 1.0
-    mask = np.zeros((p, p), dtype=bool)
-    for j in range(s):
-        i = 2 * j
-        a, b = Lam[i, i], Lam[i, i + 1]
-        if not (b > 0):
+    vals = block_eigenvalues(Lam, s)
+    for j, z in enumerate(vals[:s]):
+        if not (z.imag > 0):
             raise MalformedBlocks(
-                f"pair block {j} must have positive upper-right entry, got {b!r}"
+                f"pair block {j} must have positive upper-right entry, got {z.imag!r}"
             )
-        if abs(Lam[i + 1, i] + b) > _PATTERN_TOL * scale or abs(Lam[i + 1, i + 1] - a) > _PATTERN_TOL * scale:
-            raise MalformedBlocks(
-                f"pair block {j} is not of rotation form [[a, b], [-b, a]]"
-            )
-        mask[i : i + 2, i : i + 2] = True
-    for i in range(2 * s, p):
-        if Lam[i, i] == 0.0:
+    for i, z in enumerate(vals[s:], start=2 * s):
+        if z.real == 0.0:
             raise MalformedBlocks(f"scalar block at position {i} is zero; eigenvalues must be nonzero")
-        mask[i, i] = True
-    off = np.abs(np.where(mask, 0.0, Lam)).max() if p else 0.0
+    scale = max(np.abs(Lam).max(initial=0.0), 1e-300)
+    off = np.abs(Lam - block_matrix(vals, s)).max(initial=0.0)
     if off > _PATTERN_TOL * scale:
         raise MalformedBlocks(
-            f"Lambda has magnitude {off:.3e} outside the block-diagonal pattern"
+            f"Lambda deviates by {off:.3e} from the pattern of 2x2 rotation "
+            f"blocks [[a, b], [-b, a]] followed by scalars"
         )
 
 
@@ -110,6 +110,20 @@ def block_eigenvalues(Lam, s):
     for i in range(2 * s, Lam.shape[0]):
         vals.append(complex(Lam[i, i]))
     return vals
+
+
+def block_matrix(values, s):
+    """Inverse of block_eigenvalues: the real block matrix of s pair
+    values (positive imaginary part) followed by real scalars."""
+    Lam = np.zeros((len(values) + s,) * 2)
+    for j, z in enumerate(values[:s]):
+        i = 2 * j
+        Lam[i, i] = Lam[i + 1, i + 1] = z.real
+        Lam[i, i + 1] = z.imag
+        Lam[i + 1, i] = -z.imag
+    for i, z in enumerate(values[s:], start=2 * s):
+        Lam[i, i] = z.real
+    return Lam
 
 
 def infer_pair_count(Lam):
@@ -126,8 +140,60 @@ def infer_pair_count(Lam):
     return s
 
 
-def _canonical_key(lam):
-    return (lam.real, abs(lam.imag))
+def _split_conjugates(values, *, distinct=False):
+    """Split a conjugate-closed list of nonzero values into the indices
+    of the pair representatives (the member with positive imaginary
+    part) and of the reals.
+
+    Each complex value, in input order, takes the first unused partner
+    within _CLOSURE_TOL of its conjugate (relative to the largest
+    modulus). Returns (pair indices in the order their first member
+    appears, real indices in input order); callers sort as they need.
+    With `distinct`, coincident values raise DuplicateEigenvalue first.
+    """
+    lams = np.array([complex(v) for v in values])
+    if not lams.size:
+        raise DimensionMismatch("an empty eigenvalue set has no real block representation")
+    mods = np.abs(lams)
+    scale = mods.max()
+    if scale == 0.0 or mods.min() < 1e-14 * scale:
+        raise ZeroEigenvalue("eigenvalues must be nonzero to be represented")
+    if distinct:
+        close = np.abs(lams[:, None] - lams[None, :]) < _DUPLICATE_TOL * scale
+        i, j = np.nonzero(np.triu(close, 1))
+        if i.size:
+            raise DuplicateEigenvalue(
+                f"eigenvalues {lams[i[0]]:.8e} and {lams[j[0]]:.8e} coincide; "
+                f"the representation requires simple eigenvalues"
+            )
+    used = np.zeros(lams.size, dtype=bool)
+    pair_idx, real_idx = [], []
+    for i, lam in enumerate(lams):
+        if used[i]:
+            continue
+        used[i] = True
+        if lam.imag == 0.0:
+            real_idx.append(i)
+            continue
+        free = np.flatnonzero(~used & (np.abs(lams - np.conj(lam)) <= _CLOSURE_TOL * scale))
+        if not free.size:
+            raise NotConjugateClosed(
+                f"eigenvalue {lam:.8e} has no conjugate partner in the set; "
+                f"conjugate pairs go together"
+            )
+        used[free[0]] = True
+        pair_idx.append(i if lam.imag > 0 else int(free[0]))
+    return pair_idx, real_idx
+
+
+def _canonical_order(lams, *, distinct=False):
+    """(index order, pair count) of the canonical layout of a
+    conjugate-closed value list: representatives of the pairs sorted by
+    real then imaginary part, then the reals ascending."""
+    pair_idx, real_idx = _split_conjugates(lams, distinct=distinct)
+    pair_idx.sort(key=lambda i: (lams[i].real, lams[i].imag))
+    real_idx.sort(key=lambda i: lams[i].real)
+    return pair_idx + real_idx, len(pair_idx)
 
 
 def to_real_representation(pairs):
@@ -138,67 +204,21 @@ def to_real_representation(pairs):
     pairs : list of (complex eigenvalue, complex eigenvector)
         Conjugate members adjacent; eigenvalues simple and nonzero.
     """
-    pairs = [(complex(l), np.asarray(v)) for l, v in pairs]
-    if not pairs:
-        raise DimensionMismatch("cannot build a real representation of an empty set")
-    lams = np.array([l for l, _ in pairs])
-    scale = np.abs(lams).max()
-    if scale == 0.0 or np.abs(lams).min() < 1e-14 * scale:
-        raise ZeroEigenvalue("eigenvalues must be nonzero to be represented")
-    for i in range(len(lams)):
-        for j in range(i + 1, len(lams)):
-            if abs(lams[i] - lams[j]) < _DUPLICATE_TOL * scale:
-                raise DuplicateEigenvalue(
-                    f"eigenvalues {lams[i]:.8e} and {lams[j]:.8e} coincide; "
-                    f"the representation requires simple eigenvalues"
-                )
-
-    complex_items = []
-    real_items = []
-    used = [False] * len(pairs)
-    for i, (l, v) in enumerate(pairs):
-        if used[i]:
-            continue
-        if l.imag == 0.0:
-            real_items.append((l.real, v))
-            used[i] = True
-            continue
-        partner = None
-        for j in range(len(pairs)):
-            if j != i and not used[j] and abs(pairs[j][0] - np.conj(l)) <= _CLOSURE_TOL * scale:
-                partner = j
-                break
-        if partner is None:
-            raise NotConjugateClosed(
-                f"eigenvalue {l:.8e} has no conjugate partner in the set"
-            )
-        used[i] = used[partner] = True
-        lp, vp = (l, v) if l.imag > 0 else (pairs[partner][0], pairs[partner][1])
-        complex_items.append((lp, vp))
-
-    complex_items.sort(key=lambda t: (t[0].real, t[0].imag))
-    real_items.sort(key=lambda t: t[0])
-
-    p = 2 * len(complex_items) + len(real_items)
-    n = pairs[0][1].shape[0]
-    Lam = np.zeros((p, p))
-    X = np.zeros((n, p))
-    for j, (l, v) in enumerate(complex_items):
-        i = 2 * j
-        Lam[i, i] = Lam[i + 1, i + 1] = l.real
-        Lam[i, i + 1] = l.imag
-        Lam[i + 1, i] = -l.imag
-        X[:, i] = v.real
-        X[:, i + 1] = v.imag
-    for k, (l, v) in enumerate(real_items):
-        i = 2 * len(complex_items) + k
-        Lam[i, i] = l
+    lams = [complex(l) for l, _ in pairs]
+    vecs = [np.asarray(v) for _, v in pairs]
+    order, s = _canonical_order(lams, distinct=True)
+    cols = []
+    for i in order[:s]:
+        cols += [vecs[i].real, vecs[i].imag]
+    for i in order[s:]:
+        v = vecs[i]
         if np.linalg.norm(np.imag(v)) > 1e-8 * max(np.linalg.norm(v), 1e-300):
             raise MalformedBlocks(
-                f"eigenvector of real eigenvalue {l:.8e} has a significant imaginary part"
+                f"eigenvector of real eigenvalue {lams[i].real:.8e} has a significant imaginary part"
             )
-        X[:, i] = v.real
-    return RealSpectralData(Lambda=Lam, X=X, s=len(complex_items))
+        cols.append(v.real)
+    Lam = block_matrix([lams[i] for i in order], s)
+    return RealSpectralData(Lambda=Lam, X=np.column_stack(cols), s=s)
 
 
 def from_real_representation(d):
@@ -221,41 +241,9 @@ def real_lambda_from_eigenvalues(values):
     """Build just the eigenvalue matrix (no vectors) for a conjugate-
     closed list of targets. Returns RealSpectralData with an empty X."""
     values = [complex(v) for v in values]
-    scale = max(abs(v) for v in values)
-    if min(abs(v) for v in values) < 1e-14 * scale:
-        raise ZeroEigenvalue("target eigenvalues must be nonzero")
-    complex_vals = []
-    reals = []
-    used = [False] * len(values)
-    for i, v in enumerate(values):
-        if used[i]:
-            continue
-        if v.imag == 0.0:
-            reals.append(v.real)
-            used[i] = True
-            continue
-        partner = None
-        for j in range(len(values)):
-            if j != i and not used[j] and abs(values[j] - np.conj(v)) <= _CLOSURE_TOL * scale:
-                partner = j
-                break
-        if partner is None:
-            raise NotConjugateClosed(f"target {v:.8e} has no conjugate partner")
-        used[i] = used[partner] = True
-        complex_vals.append(v if v.imag > 0 else np.conj(v))
-    complex_vals.sort(key=lambda z: (z.real, z.imag))
-    reals.sort()
-    p = 2 * len(complex_vals) + len(reals)
-    Lam = np.zeros((p, p))
-    for j, z in enumerate(complex_vals):
-        i = 2 * j
-        Lam[i, i] = Lam[i + 1, i + 1] = z.real
-        Lam[i, i + 1] = z.imag
-        Lam[i + 1, i] = -z.imag
-    for k, r in enumerate(reals):
-        i = 2 * len(complex_vals) + k
-        Lam[i, i] = r
-    return RealSpectralData(Lambda=Lam, X=np.zeros((0, p)), s=len(complex_vals))
+    order, s = _canonical_order(values)
+    Lam = block_matrix([values[i] for i in order], s)
+    return RealSpectralData(Lambda=Lam, X=np.zeros((0, len(order) + s)), s=s)
 
 
 def select_eigendata(spectrum, targets, *, match_tol=DEFAULT_MATCH_TOL):
@@ -291,22 +279,8 @@ def select_eigendata(spectrum, targets, *, match_tol=DEFAULT_MATCH_TOL):
         taken[best] = True
         sel_idx.append(best)
 
+    chosen = to_real_representation([spectrum.finite_pairs[i] for i in sorted(sel_idx)])
     sel_set = set(sel_idx)
-    for i in sel_idx:
-        l = lams[i]
-        if l.imag != 0.0:
-            partner = np.conj(l)
-            ok = any(
-                j in sel_set and abs(lams[j] - partner) <= _CLOSURE_TOL * max(abs(l), 1.0)
-                for j in range(n_f)
-                if j != i
-            )
-            if not ok:
-                raise NotConjugateClosed(
-                    f"selection includes {l:.8e} but not its conjugate; "
-                    f"conjugate pairs must be replaced together"
-                )
-
     retained = tuple(i for i in range(n_f) if i not in sel_set)
     for i in sel_idx:
         for j in retained:
@@ -316,9 +290,7 @@ def select_eigendata(spectrum, targets, *, match_tol=DEFAULT_MATCH_TOL):
                     f"eigenvalue {lams[j]:.8e} within matching tolerance; the two "
                     f"spectra must be disjoint"
                 )
-
-    chosen = [spectrum.finite_pairs[i] for i in sorted(sel_idx)]
-    return to_real_representation(chosen), retained
+    return chosen, retained
 
 
 def retained_eigendata(spectrum, retained_indices):

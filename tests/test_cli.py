@@ -297,3 +297,27 @@ def test_log_environment_variable_is_honored(tmp_path, monkeypatch):
 def test_main_requires_a_subcommand():
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.mark.parametrize("example, stilde", [(1, 2), (2, 1)])
+def test_demo_equals_gen_then_optimize(example, stilde, tmp_path):
+    demo, gen, opt = (str(tmp_path / name) for name in ("demo", "gen", "opt"))
+    size = ("--nu", 12, "--nphi", 5, "--seed", 5)
+    assert run("demo", "--example", example, *size, "--out", demo) == 0
+    assert run("gen", *size, "--out", gen) == 0
+    assert run("optimize", "--in", gen, "--out", opt, "--p", 6, "--s", 2,
+               "--stilde", stilde, "--max-perturb", 0.3, "--seed", 5) == 0
+    files = [(gen, name) for name in ("M_u.mtx", "K.mtx")]
+    files += [(opt, name) for name in ("M_u_tilde.mtx", "K_tilde.mtx", "X1_tilde.mtx",
+                                       "theta.mtx", "gamma_tilde.mtx",
+                                       "selection.spectral", "targets.spectral")]
+    for directory, name in files:
+        with open(os.path.join(demo, name), "rb") as a, \
+                open(os.path.join(directory, name), "rb") as b:
+            assert a.read() == b.read(), name
+    demo_report = read_report(demo, "demo.report")
+    opt_report = read_report(opt, "optimize.report")
+    for key in ("rec_mk", "res1_updated", "res2_updated"):
+        assert demo_report["choice_b_" + key] == opt_report[key]
+    assert demo_report["choice_b_iterations"] == opt_report["iterations"]
+    assert run("verify", "--in", demo) == 0

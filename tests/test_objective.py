@@ -299,3 +299,14 @@ def test_optimize_rejects_unknown_method():
             c.pencil, c.old, c.target.Lambda, np.eye(c.old.p), c.params,
             sf.OptimizeConfig(max_evals=10, restarts=1, method="qz"),
         )
+
+
+def test_optimizer_near_the_seed_logs_no_asymmetry(caplog):
+    # near the seed the p x p core is about zero, so its rounding noise
+    # must be measured against the pencil, not against the core itself
+    for seed in range(3):
+        c = scale_case(seed)
+        with caplog.at_level("WARNING", logger="spilloverfree.embedding"):
+            sf.optimize_gamma_tilde(c.pencil, c.old, c.target.Lambda, np.eye(c.old.p),
+                                    c.params, sf.OptimizeConfig(restarts=1))
+    assert "asymmetric" not in caplog.text

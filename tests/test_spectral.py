@@ -280,3 +280,35 @@ def test_selected_vectors_are_eigendata(small_pencil):
     M[: p.n_u, : p.n_u] = p.M_u
     R = M @ d.X @ d.Lambda + p.K @ d.X
     assert np.linalg.norm(R, 2) < 1e-10 * np.linalg.norm(p.K, 2)
+
+
+@pytest.mark.parametrize(
+    "values, error",
+    [([], DimensionMismatch), ([0.0], ZeroEigenvalue), ([1.0 + 1.0j, 2.0], NotConjugateClosed)],
+)
+def test_value_entry_points_raise_the_same_typed_errors(values, error):
+    vec = np.ones(3, dtype=complex)
+    with pytest.raises(error):
+        sf.to_real_representation([(v, vec) for v in values])
+    with pytest.raises(error):
+        sf.real_lambda_from_eigenvalues(values)
+    with pytest.raises(error):
+        sf.perturb_targets(values, 0, 0.1, seed=0)
+
+
+@given(pair_grid, real_grid, st.integers(0, 2**16))
+def test_three_routes_build_the_same_lambda(tmp_path_factory, pair_ints, real_ints, seed):
+    if not pair_ints and not real_ints:
+        return
+    p = 2 * len(pair_ints) + len(real_ints)
+    pairs = build_pairs(pair_ints, real_ints, seed, n=p + 2)
+    # any input order: conjugate members apart, lower member first at times
+    pairs = [pairs[i] for i in np.random.default_rng(seed).permutation(p)]
+    from_pairs = sf.to_real_representation(pairs)
+    from_values = sf.real_lambda_from_eigenvalues([lam for lam, _ in pairs])
+    path = tmp_path_factory.mktemp("spectral") / "d.spectral"
+    sf.write_spectral(from_pairs, path)
+    from_file = sf.read_spectral(path)
+    assert from_values.s == from_file.s == from_pairs.s
+    for d in (from_values, from_file):
+        assert d.Lambda.tobytes() == from_pairs.Lambda.tobytes()
