@@ -11,12 +11,14 @@ exactly the selected eigenvalues to the targets and keeps every other
 finite eigenvalue, every eigenvalue at infinity, and symmetry. The new
 eigenvectors are X_1 Th: the updated pairs span the same subspace.
 
-Both coefficient updates are congruent low-rank corrections, so they
-also come in Sherman-Morrison-Woodbury form where only p x p systems
-are solved; that path is cheaper for small p and, with identity
-parameters, returns the original matrices bit for bit. A PreparedUpdate
-holds the parameter-independent part, so a search over GammaTilde1
-measures each trial's Rec.MK in O(p^3) without forming any n x n matrix.
+Both coefficient updates are congruent low-rank corrections, so embed
+computes them in Sherman-Morrison-Woodbury form, where only p x p
+systems are solved; with identity parameters it returns the original
+matrices bit for bit. embed_direct evaluates the inverse formulas above
+literally and serves as the reference the Woodbury path is tested
+against. A PreparedUpdate holds the parameter-independent part, so a
+search over GammaTilde1 measures each trial's Rec.MK in O(p^3) without
+forming any n x n matrix.
 
 The module also contains the verifier and reconstructor for the
 spectral characterization of this pencil class: which (X, J, Gamma, Phi)
@@ -58,9 +60,6 @@ RECONSTRUCT_TOL = 1e-8
 
 _COMMUTATION_TOL = 1e-10
 _PATTERN_TOL = 1e-8
-
-# The update paths embed can take; "auto" picks one by size.
-METHODS = ("auto", "smw", "direct")
 
 
 def _structure_deviation(G, s_tilde):
@@ -392,10 +391,11 @@ prepare_update = PreparedUpdate
 
 
 def embed_direct(p, old, target_Lambda, params):
-    """Update by forming and inverting the corrected full-size matrices.
+    """Reference update: form and invert the corrected full-size matrices.
 
-    Cost is two dense inversions of orders n_u and n; prefer the
-    Woodbury path when p is small relative to n_u.
+    This is the inverse-form statement of the update, at the cost of
+    dense inversions of orders n_u and n. embed never takes this path;
+    the tests compare embed against it.
     """
     prep = prepare_update(p, old, target_Lambda)
     iGt = prep.gamma_tilde_inverse(params)
@@ -421,7 +421,7 @@ def embed_direct(p, old, target_Lambda, params):
     )
 
 
-def embed_smw(p, old, target_Lambda, params):
+def embed(p, old, target_Lambda, params):
     """Update via the Woodbury identity: the same coefficients as
     embed_direct, but only p x p systems are formed and solved.
 
@@ -443,21 +443,7 @@ def embed_smw(p, old, target_Lambda, params):
     )
 
 
-def embed(p, old, target_Lambda, params, method="auto"):
-    """Dispatch between the two equivalent update paths.
-
-    "auto" picks the Woodbury form when p <= n_u / 4 (cheaper and
-    typically more accurate for small updates), the direct form
-    otherwise.
-    """
-    if not isinstance(old, RealSpectralData):
-        raise DimensionMismatch("old eigendata must be RealSpectralData")
-    if method not in METHODS:
-        raise DimensionMismatch(f"unknown embedding method {method!r}")
-    if method == "auto":
-        method = "smw" if 4 * old.p <= p.n_u else "direct"
-    path = embed_smw if method == "smw" else embed_direct
-    return path(p, old, target_Lambda, params)
+embed_smw = embed
 
 
 def verify_theorem1(X, J1, Gamma11, Phi, tol):

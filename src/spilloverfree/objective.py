@@ -17,7 +17,6 @@ import scipy.optimize
 
 from .embedding import (
     ILL_DEFINED_RCOND,
-    METHODS,
     ParameterSet,
     UpdatedSystem,
     _sym_norm,
@@ -33,7 +32,7 @@ from .errors import (
     RankDeficient,
     Singular,
 )
-from .pencil import rcond_estimate, solve_spectrum
+from .pencil import _mass_apply, rcond_estimate, solve_spectrum
 from .spectral import (
     DEFAULT_MATCH_TOL,
     from_real_representation,
@@ -54,27 +53,33 @@ def _spec_norm(A):
     return float(np.linalg.norm(A, 2))
 
 
-def _mass_apply(M_u, X):
-    """diag(M_u, 0) @ X for an X with more rows than M_u has."""
-    n_u = M_u.shape[0]
-    out = np.zeros_like(X)
-    out[:n_u] = M_u @ X[:n_u]
-    return out
+def _rec_mk(M_u, K, M_u_tilde, K_tilde, norm_m, norm_k, tau1, tau2):
+    dm = _sym_norm(np.asarray(M_u) - np.asarray(M_u_tilde)) / norm_m
+    dk = _sym_norm(np.asarray(K) - np.asarray(K_tilde)) / norm_k
+    return tau1 * dm + tau2 * dk
 
 
 def rec_mk(M_u, K, M_u_tilde, K_tilde, tau1=1.0, tau2=1.0):
     """Weighted relative update distance
     tau1 * ||M_u - M_u~|| / ||M_u|| + tau2 * ||K - K~|| / ||K||."""
-    dm = _sym_norm(np.asarray(M_u) - np.asarray(M_u_tilde)) / _sym_norm(M_u)
-    dk = _sym_norm(np.asarray(K) - np.asarray(K_tilde)) / _sym_norm(K)
-    return tau1 * dm + tau2 * dk
+    return _rec_mk(M_u, K, M_u_tilde, K_tilde, _sym_norm(M_u), _sym_norm(K), tau1, tau2)
+
+
+def _eigen_residual(M_u, K, X, Lam, norm_m, norm_k):
+    num = _spec_norm(_mass_apply(M_u, X @ Lam) + K @ X)
+    den = (norm_m * _spec_norm(Lam) + norm_k) * _spec_norm(X)
+    return num / den if den else 0.0
 
 
 def eigen_residual(M_u, K, X, Lam):
     """Relative residual ||M X Lam + K X|| / ((||M|| ||Lam|| + ||K||) ||X||)
     of eigendata (Lam, X) against the pencil with mass diag(M_u, 0)."""
-    num = _spec_norm(_mass_apply(M_u, X @ Lam) + K @ X)
-    den = (_sym_norm(M_u) * _spec_norm(Lam) + _sym_norm(K)) * _spec_norm(X)
+    return _eigen_residual(M_u, K, X, Lam, _sym_norm(M_u), _sym_norm(K))
+
+
+def _retained_residual(M_u, K, X2, Lam2_prime, norm_m, norm_k, norm_lam, norm_x):
+    num = _spec_norm(_mass_apply(M_u, X2) + K @ (X2 @ Lam2_prime))
+    den = (norm_m + norm_k * norm_lam) * norm_x
     return num / den if den else 0.0
 
 
@@ -82,9 +87,8 @@ def retained_residual(M_u, K, X2, Lam2_prime):
     """Relative residual ||M X2 + K X2 Lam2'|| / ((||M|| + ||K|| ||Lam2'||) ||X2||)
     in the inverse-eigenvalue form, which covers the infinite block
     (zero columns of Lam2') with no special casing."""
-    num = _spec_norm(_mass_apply(M_u, X2) + K @ (X2 @ Lam2_prime))
-    den = (_sym_norm(M_u) + _sym_norm(K) * _spec_norm(Lam2_prime)) * _spec_norm(X2)
-    return num / den if den else 0.0
+    return _retained_residual(M_u, K, X2, Lam2_prime, _sym_norm(M_u), _sym_norm(K),
+                              _spec_norm(Lam2_prime), _spec_norm(X2))
 
 
 @dataclass(frozen=True)
@@ -186,23 +190,29 @@ def residual_report(
     if tau1 <= 0 or tau2 <= 0:
         raise DimensionMismatch("weights tau1, tau2 must be positive")
 
-    res1_o = eigen_residual(p.M_u, p.K, old.X, old.Lambda)
-    res1_u = eigen_residual(u.M_u_tilde, u.K_tilde, u.X1_tilde, target_Lambda)
+    # each pencil norm once: the residuals and Rec.MK share them
+    norm_m, norm_k = _sym_norm(p.M_u), _sym_norm(p.K)
+    norm_mt, norm_kt = _sym_norm(u.M_u_tilde), _sym_norm(u.K_tilde)
+    res1_o = _eigen_residual(p.M_u, p.K, old.X, old.Lambda, norm_m, norm_k)
+    res1_u = _eigen_residual(u.M_u_tilde, u.K_tilde, u.X1_tilde, target_Lambda,
+                             norm_mt, norm_kt)
 
     pair = _retained_block_data(p, old, retained, match_tol)
     if pair is None:
         res2_o = res2_u = None
     else:
         X2, Lam2p = pair
-        res2_o = retained_residual(p.M_u, p.K, X2, Lam2p)
-        res2_u = retained_residual(u.M_u_tilde, u.K_tilde, X2, Lam2p)
+        norm_lam, norm_x = _spec_norm(Lam2p), _spec_norm(X2)
+        res2_o = _retained_residual(p.M_u, p.K, X2, Lam2p, norm_m, norm_k, norm_lam, norm_x)
+        res2_u = _retained_residual(u.M_u_tilde, u.K_tilde, X2, Lam2p,
+                                    norm_mt, norm_kt, norm_lam, norm_x)
 
     return ResidualReport(
         res1_original=res1_o,
         res1_updated=res1_u,
         res2_original=res2_o,
         res2_updated=res2_u,
-        rec_mk=rec_mk(p.M_u, p.K, u.M_u_tilde, u.K_tilde, tau1, tau2),
+        rec_mk=_rec_mk(p.M_u, p.K, u.M_u_tilde, u.K_tilde, norm_m, norm_k, tau1, tau2),
         tau1=tau1,
         tau2=tau2,
         method=u.method,
@@ -212,15 +222,13 @@ def residual_report(
 
 @dataclass(frozen=True)
 class OptimizeConfig:
-    """Nelder-Mead settings for the update-distance minimization. method
-    must name an embedding path but no longer changes the objective."""
+    """Nelder-Mead settings for the update-distance minimization."""
 
     max_evals: int = 0  # 0 means 200 * p
     fatol: float = 1e-10
     simplex_scale: float = 0.1
     restarts: int = 3
     penalty: float = 1e12
-    method: str = "auto"
     tau1: float = 1.0
     tau2: float = 1.0
 
@@ -235,15 +243,11 @@ class OptimizationResult:
     trace: tuple
 
 
-def evaluate_rec_mk(
-    p, old, target_Lambda, params, method="auto", tau1=1.0, tau2=1.0, *, prepared=None
-):
+def evaluate_rec_mk(p, old, target_Lambda, params, tau1=1.0, tau2=1.0, *, prepared=None):
     """Rec.MK of one parameter set via PreparedUpdate.rec_mk, without
     forming the updated coefficients; raises whatever embed would raise.
-    method is checked but no longer changes the value. `prepared`, from
-    prepare_update(p, old, target_Lambda), saves rebuilding it."""
-    if method not in METHODS:
-        raise DimensionMismatch(f"unknown embedding method {method!r}")
+    `prepared`, from prepare_update(p, old, target_Lambda), saves
+    rebuilding it."""
     if prepared is None:
         prepared = prepare_update(p, old, target_Lambda)
     return prepared.rec_mk(params, tau1, tau2)
@@ -298,8 +302,8 @@ def optimize_gamma_tilde(p, old, target_Lambda, Theta, seed, config=None):
     prepared = prepare_update(p, old, target_Lambda)
 
     def evaluate(params):
-        return evaluate_rec_mk(p, old, target_Lambda, params, config.method,
-                               config.tau1, config.tau2, prepared=prepared)
+        return evaluate_rec_mk(p, old, target_Lambda, params, config.tau1, config.tau2,
+                               prepared=prepared)
 
     x0 = gamma_free_params(seed.GammaTilde1, s_tilde)
     f0 = evaluate(seed)

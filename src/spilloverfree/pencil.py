@@ -54,6 +54,14 @@ def _check_symmetric(A, name, tol):
     return 0.5 * (A + A.T)
 
 
+def _mass_apply(M_u, X):
+    """diag(M_u, 0) @ X for an X with at least as many rows as M_u."""
+    n_u = M_u.shape[0]
+    out = np.zeros(X.shape, dtype=X.dtype)
+    out[:n_u] = M_u @ X[:n_u]
+    return out
+
+
 def rcond_estimate(A):
     """Reciprocal 2-norm condition number, 0.0 for a structurally empty
     or exactly singular matrix. Dense SVD; fine at the sizes used here."""
@@ -137,9 +145,7 @@ class StructuredPencil:
             raise DimensionMismatch(
                 f"operand has {X.shape[0]} rows, pencil order is {self.n}"
             )
-        out = np.zeros(X.shape, dtype=X.dtype)
-        out[: self.n_u] = self.M_u @ X[: self.n_u]
-        return out
+        return _mass_apply(self.M_u, X)
 
     def k_solve(self, B):
         """Solve K @ X = B reusing a cached LU factorization of K."""

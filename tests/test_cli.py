@@ -288,6 +288,23 @@ def test_demo_runs_end_to_end(example, tmp_path):
     assert run("verify", "--in", out) == 0
 
 
+def test_verify_compares_the_residuals_stored_by_demo(tmp_path, capsys):
+    out = str(tmp_path)
+    assert run("demo", "--example", 1, "--nu", 12, "--nphi", 5, "--seed", 5,
+               "--out", out) == 0
+    path = os.path.join(out, "demo.report")
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    tampered = [("choice_b_rec_mk = 9.99e+00" if l.startswith("choice_b_rec_mk ") else l)
+                for l in lines]
+    assert tampered != lines
+    with open(path, "w") as fh:
+        fh.write("\n".join(tampered) + "\n")
+    capsys.readouterr()
+    assert run("verify", "--in", out) == 28
+    assert "choice_b_rec_mk: stored 9.99" in capsys.readouterr().err
+
+
 def test_log_environment_variable_is_honored(tmp_path, monkeypatch):
     monkeypatch.setenv("SPILLOVERFREE_LOG", "DEBUG")
     assert run("gen", "--nu", 4, "--nphi", 1, "--seed", 2,

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import spilloverfree as sf
+import spilloverfree.embedding
 from spilloverfree.errors import (
     DimensionMismatch,
     IllDefined,
@@ -91,23 +92,23 @@ def test_replaced_vectors_transform_by_theta():
 
 def test_updated_matrices_exactly_symmetric():
     c = EmbeddingCase(10, 4, s_sel=1, n_real=2, s_tilde=1, seed=3)
-    for method in ("direct", "smw"):
-        u = sf.embed(c.pencil, c.old, c.target.Lambda, c.params, method=method)
+    for embed in (sf.embed_direct, sf.embed):
+        u = embed(c.pencil, c.old, c.target.Lambda, c.params)
         assert np.array_equal(u.M_u_tilde, u.M_u_tilde.T)
         assert np.array_equal(u.K_tilde, u.K_tilde.T)
 
 
-def test_embed_auto_dispatch():
-    c = EmbeddingCase(16, 4, s_sel=1, n_real=2, s_tilde=1, seed=8)
-    assert sf.embed(c.pencil, c.old, c.target.Lambda, c.params).method == "smw"
-    c2 = EmbeddingCase(6, 2, s_sel=1, n_real=2, s_tilde=1, seed=12)
-    assert sf.embed(c2.pencil, c2.old, c2.target.Lambda, c2.params).method == "direct"
-
-
-def test_embed_rejects_unknown_method():
-    c = EmbeddingCase(6, 2, s_sel=1, n_real=0, s_tilde=1, seed=12)
-    with pytest.raises(DimensionMismatch):
-        sf.embed(c.pencil, c.old, c.target.Lambda, c.params, method="fast")
+def test_embed_takes_the_woodbury_path_when_p_is_large():
+    # 4p > n_u: embed still solves only p x p systems and matches the
+    # reference that inverts the full-size matrices
+    c = EmbeddingCase(6, 2, s_sel=1, n_real=2, s_tilde=1, seed=12)
+    assert 4 * c.old.p > c.pencil.n_u
+    assert spilloverfree.embedding.embed_smw is spilloverfree.embedding.embed
+    u = sf.embed(c.pencil, c.old, c.target.Lambda, c.params)
+    ref = sf.embed_direct(c.pencil, c.old, c.target.Lambda, c.params)
+    assert u.method == "smw" and ref.method == "direct"
+    assert rel_diff(u.M_u_tilde, ref.M_u_tilde) < 1e-10
+    assert rel_diff(u.K_tilde, ref.K_tilde) < 1e-10
 
 
 def test_embed_structure_change_pair_to_reals():

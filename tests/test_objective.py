@@ -54,6 +54,26 @@ def test_residual_report_fields():
     assert rep.tau1 == 1.0 and rep.tau2 == 1.0
 
 
+def test_residual_report_takes_each_pencil_norm_once(monkeypatch):
+    # ||M_u||, ||K||, ||M_u~||, ||K~|| and the two differences: six
+    # eigvalsh calls, and the same values the public metrics give
+    c = EmbeddingCase(10, 4, s_sel=1, n_real=2, s_tilde=1, seed=3)
+    u = sf.embed(c.pencil, c.old, c.target.Lambda, c.params)
+    p, Lt = c.pencil, c.target.Lambda
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: calls.append(A.shape) or eigvalsh(A))
+    rep = sf.residual_report(p, u, c.old, Lt, c.retained)
+    assert len(calls) <= 6
+    monkeypatch.undo()
+    X2, Lam2p = spilloverfree.objective._retained_block_data(p, c.old, c.retained, 1e-8)
+    assert rep.res1_original == sf.eigen_residual(p.M_u, p.K, c.old.X, c.old.Lambda)
+    assert rep.res1_updated == sf.eigen_residual(u.M_u_tilde, u.K_tilde, u.X1_tilde, Lt)
+    assert rep.res2_original == sf.retained_residual(p.M_u, p.K, X2, Lam2p)
+    assert rep.res2_updated == sf.retained_residual(u.M_u_tilde, u.K_tilde, X2, Lam2p)
+    assert rep.rec_mk == sf.rec_mk(p.M_u, p.K, u.M_u_tilde, u.K_tilde)
+
+
 def test_residual_report_recomputes_retained_when_omitted():
     c = EmbeddingCase(10, 4, s_sel=1, n_real=2, s_tilde=1, seed=3)
     u = sf.embed(c.pencil, c.old, c.target.Lambda, c.params)
@@ -121,7 +141,6 @@ def test_optimize_config_defaults():
     assert cfg.fatol == 1e-10
     assert cfg.restarts == 3
     assert cfg.penalty == 1e12
-    assert cfg.method == "auto"
 
 
 def test_optimize_never_worse_than_seed():
@@ -215,10 +234,9 @@ def test_optimize_propagates_seed_failure():
         )
 
 
-def _embedded_rec_mk(p, old, target_Lambda, params, method="auto", tau1=1.0, tau2=1.0,
-                     *, prepared=None):
+def _embedded_rec_mk(p, old, target_Lambda, params, tau1=1.0, tau2=1.0, *, prepared=None):
     """Reference objective: form the updated coefficients, then measure."""
-    u = sf.embed(p, old, target_Lambda, params, method=method)
+    u = sf.embed(p, old, target_Lambda, params)
     return sf.rec_mk(p.M_u, p.K, u.M_u_tilde, u.K_tilde, tau1, tau2)
 
 
@@ -290,15 +308,6 @@ def test_optimizer_trajectory_matches_embedded_reference(monkeypatch, seed):
     assert fast.iterations == ref.iterations
     assert fast.best_rec_mk == pytest.approx(ref.best_rec_mk, rel=1e-12, abs=0)
     assert fast.baseline_rec_mk == pytest.approx(ref.baseline_rec_mk, rel=1e-12, abs=0)
-
-
-def test_optimize_rejects_unknown_method():
-    c = EmbeddingCase(8, 3, s_sel=1, n_real=1, s_tilde=1, seed=7)
-    with pytest.raises(DimensionMismatch, match="unknown embedding method"):
-        sf.optimize_gamma_tilde(
-            c.pencil, c.old, c.target.Lambda, np.eye(c.old.p), c.params,
-            sf.OptimizeConfig(max_evals=10, restarts=1, method="qz"),
-        )
 
 
 def test_optimizer_near_the_seed_logs_no_asymmetry(caplog):
