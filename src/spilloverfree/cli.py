@@ -9,6 +9,10 @@ Subcommands cover the full workflow on directories of artifact files:
   verify    re-derive residuals and hashes of a stored run
   demo      canned end-to-end scenarios (perturb / restructure)
 
+embed, optimize and verify do not solve a spectrum that gen or solve
+stored next to the pencil: they read spectrum.spectral and certify it
+against the pencil, and solve only when the file is absent.
+
 Matrices travel as Matrix Market files, eigendata in the spectral text
 format, run summaries as key-value reports. Every domain error exits
 with its own code; I/O failures exit 29. The SPILLOVERFREE_LOG
@@ -34,10 +38,11 @@ from .errors import (
     DimensionMismatch,
     SpilloverError,
     StructureInfeasible,
+    UncertifiedSpectrum,
     VerificationFailed,
 )
 from .objective import OptimizeConfig, optimize_gamma_tilde, residual_report
-from .pencil import solve_spectrum, validate_pencil
+from .pencil import certified_spectrum, solve_spectrum, validate_pencil
 from .probgen import ProblemSpec, generate_pencil, perturb_targets
 from .spectral import (
     DEFAULT_MATCH_TOL,
@@ -89,6 +94,23 @@ def _hash_entries(directory, names):
         for name in names
         if os.path.exists(os.path.join(directory, name))
     }
+
+
+def _load_spectrum(pencil, directory):
+    """The pencil's spectrum and where it came from: spectrum.spectral
+    in `directory`, certified against the pencil ("stored"), or a fresh
+    solve when that file is absent ("solved")."""
+    path = os.path.join(directory, "spectrum.spectral")
+    if not os.path.exists(path):
+        return solve_spectrum(pencil), "solved"
+    try:
+        stored = from_real_representation(mmio.read_spectral(path))
+        return certified_spectrum(pencil, stored), "stored"
+    except UncertifiedSpectrum as exc:
+        raise UncertifiedSpectrum(
+            f"{path} does not belong to the pencil in {directory}: {exc}; "
+            f"run `spilloverfree solve --in {directory}` to regenerate it"
+        ) from None
 
 
 def _write_spectrum(spectrum, directory):
@@ -154,17 +176,16 @@ def _residual_entries(report, prefix=""):
     return out
 
 
-def _run_pipeline(args, pencil, *, optimize, demo=False):
-    """select -> targets -> seed -> (optimize) -> embed -> report, then
-    write the run files to args.out_dir. embed, optimize and demo all run
-    this; demo is optimize with fixed settings.
+def _run_pipeline(args, pencil, spectrum, *, optimize, demo=False):
+    """select -> targets -> seed -> (optimize) -> embed -> report on the
+    pencil's spectrum, then write the run files to args.out_dir. embed,
+    optimize and demo all run this; demo is optimize with fixed settings.
 
     Returns the run's report entries and the search result (None without
     a search). The residuals of the embedded parameters go under plain
     keys, or for demo under choice_b_, after the seed parameters' own
     residuals under choice_a_ (or seed_ when the structure changes).
     """
-    spectrum = solve_spectrum(pencil)
     if args.select is not None:
         wanted = [lam for lam, _ in from_real_representation(mmio.read_spectral(args.select))]
     else:
@@ -256,7 +277,7 @@ def _cmd_gen(args):
         seed=args.seed,
     )
     pencil = generate_pencil(spec)
-    spectrum = solve_spectrum(pencil)
+    spectrum = solve_spectrum(pencil)  # cached by generate_pencil
     _write_pencil(pencil, args.out_dir)
     entries = {
         "command": "gen",
@@ -303,7 +324,8 @@ def _cmd_solve(args):
 def _cmd_embed(args, *, optimize=False):
     os.makedirs(args.out_dir, exist_ok=True)
     pencil = _read_pencil(args.in_dir)
-    entries, result = _run_pipeline(args, pencil, optimize=optimize)
+    spectrum, _ = _load_spectrum(pencil, args.in_dir)
+    entries, result = _run_pipeline(args, pencil, spectrum, optimize=optimize)
     command = "optimize" if optimize else "embed"
     entries.update(
         {
@@ -395,19 +417,24 @@ def _cmd_verify(args):
         X1_tilde=X1_t,
     )
 
-    spectrum = solve_spectrum(pencil)
+    spectrum, source = _load_spectrum(pencil, pencil_dir)
     wanted = [lam for lam, _ in from_real_representation(old)]
     _, retained_idx = select_eigendata(spectrum, wanted, match_tol=args.tol_match)
     retained = retained_eigendata(spectrum, retained_idx) if retained_idx else None
 
+    # the run's own weights, unless overridden on the command line
+    tau1, tau2 = (
+        float(report.get(key, 1.0)) if flag is None else flag
+        for key, flag in (("tau1", args.tau1), ("tau2", args.tau2))
+    )
     recomputed = residual_report(
         pencil,
         updated,
         old,
         target.Lambda,
         retained,
-        args.tau1,
-        args.tau2,
+        tau1,
+        tau2,
         match_tol=args.tol_match,
     )
 
@@ -436,6 +463,10 @@ def _cmd_verify(args):
             "unavailable" if recomputed.res2_updated is None else recomputed.res2_updated
         ),
         "rec_mk": recomputed.rec_mk,
+        "spectrum_source": source,
+        "spectrum_enclosure_ratio": (
+            "unavailable" if spectrum.enclosure_ratio is None else spectrum.enclosure_ratio
+        ),
     }
     mmio.write_report(entries, os.path.join(args.in_dir, "verify.report"))
 
@@ -460,7 +491,8 @@ def _cmd_demo(args):
     )
     pencil = generate_pencil(spec)
     _write_pencil(pencil, args.out_dir)
-    entries, result = _run_pipeline(args, pencil, optimize=True, demo=True)
+    entries, result = _run_pipeline(args, pencil, solve_spectrum(pencil),
+                                    optimize=True, demo=True)
     entries.update(
         {
             "command": "demo",
@@ -481,9 +513,9 @@ def _cmd_demo(args):
     return 0
 
 
-def _add_update_flags(sub):
-    sub.add_argument("--tau1", type=float, default=1.0)
-    sub.add_argument("--tau2", type=float, default=1.0)
+def _add_update_flags(sub, default=1.0):
+    sub.add_argument("--tau1", type=float, default=default)
+    sub.add_argument("--tau2", type=float, default=default)
 
 
 def _add_common_embed_flags(sub):
@@ -542,7 +574,8 @@ def build_parser():
     sub.add_argument("--in", required=True, dest="in_dir")
     sub.add_argument("--pencil", default=None,
                      help="directory with the original pencil (default: from report)")
-    _add_update_flags(sub)
+    # default: the weights stored in the run report, else 1.0
+    _add_update_flags(sub, default=None)
     sub.add_argument("--tol-match", type=float, default=DEFAULT_MATCH_TOL, dest="tol_match")
     sub.add_argument("--tol-check", type=float, default=1e-10, dest="tol_check")
     sub.set_defaults(func=_cmd_verify)

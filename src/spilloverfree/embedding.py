@@ -44,6 +44,7 @@ from .pencil import (
     CheckReport,
     ConditionCheck,
     DEFAULT_RCOND,
+    _sym_norm,
     rcond_estimate,
     validate_pencil,
 )
@@ -280,13 +281,6 @@ def _check_commutes(name, G, iL):
         )
 
 
-def _sym_norm(A):
-    """Spectral norm of a symmetric matrix via its eigenvalues."""
-    if A.size == 0:
-        return 0.0
-    return float(np.abs(np.linalg.eigvalsh(A)).max())
-
-
 class PreparedUpdate:
     """The parameter-independent part of one update, built once by
     prepare_update(p, old, target_Lambda): W = M_u X_1u, Z = K X_1 and the
@@ -369,7 +363,7 @@ class PreparedUpdate:
         core_m, cap_m, core_k, cap_k = self.woodbury_cores(params)
         if self._distance_factors is None:
             self._distance_factors = (np.linalg.qr(self.W, mode="r"), np.linalg.qr(self.Z, mode="r"),
-                                      _sym_norm(self.pencil.M_u), _sym_norm(self.pencil.K))
+                                      *self.pencil.norms())
         R_w, R_z, norm_m, norm_k = self._distance_factors
         dist = []
         for name, R, core, cap, norm in (("mass", R_w, core_m, cap_m, norm_m),

@@ -117,3 +117,8 @@ class ParseError(SpilloverError):
 
 class VerificationFailed(SpilloverError):
     exit_code = 28
+
+
+class UncertifiedSpectrum(VerificationFailed):
+    """Stored eigendata fails the eigenpair certificate against its
+    pencil: it is stale, truncated or tampered with."""

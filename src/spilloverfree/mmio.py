@@ -7,6 +7,15 @@ real array and coordinate data, general or symmetric. Values are
 written with 17 significant digits, so write/read round trips are exact
 for double precision.
 
+Array bodies and the eigenvector block of a spectral file are parsed in
+bulk when they hold one value per line, as the writers produce: one
+vectorized conversion of all lines, which gives the same bits as
+float() on each value. Any other body (a '%' comment line, a blank
+line, several values on a line, a token float() rejects, or the wrong
+number of values) goes through the line parser instead, which skips
+comments and reports a malformed body with its file, line and column.
+Coordinate bodies always go through the line parser.
+
 The spectral format is line-oriented:
 
     p s
@@ -70,6 +79,44 @@ def _data_lines(lines, start):
         yield i + 1, stripped
 
 
+def _bulk_values(lines, start, count):
+    """The values on lines[start:] from one vectorized parse, or None
+    unless the body is exactly `count` lines that float() accepts whole
+    (one value per line, as the writers produce)."""
+    body = lines[start:]
+    if len(body) != count:
+        return None
+    try:
+        return np.array(body, dtype=float)
+    except ValueError:
+        return None
+
+
+def _line_values(path, lines, data, count, what):
+    """The same values, one data line at a time from the iterator
+    `data`: skips comments and reports a bad file with its line and
+    column."""
+    values = np.empty(count)
+    filled = 0
+    for line_no, line in data:
+        for tok in _tokens(line):
+            if filled >= count:
+                _fail(path, line_no, line.find(tok) + 1, "more values than the size line announced")
+            values[filled] = _parse_float(tok, path, line_no, line)
+            filled += 1
+    if filled < count:
+        _fail(path, len(lines) or 1, 1, f"expected {count} {what}, found {filled}")
+    return values
+
+
+def _body_values(path, lines, start, data, count, what):
+    """The `count` values on lines[start:] in file order: the bulk
+    parse, or the line parser (with `data` positioned at lines[start])
+    where the bulk parse cannot stand in for it."""
+    values = _bulk_values(lines, start, count)
+    return _line_values(path, lines, data, count, what) if values is None else values
+
+
 def read_matrix(path):
     """Read a real Matrix Market file (array or coordinate, general or
     symmetric) into a dense ndarray."""
@@ -104,24 +151,15 @@ def read_matrix(path):
             _fail(path, line_no, 1, "matrix dimensions must be nonnegative")
         if symmetry == "symmetric" and m != n:
             _fail(path, line_no, 1, f"symmetric matrix must be square, got {m}x{n}")
-        A = np.zeros((m, n))
         if symmetry == "general":
-            slots = [(i, j) for j in range(n) for i in range(m)]
-        else:
-            slots = [(i, j) for j in range(n) for i in range(j, m)]
-        filled = 0
-        for line_no, line in data:
-            for tok in _tokens(line):
-                if filled >= len(slots):
-                    _fail(path, line_no, line.find(tok) + 1, "more values than the size line announced")
-                i, j = slots[filled]
-                v = _parse_float(tok, path, line_no, line)
-                A[i, j] = v
-                if symmetry == "symmetric":
-                    A[j, i] = v
-                filled += 1
-        if filled < len(slots):
-            _fail(path, len(lines), 1, f"expected {len(slots)} values, found {filled}")
+            values = _body_values(path, lines, line_no, data, m * n, "values")
+            return np.ascontiguousarray(values.reshape(n, m).T)
+        values = _body_values(path, lines, line_no, data, n * (n + 1) // 2, "values")
+        # column-major lower triangle = row-major upper triangle of A^T
+        upper = np.triu_indices(n)
+        A = np.zeros((n, n))
+        A[upper] = values
+        A.T[upper] = values
         return A
 
     if len(toks) != 3:
@@ -222,18 +260,8 @@ def read_spectral(path):
     p2 = _parse_int(toks[1], path, line_no, line, "column count")
     if p2 != p:
         _fail(path, line_no, 1, f"eigenvector block has {p2} columns, header said {p}")
-    X = np.zeros((n, p))
-    slots = [(i, j) for j in range(p) for i in range(n)]
-    filled = 0
-    for line_no, line in data:
-        for tok in _tokens(line):
-            if filled >= len(slots):
-                _fail(path, line_no, line.find(tok) + 1, "more values than the size line announced")
-            i, j = slots[filled]
-            X[i, j] = _parse_float(tok, path, line_no, line)
-            filled += 1
-    if filled < len(slots):
-        _fail(path, len(lines) or 1, 1, f"expected {len(slots)} eigenvector values, found {filled}")
+    X = _body_values(path, lines, line_no, data, n * p, "eigenvector values")
+    X = np.ascontiguousarray(X.reshape(p, n).T)
     return RealSpectralData(Lambda=block_matrix(values, s), X=X, s=s)
 
 

@@ -19,7 +19,6 @@ from .embedding import (
     ILL_DEFINED_RCOND,
     ParameterSet,
     UpdatedSystem,
-    _sym_norm,
     gamma_free_params,
     prepare_update,
     structured_gamma,
@@ -32,7 +31,7 @@ from .errors import (
     RankDeficient,
     Singular,
 )
-from .pencil import _mass_apply, rcond_estimate, solve_spectrum
+from .pencil import _mass_apply, _sym_norm, rcond_estimate, solve_spectrum
 from .spectral import (
     DEFAULT_MATCH_TOL,
     from_real_representation,
@@ -191,7 +190,7 @@ def residual_report(
         raise DimensionMismatch("weights tau1, tau2 must be positive")
 
     # each pencil norm once: the residuals and Rec.MK share them
-    norm_m, norm_k = _sym_norm(p.M_u), _sym_norm(p.K)
+    norm_m, norm_k = p.norms()
     norm_mt, norm_kt = _sym_norm(u.M_u_tilde), _sym_norm(u.K_tilde)
     res1_o = _eigen_residual(p.M_u, p.K, old.X, old.Lambda, norm_m, norm_k)
     res1_u = _eigen_residual(u.M_u_tilde, u.K_tilde, u.X1_tilde, target_Lambda,

@@ -21,11 +21,17 @@ from .errors import (
     DegenerateSpectrum,
     DimensionMismatch,
     SingularBlock,
+    UncertifiedSpectrum,
 )
 
 DEFAULT_RCOND = 1e-12
 SYMMETRY_TOL = 1e-8
 DEGENERACY_TOL = 1e-8
+# certified_spectrum accepts a stored eigenpair whose backward error
+# ||lam M x + K x|| / ((||M_u|| |lam| + ||K||) ||x||) is at most this.
+# A QZ solve of a generated pencil leaves about 3e-16 at n = 560;
+# moving one eigenvalue by 1e-8 (relative) raises it above 2e-12 there.
+CERTIFY_BACKWARD_ERROR = 1e-12
 
 # An eigenvalue whose imaginary part is below this (relative to the
 # spectral radius) is treated as real when classifying conjugate pairs.
@@ -60,6 +66,13 @@ def _mass_apply(M_u, X):
     out = np.zeros(X.shape, dtype=X.dtype)
     out[:n_u] = M_u @ X[:n_u]
     return out
+
+
+def _sym_norm(A):
+    """Spectral norm of a symmetric matrix via its eigenvalues."""
+    if A.size == 0:
+        return 0.0
+    return float(np.abs(np.linalg.eigvalsh(A)).max())
 
 
 def rcond_estimate(A):
@@ -119,6 +132,8 @@ class StructuredPencil:
         self.n_u = n_u
         self.n_phi = n_phi
         self._schur = None
+        self._spectrum = None
+        self._norms = None
         self._k_lu = None
         self._k_rcond = None
 
@@ -158,6 +173,12 @@ class StructuredPencil:
         if self._k_rcond is None:
             self._k_rcond = rcond_estimate(self.K)
         return self._k_rcond
+
+    def norms(self):
+        """Cached spectral norms (||M_u||_2, ||K||_2)."""
+        if self._norms is None:
+            self._norms = (_sym_norm(self.M_u), _sym_norm(self.K))
+        return self._norms
 
     def __repr__(self):
         return f"StructuredPencil(n_u={self.n_u}, n_phi={self.n_phi})"
@@ -261,7 +282,9 @@ class SpectrumResult:
     stored as the exact conjugate. Pairs come first (sorted by real then
     imaginary part), real eigenvalues after (ascending).
     condition_summary[i] is the gap from finite eigenvalue i to its
-    nearest distinct neighbor.
+    nearest distinct neighbor. enclosure_ratio is the largest
+    enclosure radius / (gap / 2) that certified_spectrum measured, or
+    None for a solved spectrum.
     """
 
     finite_pairs: tuple
@@ -269,6 +292,7 @@ class SpectrumResult:
     condition_summary: np.ndarray
     n_u: int
     n_phi: int
+    enclosure_ratio: float = None
 
     @property
     def eigenvalues(self):
@@ -295,6 +319,40 @@ def _normalize_vector(v):
     return v
 
 
+def _nearest_gaps(values):
+    """Distance from each value to its nearest other value (inf for a
+    lone value)."""
+    d = np.abs(values[:, None] - values[None, :])
+    np.fill_diagonal(d, np.inf)
+    return d.min(axis=1)
+
+
+def _check_degeneracy(values, gaps, tol):
+    """Raise DegenerateSpectrum when two finite eigenvalues (or one and
+    zero) are closer than tol times the spectral radius."""
+    scale = float(np.abs(values).max())
+    worst = gaps.min()
+    if worst < tol * scale:
+        raise DegenerateSpectrum(
+            f"two finite eigenvalues are only {worst:.3e} apart "
+            f"(tolerance {tol:.1e} x spectral radius {scale:.3e}); "
+            f"simple-eigenvalue assumption violated"
+        )
+    small = np.abs(values).min()
+    if small < tol * scale:
+        raise DegenerateSpectrum(
+            f"a finite eigenvalue has modulus {small:.3e}, too close to zero "
+            f"(tolerance {tol:.1e} x spectral radius {scale:.3e})"
+        )
+
+
+def _infinite_basis(p):
+    """The kernel of M: [0; I], n x n_phi."""
+    basis = np.zeros((p.n, p.n_phi))
+    basis[p.n_u :, :] = np.eye(p.n_phi)
+    return basis
+
+
 def solve_spectrum(p, *, degeneracy_tol=DEGENERACY_TOL):
     """All finite eigenpairs plus the infinite basis.
 
@@ -306,7 +364,16 @@ def solve_spectrum(p, *, degeneracy_tol=DEGENERACY_TOL):
     Raises DegenerateSpectrum when two finite eigenvalues (or one and
     zero) are closer than degeneracy_tol times the spectral radius:
     downstream embedding assumes simple nonzero finite eigenvalues.
+
+    The result is cached on the pencil, like schur_reduce's, and its
+    arrays are read-only because every later caller shares them. Every
+    call, cached or not, runs the degeneracy check at its own
+    degeneracy_tol.
     """
+    if p._spectrum is not None:
+        spectrum, lam, gaps = p._spectrum
+        _check_degeneracy(lam, gaps, degeneracy_tol)
+        return spectrum
     S, R = schur_reduce(p)
     w, V = sla.eig(S, p.M_u)
     if not np.all(np.isfinite(w)):
@@ -315,29 +382,12 @@ def solve_spectrum(p, *, degeneracy_tol=DEGENERACY_TOL):
             "M_u is effectively singular"
         )
     lam = -w
-
-    scale = float(np.abs(lam).max()) if lam.size else 0.0
-    gaps = np.empty(p.n_u)
-    for i in range(p.n_u):
-        others = np.abs(lam - lam[i])
-        others[i] = np.inf
-        gaps[i] = others.min()
-    worst = gaps.min() if p.n_u > 1 else np.inf
-    if worst < degeneracy_tol * scale:
-        raise DegenerateSpectrum(
-            f"two finite eigenvalues are only {worst:.3e} apart "
-            f"(tolerance {degeneracy_tol:.1e} x spectral radius {scale:.3e}); "
-            f"simple-eigenvalue assumption violated"
-        )
-    small = np.abs(lam).min()
-    if small < degeneracy_tol * scale:
-        raise DegenerateSpectrum(
-            f"a finite eigenvalue has modulus {small:.3e}, too close to zero "
-            f"(tolerance {degeneracy_tol:.1e} x spectral radius {scale:.3e})"
-        )
+    gaps = _nearest_gaps(lam)
+    _check_degeneracy(lam, gaps, degeneracy_tol)
 
     # Classify. Real QZ on real data returns exact conjugate partners, so
     # only the counts need to agree; each pair is kept by its upper member.
+    scale = float(np.abs(lam).max())
     is_real = np.abs(lam.imag) <= _REAL_AXIS_TOL * max(scale, 1.0)
     real_idx = np.flatnonzero(is_real)
     pos_idx = np.flatnonzero(~is_real & (lam.imag > 0))
@@ -376,23 +426,78 @@ def solve_spectrum(p, *, degeneracy_tol=DEGENERACY_TOL):
     for lv, x in reals:
         finite.append((complex(lv), x.astype(complex)))
 
-    ordered = np.array([l for l, _ in finite])
-    margins = np.empty(len(finite))
-    for i in range(len(finite)):
-        d = np.abs(ordered - ordered[i])
-        d[i] = np.inf
-        margins[i] = d.min()
-
-    basis = np.zeros((p.n, p.n_phi))
-    if p.n_phi:
-        basis[p.n_u :, :] = np.eye(p.n_phi)
-
-    return SpectrumResult(
+    spectrum = SpectrumResult(
         finite_pairs=tuple(finite),
-        infinite_basis=basis,
-        condition_summary=margins,
+        infinite_basis=_infinite_basis(p),
+        condition_summary=_nearest_gaps(np.array([l for l, _ in finite])),
         n_u=p.n_u,
         n_phi=p.n_phi,
+    )
+    for a in [x for _, x in finite] + [spectrum.infinite_basis, spectrum.condition_summary]:
+        a.setflags(write=False)
+    p._spectrum = (spectrum, lam, gaps)
+    return spectrum
+
+
+def certified_spectrum(p, pairs, *, degeneracy_tol=DEGENERACY_TOL):
+    """SpectrumResult from stored finite eigenpairs, certified against
+    the pencil instead of re-solved.
+
+    `pairs` is laid out like SpectrumResult.finite_pairs (as
+    from_real_representation returns a stored spectrum). The checks:
+
+    - exactly n_u pairs, with eigenvectors of length n;
+    - the degeneracy checks of solve_spectrum;
+    - for every pair, with r = lam M x + K x, the backward error
+      ||r|| / ((||M_u|| |lam| + ||K||) ||x||) is at most
+      CERTIFY_BACKWARD_ERROR, and the first-order enclosure radius
+      ||r|| ||x|| / |x^T M x| is below half the gap to the nearest other
+      stored eigenvalue. The pencil is real symmetric, so the left
+      eigenvector is conj(x) and the eigenvalue condition number is
+      ||x||^2 / |x^T M x| (Tisseur, LAA 2000). Disjoint enclosures
+      around n_u values then hold all n_u finite eigenvalues, one each.
+
+    The whole check costs one n x n_u product with K. Raises
+    UncertifiedSpectrum naming the worst pair when a check fails.
+    """
+    if len(pairs) != p.n_u:
+        raise UncertifiedSpectrum(
+            f"{len(pairs)} stored finite eigenpairs, the pencil has n_u = {p.n_u}"
+        )
+    lam = np.array([complex(l) for l, _ in pairs])
+    X = np.column_stack([x for _, x in pairs])
+    if X.shape[0] != p.n:
+        raise UncertifiedSpectrum(
+            f"stored eigenvectors have {X.shape[0]} rows, the pencil order is {p.n}"
+        )
+    gaps = _nearest_gaps(lam)
+    _check_degeneracy(lam, gaps, degeneracy_tol)
+
+    norm_m, norm_k = p.norms()
+    MX = _mass_apply(p.M_u, X)
+    r = np.linalg.norm(MX * lam + p.K @ X, axis=0)
+    x = np.linalg.norm(X, axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eta = r / ((norm_m * np.abs(lam) + norm_k) * x)
+        radius = r * x / np.abs(np.einsum("ij,ij->j", X, MX))
+        ratio = radius / (0.5 * gaps)
+    # NaN (a zero vector, or x^T M x = 0 with r = 0) fails too
+    badness = np.nan_to_num(np.maximum(eta / CERTIFY_BACKWARD_ERROR, ratio), nan=np.inf)
+    worst = int(np.argmax(badness))
+    if badness[worst] >= 1.0:
+        raise UncertifiedSpectrum(
+            f"stored eigenpair {worst} (lambda = {lam[worst]:.8e}) is not an "
+            f"eigenpair of this pencil: backward error {eta[worst]:.3e} "
+            f"(limit {CERTIFY_BACKWARD_ERROR:.0e}), enclosure radius "
+            f"{radius[worst]:.3e} against half gap {0.5 * gaps[worst]:.3e}"
+        )
+    return SpectrumResult(
+        finite_pairs=tuple(pairs),
+        infinite_basis=_infinite_basis(p),
+        condition_summary=gaps,
+        n_u=p.n_u,
+        n_phi=p.n_phi,
+        enclosure_ratio=float(ratio.max()),
     )
 
 

@@ -6,6 +6,7 @@ artifact files can be inspected directly.
 """
 
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -338,3 +339,103 @@ def test_demo_equals_gen_then_optimize(example, stilde, tmp_path):
         assert demo_report["choice_b_" + key] == opt_report[key]
     assert demo_report["choice_b_iterations"] == opt_report["iterations"]
     assert run("verify", "--in", demo) == 0
+
+
+# -- one spectrum per chain: stored, certified, or solved --------------------
+
+SELECT = ("--p", 6, "--s", 2, "--stilde", 2, "--seed", 3)
+
+
+@pytest.fixture(scope="module")
+def run12(tmp_path_factory):
+    gen = str(tmp_path_factory.mktemp("gen12"))
+    emb = str(tmp_path_factory.mktemp("emb12"))
+    assert run("gen", "--nu", 12, "--nphi", 5, "--seed", 5, "--out", gen) == 0
+    assert run("embed", "--in", gen, "--out", emb, *SELECT) == 0
+    return gen, emb
+
+
+def test_one_eigensolve_per_chain(tmp_path, monkeypatch):
+    calls = []
+    eig = sf.pencil.sla.eig
+    monkeypatch.setattr(sf.pencil.sla, "eig",
+                        lambda *a, **k: calls.append(a[0].shape) or eig(*a, **k))
+    gen, emb, opt = (str(tmp_path / name) for name in ("gen", "emb", "opt"))
+    assert run("gen", "--nu", 12, "--nphi", 5, "--seed", 5, "--out", gen) == 0
+    assert run("embed", "--in", gen, "--out", emb, *SELECT) == 0
+    assert run("optimize", "--in", gen, "--out", opt, *SELECT,
+               "--restarts", 1, "--max-evals", 20) == 0
+    assert run("verify", "--in", emb) == 0
+    assert run("verify", "--in", opt) == 0
+    assert calls == [(12, 12)]
+
+
+def test_verify_certifies_the_stored_spectrum(run12):
+    gen, emb = run12
+    assert run("verify", "--in", emb) == 0
+    report = read_report(emb, "verify.report")
+    assert report["spectrum_source"] == "stored"
+    assert 0.0 < float(report["spectrum_enclosure_ratio"]) < 1e-6
+
+
+def _tampered(d, how):
+    Lam, X = d.Lambda.copy(), d.X.copy()
+    if how == "perturbed_value":
+        Lam[-1, -1] *= 1 + 1e-8
+    elif how == "dropped_pair":
+        return sf.RealSpectralData(Lambda=Lam[2:, 2:], X=X[:, 2:], s=d.s - 1)
+    else:
+        X[:, [0, -1]] = X[:, [-1, 0]]
+    return sf.RealSpectralData(Lambda=Lam, X=X, s=d.s)
+
+
+@pytest.mark.parametrize("how", ["perturbed_value", "dropped_pair", "swapped_columns"])
+def test_verify_rejects_a_tampered_stored_spectrum(run12, how, tmp_path, capsys):
+    gen, emb = run12
+    pencil = str(tmp_path / "pencil")
+    shutil.copytree(gen, pencil)
+    path = os.path.join(pencil, "spectrum.spectral")
+    d = mmio.read_spectral(path)
+    assert d.s >= 2 and d.p - 2 * d.s >= 1
+    mmio.write_spectral(_tampered(d, how), path)
+    capsys.readouterr()
+    assert run("verify", "--in", emb, "--pencil", pencil) == 28
+    assert "does not belong to the pencil" in capsys.readouterr().err
+
+
+def test_embed_rejects_the_spectrum_of_another_pencil(run12, tmp_path, capsys):
+    gen, _ = run12
+    other, stale, out = (str(tmp_path / name) for name in ("other", "stale", "out"))
+    assert run("gen", "--nu", 12, "--nphi", 5, "--seed", 6, "--out", other) == 0
+    shutil.copytree(gen, stale)
+    shutil.copy(os.path.join(other, "spectrum.spectral"), stale)
+    capsys.readouterr()
+    assert run("embed", "--in", stale, "--out", out, *SELECT) == 28
+    assert f"run `spilloverfree solve --in {stale}`" in capsys.readouterr().err
+    assert run("solve", "--in", stale) == 0
+    assert run("embed", "--in", stale, "--out", out, *SELECT) == 0
+
+
+def test_verify_solves_when_no_spectrum_is_stored(tmp_path):
+    out = str(tmp_path)
+    assert run("demo", "--example", 1, "--nu", 8, "--nphi", 3, "--seed", 5,
+               "--out", out) == 0
+    assert not os.path.exists(os.path.join(out, "spectrum.spectral"))
+    assert run("verify", "--in", out) == 0
+    report = read_report(out, "verify.report")
+    assert report["spectrum_source"] == "solved"
+    assert report["spectrum_enclosure_ratio"] == "unavailable"
+
+
+def test_verify_uses_the_weights_of_the_run(run12, tmp_path, capsys):
+    gen, _ = run12
+    emb = str(tmp_path)
+    assert run("embed", "--in", gen, "--out", emb, "--p", 6, "--s", 2, "--stilde", 1,
+               "--seed", 3, "--tau1", 2) == 0
+    assert run("verify", "--in", emb) == 0
+    assert read_report(emb, "verify.report")["rec_mk"] == \
+        read_report(emb, "embed.report")["rec_mk"]
+    capsys.readouterr()
+    # an explicit flag still overrides the stored weight
+    assert run("verify", "--in", emb, "--tau1", 1) == 28
+    assert "rec_mk: stored" in capsys.readouterr().err

@@ -1,8 +1,10 @@
 """File formats: Matrix Market matrices, spectral data, reports."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spilloverfree as sf
@@ -247,3 +249,76 @@ def test_sha256_file(tmp_path):
         sf.sha256_file(f)
         == "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
     )
+
+
+# -- bulk body parse against the line parser --------------------------------
+
+_BAD_TOKENS = ("abc", "1.0.0", "--1", "0x1p3", "1e", "nan%")
+
+
+def _sample_file(path, kind, rng, m, n):
+    """Write a general or symmetric matrix or a spectral file; return the
+    index of its first body line and the arrays written."""
+    scale = 10.0 ** rng.integers(-300, 300, (m, n))
+    A = rng.standard_normal((m, n)) * scale
+    A[rng.random((m, n)) < 0.1] = -0.0
+    if kind == "symmetric":
+        B = np.tril(A[: min(m, n), : min(m, n)])
+        A = B + np.tril(B, -1).T
+    if kind != "spectral":
+        sf.write_matrix(A, path)
+        return 2, (A,)
+    p = min(m, n)
+    s = int(rng.integers(0, p // 2 + 1))
+    values = [complex(rng.standard_normal(), abs(rng.standard_normal()) + 0.1) for _ in range(s)]
+    values += [rng.standard_normal() + 3.0 for _ in range(p - 2 * s)]
+    rows = 0 if rng.random() < 0.2 else p + int(rng.integers(0, 3))
+    d = sf.RealSpectralData(Lambda=sf.spectral.block_matrix(values, s),
+                            X=rng.standard_normal((rows, p)), s=s)
+    sf.write_spectral(d, path)
+    return p - s + 2, (d.Lambda, d.X)
+
+
+def _outcome(read, path):
+    try:
+        d = read(path)
+    except ParseError as exc:
+        return ("ParseError", exc.line, exc.column, str(exc))
+    return _bits((d.Lambda, d.X) if isinstance(d, sf.RealSpectralData) else (d,))
+
+
+def _bits(arrays):
+    assert all(a.flags.c_contiguous for a in arrays)
+    return tuple(a.shape for a in arrays), tuple(a.tobytes() for a in arrays)
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["general", "symmetric", "spectral"]),
+       st.integers(1, 5), st.integers(1, 5), st.integers(0, 10**6))
+def test_bulk_parse_matches_the_line_parser(tmp_path_factory, seed, kind, m, n, where):
+    # the bulk parse returns the line parser's bits on written files, and
+    # on mutated bodies the same values or the same ParseError location
+    path = tmp_path_factory.mktemp("bulk") / "f.txt"
+    start, written = _sample_file(path, kind, np.random.default_rng(seed), m, n)
+    read = sf.read_spectral if kind == "spectral" else sf.read_matrix
+    lines = path.read_text().splitlines()
+    k = start + where % max(len(lines) - start, 1)
+    mutants = {
+        "written": lines,
+        "comment": lines[:k] + ["% a comment line"] + lines[k:],
+        "blank": lines[:k] + [""] + lines[k:],
+        "extra": lines + ["1.5"],
+    }
+    if k + 1 < len(lines):
+        mutants["joined"] = lines[:k] + [lines[k] + " " + lines[k + 1]] + lines[k + 2:]
+    if k < len(lines):
+        mutants["missing"] = lines[:k] + lines[k + 1:]
+        for tok in _BAD_TOKENS:
+            mutants["bad " + tok] = lines[:k] + [tok] + lines[k + 1:]
+    for name, body in mutants.items():
+        path.write_text("\n".join(body) + "\n")
+        bulk = _outcome(read, path)
+        with mock.patch.object(sf.mmio, "_bulk_values", lambda *args: None):
+            assert bulk == _outcome(read, path), name
+        if name in ("written", "comment", "blank", "joined"):
+            assert bulk == _bits(written), name

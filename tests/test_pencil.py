@@ -266,3 +266,81 @@ def test_generated_spectrum_det_is_zero(small_pencil):
     sign, logdet = np.linalg.slogdet(lam0 * M + p.K)
     ref_sign, ref_logdet = np.linalg.slogdet(1.01 * lam0 * M + p.K)
     assert logdet < ref_logdet - 5.0  # many orders of magnitude drop
+
+
+# -- one solve per pencil, and the certificate for stored spectra ------------
+
+
+def test_nearest_gaps_match_the_pairwise_loop():
+    lam = np.array([1.0 + 2j, 1.0 - 2j, -0.5, 3.0 + 0.1j, 3.0 - 0.1j, 2.9])
+    loop = np.empty(lam.size)
+    for i in range(lam.size):
+        d = np.abs(lam - lam[i])
+        d[i] = np.inf
+        loop[i] = d.min()
+    np.testing.assert_array_equal(sf.pencil._nearest_gaps(lam), loop)
+    assert sf.pencil._nearest_gaps(np.array([2.0 + 0j])).tolist() == [np.inf]
+
+
+def test_solve_spectrum_is_cached_and_still_checks_degeneracy(monkeypatch):
+    p = make_pencil(10, 4, seed=2)
+    calls = []
+    eig = sla.eig
+    monkeypatch.setattr(sla, "eig", lambda *a, **k: calls.append(1) or eig(*a, **k))
+    first = sf.solve_spectrum(p)
+    assert sf.solve_spectrum(p) is first
+    fresh = sf.validate_pencil(p.M_u, p.K, p.n_u, p.n_phi)
+    # generate_pencil already solved p; only the fresh pencil runs QZ
+    assert len(calls) == 0
+    # a tolerance above the spectral radius flags every gap, cached or not
+    for pencil in (p, fresh):
+        with pytest.raises(DegenerateSpectrum):
+            sf.solve_spectrum(pencil, degeneracy_tol=1.0)
+    assert len(calls) == 1
+    assert sf.solve_spectrum(p, degeneracy_tol=1e-12) is first
+
+
+def test_cached_spectrum_is_read_only():
+    s = sf.solve_spectrum(make_pencil(6, 2, seed=4))
+    lam, x = s.finite_pairs[0]
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        s.condition_summary[0] = 0.0
+
+
+def _stored(spectrum, tmp_path):
+    path = tmp_path / "spectrum.spectral"
+    sf.write_spectral(sf.to_real_representation(list(spectrum.finite_pairs)), path)
+    return sf.from_real_representation(sf.read_spectral(path))
+
+
+def test_certified_spectrum_reproduces_the_solve(tmp_path):
+    p = make_pencil(30, 12, seed=5)
+    solved = sf.solve_spectrum(p)
+    fresh = sf.validate_pencil(p.M_u, p.K, p.n_u, p.n_phi)
+    c = sf.certified_spectrum(fresh, _stored(solved, tmp_path))
+    assert len(c.finite_pairs) == len(solved.finite_pairs)
+    for (l1, x1), (l2, x2) in zip(c.finite_pairs, solved.finite_pairs):
+        assert l1 == l2
+        assert x1.tobytes() == x2.tobytes()
+    np.testing.assert_array_equal(c.condition_summary, solved.condition_summary)
+    np.testing.assert_array_equal(c.infinite_basis, solved.infinite_basis)
+    assert 0.0 < c.enclosure_ratio < 1e-6
+    assert solved.enclosure_ratio is None
+    assert fresh._spectrum is None  # certified, not solved
+
+
+def test_certified_spectrum_names_the_worst_pair(tmp_path):
+    p = make_pencil(12, 5, seed=5)
+    pairs = _stored(sf.solve_spectrum(p), tmp_path)
+    lam, x = pairs[-1]
+    bad = pairs[:-1] + [(lam * (1 + 1e-8), x)]
+    with pytest.raises(sf.UncertifiedSpectrum, match=f"eigenpair {len(pairs) - 1} "):
+        sf.certified_spectrum(p, bad)
+    with pytest.raises(sf.UncertifiedSpectrum, match="n_u = 12"):
+        sf.certified_spectrum(p, pairs[2:])
+    other = make_pencil(12, 5, seed=6)
+    with pytest.raises(sf.UncertifiedSpectrum):
+        sf.certified_spectrum(other, pairs)
+    assert sf.UncertifiedSpectrum.exit_code == sf.VerificationFailed.exit_code == 28
