@@ -35,7 +35,9 @@ from .embedding import (
     embed,
 )
 from .errors import (
+    DegenerateSpectrum,
     DimensionMismatch,
+    ParseError,
     SpilloverError,
     StructureInfeasible,
     UncertifiedSpectrum,
@@ -99,14 +101,22 @@ def _hash_entries(directory, names):
 def _load_spectrum(pencil, directory):
     """The pencil's spectrum and where it came from: spectrum.spectral
     in `directory`, certified against the pencil ("stored"), or a fresh
-    solve when that file is absent ("solved")."""
+    solve when that file is absent ("solved").
+
+    A file that fails to decode or to certify is UncertifiedSpectrum,
+    named and with the hint to regenerate it. A ParseError keeps its
+    file/line location, and DegenerateSpectrum (raised only after the
+    certificate holds) is the pencil's, as it would be from a solve.
+    """
     path = os.path.join(directory, "spectrum.spectral")
     if not os.path.exists(path):
         return solve_spectrum(pencil), "solved"
     try:
         stored = from_real_representation(mmio.read_spectral(path))
         return certified_spectrum(pencil, stored), "stored"
-    except UncertifiedSpectrum as exc:
+    except (ParseError, DegenerateSpectrum):
+        raise
+    except SpilloverError as exc:
         raise UncertifiedSpectrum(
             f"{path} does not belong to the pencil in {directory}: {exc}; "
             f"run `spilloverfree solve --in {directory}` to regenerate it"

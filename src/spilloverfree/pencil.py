@@ -32,6 +32,10 @@ DEGENERACY_TOL = 1e-8
 # A QZ solve of a generated pencil leaves about 3e-16 at n = 560;
 # moving one eigenvalue by 1e-8 (relative) raises it above 2e-12 there.
 CERTIFY_BACKWARD_ERROR = 1e-12
+# It also requires every stored eigenvector to be normalized as
+# solve_spectrum writes it: unit 2-norm and a real positive first
+# significant component, each to within this.
+CERTIFY_NORMALIZATION = 1e-12
 
 # An eigenvalue whose imaginary part is below this (relative to the
 # spectral radius) is treated as real when classifying conjugate pairs.
@@ -439,7 +443,7 @@ def solve_spectrum(p, *, degeneracy_tol=DEGENERACY_TOL):
     return spectrum
 
 
-def certified_spectrum(p, pairs, *, degeneracy_tol=DEGENERACY_TOL):
+def certified_spectrum(p, pairs):
     """SpectrumResult from stored finite eigenpairs, certified against
     the pencil instead of re-solved.
 
@@ -447,7 +451,10 @@ def certified_spectrum(p, pairs, *, degeneracy_tol=DEGENERACY_TOL):
     from_real_representation returns a stored spectrum). The checks:
 
     - exactly n_u pairs, with eigenvectors of length n;
-    - the degeneracy checks of solve_spectrum;
+    - every eigenvector normalized as solve_spectrum writes it (unit
+      norm, first significant component real and positive), to within
+      CERTIFY_NORMALIZATION; the residual tests below do not see a
+      rescaled vector;
     - for every pair, with r = lam M x + K x, the backward error
       ||r|| / ((||M_u|| |lam| + ||K||) ||x||) is at most
       CERTIFY_BACKWARD_ERROR, and the first-order enclosure radius
@@ -455,10 +462,13 @@ def certified_spectrum(p, pairs, *, degeneracy_tol=DEGENERACY_TOL):
       stored eigenvalue. The pencil is real symmetric, so the left
       eigenvector is conj(x) and the eigenvalue condition number is
       ||x||^2 / |x^T M x| (Tisseur, LAA 2000). Disjoint enclosures
-      around n_u values then hold all n_u finite eigenvalues, one each.
+      around n_u values then hold all n_u finite eigenvalues, one each;
+    - the degeneracy checks of solve_spectrum, last, so that they judge
+      certified eigenvalues of the pencil and not a stale file.
 
     The whole check costs one n x n_u product with K. Raises
-    UncertifiedSpectrum naming the worst pair when a check fails.
+    UncertifiedSpectrum naming the offending or worst pair when a check
+    fails, and DegenerateSpectrum as solve_spectrum would.
     """
     if len(pairs) != p.n_u:
         raise UncertifiedSpectrum(
@@ -470,13 +480,24 @@ def certified_spectrum(p, pairs, *, degeneracy_tol=DEGENERACY_TOL):
         raise UncertifiedSpectrum(
             f"stored eigenvectors have {X.shape[0]} rows, the pencil order is {p.n}"
         )
-    gaps = _nearest_gaps(lam)
-    _check_degeneracy(lam, gaps, degeneracy_tol)
+    x = np.linalg.norm(X, axis=0)
+    mags = np.abs(X)
+    pivot = X[np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0), np.arange(p.n_u)]
+    # NaN and zero columns fail these comparisons too
+    normalized = ((np.abs(x - 1.0) <= CERTIFY_NORMALIZATION) & (pivot.real > 0)
+                  & (np.abs(pivot.imag) <= CERTIFY_NORMALIZATION * pivot.real))
+    if not normalized.all():
+        i = int(np.argmin(normalized))
+        raise UncertifiedSpectrum(
+            f"stored eigenvector {i} (lambda = {lam[i]:.8e}) is not normalized "
+            f"as solve writes it: norm {x[i]:.17g}, first significant "
+            f"component {pivot[i]:.8e}"
+        )
 
+    gaps = _nearest_gaps(lam)
     norm_m, norm_k = p.norms()
     MX = _mass_apply(p.M_u, X)
     r = np.linalg.norm(MX * lam + p.K @ X, axis=0)
-    x = np.linalg.norm(X, axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         eta = r / ((norm_m * np.abs(lam) + norm_k) * x)
         radius = r * x / np.abs(np.einsum("ij,ij->j", X, MX))
@@ -491,6 +512,7 @@ def certified_spectrum(p, pairs, *, degeneracy_tol=DEGENERACY_TOL):
             f"(limit {CERTIFY_BACKWARD_ERROR:.0e}), enclosure radius "
             f"{radius[worst]:.3e} against half gap {0.5 * gaps[worst]:.3e}"
         )
+    _check_degeneracy(lam, gaps, DEGENERACY_TOL)
     return SpectrumResult(
         finite_pairs=tuple(pairs),
         infinite_basis=_infinite_basis(p),

@@ -382,25 +382,44 @@ def _tampered(d, how):
     Lam, X = d.Lambda.copy(), d.X.copy()
     if how == "perturbed_value":
         Lam[-1, -1] *= 1 + 1e-8
+    elif how == "close_values":
+        Lam[-1, -1] = Lam[-2, -2] * (1 + 1e-10)
     elif how == "dropped_pair":
         return sf.RealSpectralData(Lambda=Lam[2:, 2:], X=X[:, 2:], s=d.s - 1)
-    else:
+    elif how == "swapped_columns":
         X[:, [0, -1]] = X[:, [-1, 0]]
+    elif how == "negated_column":
+        X[:, -1] *= -1
+    elif how == "doubled_column":
+        X[:, -1] *= 2
     return sf.RealSpectralData(Lambda=Lam, X=X, s=d.s)
 
 
-@pytest.mark.parametrize("how", ["perturbed_value", "dropped_pair", "swapped_columns"])
+@pytest.mark.parametrize("how", ["perturbed_value", "close_values", "dropped_pair",
+                                 "swapped_columns", "negated_column", "doubled_column",
+                                 "duplicated_column"])
 def test_verify_rejects_a_tampered_stored_spectrum(run12, how, tmp_path, capsys):
     gen, emb = run12
     pencil = str(tmp_path / "pencil")
     shutil.copytree(gen, pencil)
     path = os.path.join(pencil, "spectrum.spectral")
     d = mmio.read_spectral(path)
-    assert d.s >= 2 and d.p - 2 * d.s >= 1
+    assert d.s >= 2 and d.p - 2 * d.s >= 2
     mmio.write_spectral(_tampered(d, how), path)
+    if how == "duplicated_column":
+        # RealSpectralData refuses a rank-deficient X, so edit the text:
+        # the body holds X column by column, one value per line
+        with open(path) as fh:
+            lines = fh.readlines()
+        n = d.X.shape[0]
+        lines[-n:] = lines[-2 * n:-n]
+        with open(path, "w") as fh:
+            fh.writelines(lines)
     capsys.readouterr()
     assert run("verify", "--in", emb, "--pencil", pencil) == 28
-    assert "does not belong to the pencil" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{path} does not belong to the pencil" in err
+    assert f"run `spilloverfree solve --in {pencil}`" in err
 
 
 def test_embed_rejects_the_spectrum_of_another_pencil(run12, tmp_path, capsys):

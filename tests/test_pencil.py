@@ -343,4 +343,20 @@ def test_certified_spectrum_names_the_worst_pair(tmp_path):
     other = make_pencil(12, 5, seed=6)
     with pytest.raises(sf.UncertifiedSpectrum):
         sf.certified_spectrum(other, pairs)
+    # a rescaled eigenvector is still an eigenvector, but not the one
+    # solve writes: the certificate checks the normalization
+    for scale in (-1.0, 2.0, 1j):
+        rescaled = pairs[:-1] + [(lam, scale * x)]
+        with pytest.raises(sf.UncertifiedSpectrum, match=f"eigenvector {len(pairs) - 1} "):
+            sf.certified_spectrum(p, rescaled)
+
+
+def test_certified_spectrum_checks_degeneracy_after_the_certificate(tmp_path):
+    p = make_pencil(12, 5, seed=5)
+    pairs = _stored(sf.solve_spectrum(p), tmp_path)
+    (l0, x0), (l1, x1) = pairs[-2:]
+    assert l0.imag == l1.imag == 0.0
+    close = pairs[:-1] + [(l0 * (1 + 1e-10), x1)]
+    with pytest.raises(sf.UncertifiedSpectrum, match="not an eigenpair"):
+        sf.certified_spectrum(p, close)
     assert sf.UncertifiedSpectrum.exit_code == sf.VerificationFailed.exit_code == 28
