@@ -237,6 +237,8 @@ def _run_pipeline(args, pencil, spectrum, *, optimize, demo=False):
         "s": old.s,
         "s_tilde": target.s,
         "seed": args.seed,
+        "tau1": args.tau1,
+        "tau2": args.tau2,
     }
 
     def embed_and_report(params, prefix):
@@ -249,7 +251,6 @@ def _run_pipeline(args, pencil, spectrum, *, optimize, demo=False):
             retained,
             args.tau1,
             args.tau2,
-            match_tol=args.tol_match,
         )
         entries.update(_residual_entries(report, prefix))
         return updated
@@ -342,8 +343,6 @@ def _cmd_embed(args, *, optimize=False):
             "command": command,
             "input_dir": args.in_dir,
             "max_perturb": args.max_perturb,
-            "tau1": args.tau1,
-            "tau2": args.tau2,
         }
     )
     entries.update(_hash_entries(args.in_dir, _PENCIL_FILES))
@@ -445,7 +444,6 @@ def _cmd_verify(args):
         retained,
         tau1,
         tau2,
-        match_tol=args.tol_match,
     )
 
     for key in ("res1_updated", "res2_updated"):

@@ -31,19 +31,9 @@ from .errors import (
     RankDeficient,
     Singular,
 )
-from .pencil import _mass_apply, _sym_norm, rcond_estimate, solve_spectrum
-from .spectral import (
-    DEFAULT_MATCH_TOL,
-    from_real_representation,
-    retained_eigendata,
-    select_eigendata,
-)
+from .pencil import _infinite_basis, _mass_apply, _sym_norm, rcond_estimate
 
 log = logging.getLogger(__name__)
-
-# Small enough that a dense full solve for the retained eigendata is
-# cheap; above this the caller must supply the retained data itself.
-ORACLE_LIMIT = 64
 
 
 def _spec_norm(A):
@@ -94,7 +84,7 @@ def retained_residual(M_u, K, X2, Lam2_prime):
 class ResidualReport:
     """Residuals of the original and updated systems on their own and on
     the retained eigendata, plus the update distance. res2 fields are
-    None when retained eigendata was neither given nor computable."""
+    None when no retained eigendata was given."""
 
     res1_original: float
     res1_updated: float
@@ -107,47 +97,26 @@ class ResidualReport:
     params_mode: str
 
 
-def _retained_block_data(p, old, retained, match_tol):
-    """Resolve the retained eigendata (X2, Lam2_prime) or return None.
+def _retained_block_data(p, retained):
+    """The spillover residual's operands (X2, Lam2_prime): the retained
+    finite eigendata followed by the infinite basis, with
+    Lam2_prime = diag(Lambda^{-1}, 0)."""
+    if retained.X.shape[0] != p.n:
+        raise DimensionMismatch(
+            f"retained eigendata has {retained.X.shape[0]} rows, "
+            f"pencil order is {p.n}"
+        )
+    q3 = retained.p
+    r = rcond_estimate(retained.Lambda)
+    if r < ILL_DEFINED_RCOND:
+        raise IllDefined(
+            f"the retained eigenvalue matrix is numerically singular "
+            f"(rcond {r:.3e}); its inverse enters the spillover residual"
+        )
+    L3_inv = sla.solve(retained.Lambda, np.eye(q3))
 
-    When `retained` is None the full spectrum is recomputed (small
-    instances only) and the selected eigenvalues are subtracted from it.
-    """
-    if retained is None:
-        if p.n > ORACLE_LIMIT:
-            return None
-        full = [lam for lam, _ in from_real_representation(old)]
-        spectrum = solve_spectrum(p)
-        _, kept_idx = select_eigendata(spectrum, full, match_tol=match_tol)
-        retained = retained_eigendata(spectrum, kept_idx) if kept_idx else None
-
-    if retained is None:
-        q3 = 0
-        X3 = np.zeros((p.n, 0))
-        L3_inv = np.zeros((0, 0))
-    else:
-        if retained.X.shape[0] != p.n:
-            raise DimensionMismatch(
-                f"retained eigendata has {retained.X.shape[0]} rows, "
-                f"pencil order is {p.n}"
-            )
-        q3 = retained.p
-        X3 = retained.X
-        r = rcond_estimate(retained.Lambda)
-        if r < ILL_DEFINED_RCOND:
-            raise IllDefined(
-                f"the retained eigenvalue matrix is numerically singular "
-                f"(rcond {r:.3e}); its inverse enters the spillover residual"
-            )
-        L3_inv = sla.solve(retained.Lambda, np.eye(q3))
-
-    m = q3 + p.n_phi
-    if m == 0:
-        return None
-    X2 = np.zeros((p.n, m))
-    X2[:, :q3] = X3
-    if p.n_phi:
-        X2[p.n_u :, q3:] = np.eye(p.n_phi)
+    X2 = np.hstack([retained.X, _infinite_basis(p)])
+    m = X2.shape[1]
     Lam2p = np.zeros((m, m))
     Lam2p[:q3, :q3] = L3_inv
     return X2, Lam2p
@@ -161,16 +130,15 @@ def residual_report(
     retained=None,
     tau1=1.0,
     tau2=1.0,
-    *,
-    match_tol=DEFAULT_MATCH_TOL,
 ):
     """Full residual accounting for one embedding run.
 
     `old` is the replaced eigendata of the original pencil, `u` the
     updated system, `target_Lambda` the replacement eigenvalue matrix.
-    `retained` (optional) is the real representation of the kept finite
-    eigenpairs; without it the spillover residuals are recomputed from
-    scratch on small instances and reported as None on large ones.
+    `retained` is the real representation of the kept finite eigenpairs
+    (retained_eigendata of the solved spectrum). Without it the
+    spillover residuals res2_original and res2_updated are None at every
+    pencil order: this function never solves a spectrum.
     """
     if not isinstance(u, UpdatedSystem):
         raise DimensionMismatch("u must be an UpdatedSystem")
@@ -196,11 +164,10 @@ def residual_report(
     res1_u = _eigen_residual(u.M_u_tilde, u.K_tilde, u.X1_tilde, target_Lambda,
                              norm_mt, norm_kt)
 
-    pair = _retained_block_data(p, old, retained, match_tol)
-    if pair is None:
+    if retained is None:
         res2_o = res2_u = None
     else:
-        X2, Lam2p = pair
+        X2, Lam2p = _retained_block_data(p, retained)
         norm_lam, norm_x = _spec_norm(Lam2p), _spec_norm(X2)
         res2_o = _retained_residual(p.M_u, p.K, X2, Lam2p, norm_m, norm_k, norm_lam, norm_x)
         res2_u = _retained_residual(u.M_u_tilde, u.K_tilde, X2, Lam2p,

@@ -98,7 +98,7 @@ class StructuredPencil:
     in which case K_phi is an empty block and trivially nonsingular.
     """
 
-    def __init__(self, M_u, K, n_u, n_phi, *, rcond=DEFAULT_RCOND, symmetry_tol=SYMMETRY_TOL):
+    def __init__(self, M_u, K, n_u, n_phi):
         n_u = int(n_u)
         n_phi = int(n_phi)
         if n_u <= 0:
@@ -113,20 +113,20 @@ class StructuredPencil:
             raise DimensionMismatch(
                 f"K has order {K.shape[0]}, expected n_u+n_phi={n_u + n_phi}"
             )
-        M_u = _check_symmetric(M_u, "M_u", symmetry_tol)
-        K = _check_symmetric(K, "K", symmetry_tol)
+        M_u = _check_symmetric(M_u, "M_u", SYMMETRY_TOL)
+        K = _check_symmetric(K, "K", SYMMETRY_TOL)
 
         r = rcond_estimate(M_u)
-        if r < rcond:
+        if r < DEFAULT_RCOND:
             raise SingularBlock(
                 f"structural mass block M_u is numerically singular "
-                f"(rcond {r:.3e} < {rcond:.1e}); pencil regularity cannot be certified"
+                f"(rcond {r:.3e} < {DEFAULT_RCOND:.1e}); pencil regularity cannot be certified"
             )
         r = rcond_estimate(K[n_u:, n_u:])
-        if r < rcond:
+        if r < DEFAULT_RCOND:
             raise SingularBlock(
                 f"electric stiffness block K_phi is numerically singular "
-                f"(rcond {r:.3e} < {rcond:.1e}); pencil regularity cannot be certified"
+                f"(rcond {r:.3e} < {DEFAULT_RCOND:.1e}); pencil regularity cannot be certified"
             )
 
         M_u.setflags(write=False)
@@ -138,7 +138,6 @@ class StructuredPencil:
         self._schur = None
         self._spectrum = None
         self._norms = None
-        self._k_lu = None
         self._k_rcond = None
 
     @property
@@ -166,12 +165,6 @@ class StructuredPencil:
             )
         return _mass_apply(self.M_u, X)
 
-    def k_solve(self, B):
-        """Solve K @ X = B reusing a cached LU factorization of K."""
-        if self._k_lu is None:
-            self._k_lu = sla.lu_factor(self.K)
-        return sla.lu_solve(self._k_lu, B)
-
     def k_rcond(self):
         """Cached reciprocal condition estimate of the full K."""
         if self._k_rcond is None:
@@ -188,17 +181,17 @@ class StructuredPencil:
         return f"StructuredPencil(n_u={self.n_u}, n_phi={self.n_phi})"
 
 
-def validate_pencil(M_u, K, n_u, n_phi, *, rcond=DEFAULT_RCOND, symmetry_tol=SYMMETRY_TOL):
+def validate_pencil(M_u, K, n_u, n_phi):
     """Construct a StructuredPencil, certifying regularity.
 
     Nonsingular M_u and K_phi imply det(lambda*M + K) is not identically
     zero, because the determinant factors through the Schur complement
-    of K_phi. Symmetry deviations up to `symmetry_tol` (relative) are
-    silently symmetrized; larger ones raise AsymmetricInput.
+    of K_phi. A block counts as singular when its rcond_estimate is
+    below DEFAULT_RCOND (SingularBlock). Symmetry deviations up to
+    SYMMETRY_TOL (relative to the largest entry) are silently
+    symmetrized; larger ones raise AsymmetricInput.
     """
-    return StructuredPencil(
-        M_u, K, n_u, n_phi, rcond=rcond, symmetry_tol=symmetry_tol
-    )
+    return StructuredPencil(M_u, K, n_u, n_phi)
 
 
 def schur_reduce(p):
@@ -331,22 +324,22 @@ def _nearest_gaps(values):
     return d.min(axis=1)
 
 
-def _check_degeneracy(values, gaps, tol):
+def _check_degeneracy(values, gaps):
     """Raise DegenerateSpectrum when two finite eigenvalues (or one and
-    zero) are closer than tol times the spectral radius."""
+    zero) are closer than DEGENERACY_TOL times the spectral radius."""
     scale = float(np.abs(values).max())
     worst = gaps.min()
-    if worst < tol * scale:
+    if worst < DEGENERACY_TOL * scale:
         raise DegenerateSpectrum(
             f"two finite eigenvalues are only {worst:.3e} apart "
-            f"(tolerance {tol:.1e} x spectral radius {scale:.3e}); "
+            f"(tolerance {DEGENERACY_TOL:.1e} x spectral radius {scale:.3e}); "
             f"simple-eigenvalue assumption violated"
         )
     small = np.abs(values).min()
-    if small < tol * scale:
+    if small < DEGENERACY_TOL * scale:
         raise DegenerateSpectrum(
             f"a finite eigenvalue has modulus {small:.3e}, too close to zero "
-            f"(tolerance {tol:.1e} x spectral radius {scale:.3e})"
+            f"(tolerance {DEGENERACY_TOL:.1e} x spectral radius {scale:.3e})"
         )
 
 
@@ -357,7 +350,7 @@ def _infinite_basis(p):
     return basis
 
 
-def solve_spectrum(p, *, degeneracy_tol=DEGENERACY_TOL):
+def solve_spectrum(p):
     """All finite eigenpairs plus the infinite basis.
 
     The reduced pencil from schur_reduce is handed to the dense QZ
@@ -366,18 +359,15 @@ def solve_spectrum(p, *, degeneracy_tol=DEGENERACY_TOL):
     eigendata needs no solve: the kernel of M is spanned by [0; I].
 
     Raises DegenerateSpectrum when two finite eigenvalues (or one and
-    zero) are closer than degeneracy_tol times the spectral radius:
+    zero) are closer than DEGENERACY_TOL times the spectral radius:
     downstream embedding assumes simple nonzero finite eigenvalues.
 
-    The result is cached on the pencil, like schur_reduce's, and its
-    arrays are read-only because every later caller shares them. Every
-    call, cached or not, runs the degeneracy check at its own
-    degeneracy_tol.
+    Only a spectrum that passed that check is cached on the pencil,
+    like schur_reduce's result, so a cached call returns it unchecked.
+    Its arrays are read-only because every later caller shares them.
     """
     if p._spectrum is not None:
-        spectrum, lam, gaps = p._spectrum
-        _check_degeneracy(lam, gaps, degeneracy_tol)
-        return spectrum
+        return p._spectrum
     S, R = schur_reduce(p)
     w, V = sla.eig(S, p.M_u)
     if not np.all(np.isfinite(w)):
@@ -386,8 +376,7 @@ def solve_spectrum(p, *, degeneracy_tol=DEGENERACY_TOL):
             "M_u is effectively singular"
         )
     lam = -w
-    gaps = _nearest_gaps(lam)
-    _check_degeneracy(lam, gaps, degeneracy_tol)
+    _check_degeneracy(lam, _nearest_gaps(lam))
 
     # Classify. Real QZ on real data returns exact conjugate partners, so
     # only the counts need to agree; each pair is kept by its upper member.
@@ -439,7 +428,7 @@ def solve_spectrum(p, *, degeneracy_tol=DEGENERACY_TOL):
     )
     for a in [x for _, x in finite] + [spectrum.infinite_basis, spectrum.condition_summary]:
         a.setflags(write=False)
-    p._spectrum = (spectrum, lam, gaps)
+    p._spectrum = spectrum
     return spectrum
 
 
@@ -512,7 +501,7 @@ def certified_spectrum(p, pairs):
             f"(limit {CERTIFY_BACKWARD_ERROR:.0e}), enclosure radius "
             f"{radius[worst]:.3e} against half gap {0.5 * gaps[worst]:.3e}"
         )
-    _check_degeneracy(lam, gaps, DEGENERACY_TOL)
+    _check_degeneracy(lam, gaps)
     return SpectrumResult(
         finite_pairs=tuple(pairs),
         infinite_basis=_infinite_basis(p),
@@ -567,8 +556,7 @@ def check_jordan_pair(p, c, tol):
     rank_ok = rank_resid > tol
     checks.append(ConditionCheck("rank", rank_resid, tol, rank_ok))
 
-    norm_M = np.linalg.norm(p.M_u, 2)
-    norm_K = np.linalg.norm(p.K, 2)
+    norm_M, norm_K = p.norms()
     norm_X = np.linalg.norm(X, 2) if X.size else 0.0
 
     q = _zero_block_order(J)

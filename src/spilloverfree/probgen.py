@@ -27,6 +27,7 @@ from .spectral import _split_conjugates
 MIN_TARGET_MODULUS = 1e-3
 _DISJOINT_TOL = 1e-6
 _RESAMPLE_BUDGET = 100
+_GENERATION_RETRIES = 5
 
 
 @dataclass(frozen=True)
@@ -62,17 +63,17 @@ def _random_symmetric(rng, n):
     return 0.5 * (A + A.T)
 
 
-def generate_pencil(spec, *, retries=5):
+def generate_pencil(spec):
     """Deterministic random pencil for a ProblemSpec.
 
     M_u is an indefinite symmetric matrix with all eigenvalue moduli
     >= 1 (each eigenvalue of a uniform symmetric draw is shifted one
     unit away from zero). K is uniform symmetric with n added to the
-    K_phi diagonal. Draws whose spectrum is degenerate are retried with
-    a derived seed; running out of retries raises GenerationFailed.
+    K_phi diagonal. A draw whose spectrum is degenerate is redrawn with a
+    derived seed, up to _GENERATION_RETRIES times; then GenerationFailed.
     """
     n = spec.n_u + spec.n_phi
-    for attempt in range(retries + 1):
+    for attempt in range(_GENERATION_RETRIES + 1):
         rng = np.random.default_rng((spec.seed, attempt))
         d, Q = np.linalg.eigh(_random_symmetric(rng, spec.n_u))
         shift = np.where(d >= 0, d + 1.0, d - 1.0)
@@ -86,7 +87,7 @@ def generate_pencil(spec, *, retries=5):
             continue
         return pencil
     raise GenerationFailed(
-        f"no admissible pencil within {retries + 1} attempts for seed "
+        f"no admissible pencil within {_GENERATION_RETRIES + 1} attempts for seed "
         f"{spec.seed}; reseed the spec"
     )
 

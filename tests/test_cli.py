@@ -458,3 +458,12 @@ def test_verify_uses_the_weights_of_the_run(run12, tmp_path, capsys):
     # an explicit flag still overrides the stored weight
     assert run("verify", "--in", emb, "--tau1", 1) == 28
     assert "rec_mk: stored" in capsys.readouterr().err
+
+
+def test_demo_stores_its_weights_for_verify(tmp_path):
+    out = str(tmp_path)
+    assert run("demo", "--example", 1, "--nu", 12, "--nphi", 5, "--seed", 5,
+               "--tau2", 2, "--out", out) == 0
+    report = read_report(out, "demo.report")
+    assert (float(report["tau1"]), float(report["tau2"])) == (1.0, 2.0)
+    assert run("verify", "--in", out) == 0

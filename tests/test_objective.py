@@ -66,7 +66,7 @@ def test_residual_report_takes_each_pencil_norm_once(monkeypatch):
     rep = sf.residual_report(p, u, c.old, Lt, c.retained)
     assert len(calls) <= 6
     monkeypatch.undo()
-    X2, Lam2p = spilloverfree.objective._retained_block_data(p, c.old, c.retained, 1e-8)
+    X2, Lam2p = spilloverfree.objective._retained_block_data(p, c.retained)
     assert rep.res1_original == sf.eigen_residual(p.M_u, p.K, c.old.X, c.old.Lambda)
     assert rep.res1_updated == sf.eigen_residual(u.M_u_tilde, u.K_tilde, u.X1_tilde, Lt)
     assert rep.res2_original == sf.retained_residual(p.M_u, p.K, X2, Lam2p)
@@ -74,25 +74,17 @@ def test_residual_report_takes_each_pencil_norm_once(monkeypatch):
     assert rep.rec_mk == sf.rec_mk(p.M_u, p.K, u.M_u_tilde, u.K_tilde)
 
 
-def test_residual_report_recomputes_retained_when_omitted():
-    c = EmbeddingCase(10, 4, s_sel=1, n_real=2, s_tilde=1, seed=3)
-    u = sf.embed(c.pencil, c.old, c.target.Lambda, c.params)
-    explicit = sf.residual_report(c.pencil, u, c.old, c.target.Lambda, c.retained)
-    recomputed = sf.residual_report(c.pencil, u, c.old, c.target.Lambda)
-    assert recomputed.res2_updated is not None
-    assert np.isclose(recomputed.res2_updated, explicit.res2_updated, atol=1e-12)
-    assert np.isclose(recomputed.res2_original, explicit.res2_original, atol=1e-12)
-
-
-def test_residual_report_res2_unavailable_beyond_oracle_limit():
-    # n = 70 exceeds the recompute cutoff, and no retained data is given
-    c = EmbeddingCase(60, 10, s_sel=1, n_real=1, s_tilde=1, seed=5)
-    u = sf.embed(c.pencil, c.old, c.target.Lambda, c.params)
-    rep = sf.residual_report(c.pencil, u, c.old, c.target.Lambda)
-    assert rep.res2_original is None and rep.res2_updated is None
-    # passing the retained block restores them
-    rep2 = sf.residual_report(c.pencil, u, c.old, c.target.Lambda, c.retained)
-    assert rep2.res2_updated < 1e-12
+def test_residual_report_res2_unavailable_without_retained():
+    # omitted retained data gives no res2 at any order (n = 14 and n = 70)
+    for n_u, n_phi, seed in ((10, 4, 3), (60, 10, 5)):
+        c = EmbeddingCase(n_u, n_phi, s_sel=1, n_real=1, s_tilde=1, seed=seed)
+        u = sf.embed(c.pencil, c.old, c.target.Lambda, c.params)
+        rep = sf.residual_report(c.pencil, u, c.old, c.target.Lambda)
+        assert rep.res2_original is None and rep.res2_updated is None
+        assert rep.res1_updated < 1e-12
+        # passing the retained block restores them
+        rep2 = sf.residual_report(c.pencil, u, c.old, c.target.Lambda, c.retained)
+        assert rep2.res2_updated < 1e-12
 
 
 def test_residual_report_res2_none_when_nothing_is_retained():

@@ -61,7 +61,7 @@ def test_generate_pencil_exhausts_retries(monkeypatch):
     )
     spec = sf.ProblemSpec(n_u=4, n_phi=1, p=1, s_tilde=0, seed=0)
     with pytest.raises(GenerationFailed):
-        spilloverfree.probgen.generate_pencil(spec, retries=2)
+        spilloverfree.probgen.generate_pencil(spec)
 
 
 def test_perturb_targets_zero_perturbation_returns_inputs():
