@@ -170,20 +170,20 @@ def _select_values(spectrum, p_sel, s_sel, rng):
     return chosen
 
 
+def _or_unavailable(value):
+    return "unavailable" if value is None else value
+
+
 def _residual_entries(report, prefix=""):
-    out = {
+    return {
         prefix + "res1_original": report.res1_original,
         prefix + "res1_updated": report.res1_updated,
         prefix + "rec_mk": report.rec_mk,
         prefix + "method": report.method,
         prefix + "params_mode": report.params_mode,
+        prefix + "res2_original": _or_unavailable(report.res2_original),
+        prefix + "res2_updated": _or_unavailable(report.res2_updated),
     }
-    for key, val in (
-        ("res2_original", report.res2_original),
-        ("res2_updated", report.res2_updated),
-    ):
-        out[prefix + key] = "unavailable" if val is None else val
-    return out
 
 
 def _run_pipeline(args, pencil, spectrum, *, optimize, demo=False):
@@ -350,12 +350,9 @@ def _cmd_embed(args, *, optimize=False):
         entries.update(
             {
                 "best_rec_mk": result.best_rec_mk,
-                "baseline_rec_mk": (
-                    "unavailable"
-                    if result.baseline_rec_mk is None
-                    else result.baseline_rec_mk
-                ),
+                "baseline_rec_mk": _or_unavailable(result.baseline_rec_mk),
                 "iterations": result.iterations,
+                "seed_certificate": _or_unavailable(result.certificate),
                 "converged": result.converged,
             }
         )
@@ -467,14 +464,10 @@ def _cmd_verify(args):
         "pencil_dir": pencil_dir,
         "failures": len(failures),
         "res1_updated": recomputed.res1_updated,
-        "res2_updated": (
-            "unavailable" if recomputed.res2_updated is None else recomputed.res2_updated
-        ),
+        "res2_updated": _or_unavailable(recomputed.res2_updated),
         "rec_mk": recomputed.rec_mk,
         "spectrum_source": source,
-        "spectrum_enclosure_ratio": (
-            "unavailable" if spectrum.enclosure_ratio is None else spectrum.enclosure_ratio
-        ),
+        "spectrum_enclosure_ratio": _or_unavailable(spectrum.enclosure_ratio),
     }
     mmio.write_report(entries, os.path.join(args.in_dir, "verify.report"))
 
@@ -506,6 +499,7 @@ def _cmd_demo(args):
             "command": "demo",
             "example": args.example,
             "choice_b_iterations": result.iterations,
+            "choice_b_seed_certificate": _or_unavailable(result.certificate),
             "choice_b_converged": result.converged,
         }
     )

@@ -59,6 +59,10 @@ ASYMMETRY_WARN = 1e-8
 # Default tolerance for the reconstruction preflight verification.
 RECONSTRUCT_TOL = 1e-8
 
+# Relative smallest singular value above which seed_certificate takes the
+# first-order mass map for injective.
+INJECTIVE_RCOND = 1e-8
+
 _COMMUTATION_TOL = 1e-10
 _PATTERN_TOL = 1e-8
 
@@ -355,16 +359,20 @@ class PreparedUpdate:
                                  f"singular; the update is not well defined")
         return core_m, cap_m, core_k, cap_k
 
-    def rec_mk(self, params, tau1=1.0, tau2=1.0):
-        """Rec.MK of the update with these parameters in O(p^3): with
-        C_m = core_m cap_m^-1 and the thin QR W = Q_w R_w, ||M_u - M_u~|| =
-        ||R_w sym(C_m) R_w^T||, likewise for K with Z. The R factors and
-        ||M_u||, ||K|| are computed on the first call."""
-        core_m, cap_m, core_k, cap_k = self.woodbury_cores(params)
+    def _factors(self):
+        """(R_w, R_z, ||M_u||, ||K||): the thin-QR R factors of W and Z and
+        the pencil norms, computed on the first call."""
         if self._distance_factors is None:
             self._distance_factors = (np.linalg.qr(self.W, mode="r"), np.linalg.qr(self.Z, mode="r"),
                                       *self.pencil.norms())
-        R_w, R_z, norm_m, norm_k = self._distance_factors
+        return self._distance_factors
+
+    def rec_mk(self, params, tau1=1.0, tau2=1.0):
+        """Rec.MK of the update with these parameters in O(p^3): with
+        C_m = core_m cap_m^-1 and the thin QR W = Q_w R_w, ||M_u - M_u~|| =
+        ||R_w sym(C_m) R_w^T||, likewise for K with Z."""
+        core_m, cap_m, core_k, cap_k = self.woodbury_cores(params)
+        R_w, R_z, norm_m, norm_k = self._factors()
         dist = []
         for name, R, core, cap, norm in (("mass", R_w, core_m, cap_m, norm_m),
                                          ("stiffness", R_z, core_k, cap_k, norm_k)):
@@ -379,6 +387,64 @@ class PreparedUpdate:
                                 "conditioning is suspect", name, dev)
             dist.append(_sym_norm(R @ (0.5 * (C + C.T)) @ R.T))
         return tau1 * dist[0] / norm_m + tau2 * dist[1] / norm_k
+
+    def seed_certificate(self, params, tau1=1.0, tau2=1.0):
+        """First-order certificate that params minimize Rec.MK locally over
+        GammaTilde1 (Theta fixed), in O(p^3); the dual ratio rho, or None
+        where the certificate does not apply.
+
+        It applies where the mass core is exactly zero, as at the choice_a
+        seed (Theta = I, GammaTilde1 = Gamma_1), so that the mass distance
+        has a kink there. For each free parameter direction
+        E_j = structured_gamma(e_j) put dG_j = -Gt^-1 E_j Gt^-1. The mass
+        distance grows like ||L(d)||_2 with the linear map
+        L(d) = sum_j d_j L_j, L_j = R_w sym(Th dG_j Th^T) R_w^T. With
+        C0 = core_k cap_k^-1 and (sigma, v) the sign and unit eigenvector
+        of the largest-magnitude eigenvalue of R_z sym(C0) R_z^T, the
+        stiffness distance is at least its seed value plus g.d, where
+        g_j = sigma v^T R_z dC_j R_z^T v and
+        dC_j = (I - C0 ZtX)(-Th Lt^-1 dG_j Th^T) cap_k^-1. Let Y be the
+        least-Frobenius-norm symmetric solution of
+        <Y, L_j>_F = tau2 g_j / ||K||, j = 1..p. Since
+        <Y, L(d)> >= -||Y||_* ||L(d)||_2, every step d gives
+
+            Rec.MK(seed + d) - Rec.MK(seed)
+                >= (tau1 / ||M_u||) (1 - rho) ||L(d)||_2 - O(|d|^2),
+            rho = ||Y||_* ||M_u|| / tau1.
+
+        So rho < 1 with L injective makes params a strict local
+        minimizer. L counts as injective when the smallest singular value
+        of the p x p(p+1)/2 system is above INJECTIVE_RCOND times the
+        largest; otherwise the result is None.
+        """
+        core_m, _, core_k, cap_k = self.woodbury_cores(params)
+        if np.any(core_m):
+            return None
+        R_w, R_z, norm_m, norm_k = self._factors()
+        q, Th = params.p, params.Theta
+        iGt = _inverse_of(params.GammaTilde1, "GammaTilde_1")
+        C0 = sla.solve(cap_k.T, core_k.T).T
+        w, V = np.linalg.eigh(R_z @ (0.5 * (C0 + C0.T)) @ R_z.T)
+        top = np.argmax(np.abs(w))
+        sigma, u = np.sign(w[top]), R_z.T @ V[:, top]
+        lead = np.eye(q) - C0 @ self.ZtX
+
+        rows, upper = np.triu_indices(q)
+        weight = np.where(rows == upper, 1.0, np.sqrt(2.0))
+        A, g = np.empty((q, rows.size)), np.empty(q)
+        for j, E in enumerate(np.eye(q)):
+            dG = -iGt @ structured_gamma(E, self.s_tilde, q) @ iGt
+            L = R_w @ (Th @ dG @ Th.T) @ R_w.T
+            A[j] = weight * (0.5 * (L + L.T))[rows, upper]
+            dC = sla.solve(cap_k.T, (lead @ (-Th @ self.iLt @ dG @ Th.T)).T).T
+            g[j] = sigma * (u @ dC @ u)
+        y, _, _, sv = np.linalg.lstsq(A, tau2 * g / norm_k, rcond=None)
+        if sv.size < q or sv[-1] <= INJECTIVE_RCOND * sv[0]:
+            return None
+        Y = np.zeros((q, q))
+        Y[rows, upper] = y / weight
+        Y = Y + np.triu(Y, 1).T
+        return float(np.abs(np.linalg.eigvalsh(Y)).sum() * norm_m / tau1)
 
 
 prepare_update = PreparedUpdate

@@ -35,6 +35,11 @@ from .pencil import _infinite_basis, _mass_apply, _sym_norm, rcond_estimate
 
 log = logging.getLogger(__name__)
 
+# optimize_gamma_tilde returns a seed whose seed_certificate ratio is below
+# this without searching. A ratio below 1 proves a strict local minimum in
+# exact arithmetic; the slack covers rounding in the p x p computation.
+SEED_CERTIFICATE_MAX = 0.5
+
 
 def _spec_norm(A):
     if A.size == 0:
@@ -201,12 +206,18 @@ class OptimizeConfig:
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    """Outcome of optimize_gamma_tilde. iterations counts objective
+    evaluations (0 when the seed was certified and no search ran);
+    certificate is the seed's seed_certificate ratio, None where it does
+    not apply."""
+
     best_params: ParameterSet
     best_rec_mk: float
     baseline_rec_mk: float
     iterations: int
     converged: bool
     trace: tuple
+    certificate: float = None
 
 
 def evaluate_rec_mk(p, old, target_Lambda, params, tau1=1.0, tau2=1.0, *, prepared=None):
@@ -240,11 +251,24 @@ def optimize_gamma_tilde(p, old, target_Lambda, Theta, seed, config=None):
     """Minimize Rec.MK over the free entries of GammaTilde1, Theta fixed.
 
     The p real parameters are the (a_j, b_j) of each 2x2 block and the
-    scalars. Infeasible trial points (singular GammaTilde1, ill-defined
-    update) score the configured penalty, so the search is effectively
-    unconstrained. Evaluation of the seed itself is not shielded: a seed
-    that cannot be embedded raises immediately. The update is prepared
-    once, so each evaluation costs O(p^3) whatever the pencil order.
+    scalars. Theta must equal seed.Theta, so that the seed and every
+    trial point belong to the same family. Infeasible trial points
+    (singular GammaTilde1, ill-defined update) score the configured
+    penalty, so the search is effectively unconstrained. Evaluation of
+    the seed itself is not shielded: a seed that cannot be embedded
+    raises immediately. The update is prepared once, so each evaluation
+    costs O(p^3) whatever the pencil order.
+
+    Where the seed scores below the penalty, its first-order certificate
+    (PreparedUpdate.seed_certificate) is taken, in O(p^3). It yields a
+    ratio rho for the choice_a seed and None elsewhere; for every step d
+    of GammaTilde1, Rec.MK(seed + d) - Rec.MK(seed) is at least
+    (tau1 / ||M_u||) (1 - rho) ||L(d)||_2 - O(|d|^2) with an injective
+    linear L. With rho below SEED_CERTIFICATE_MAX the seed is a strict
+    local minimizer and is returned without a search: iterations 0,
+    converged True, an empty trace. The result records rho as
+    `certificate` whenever it was computed. Otherwise Nelder-Mead runs
+    from the seed and its restarts.
     """
     if config is None:
         config = OptimizeConfig()
@@ -255,6 +279,9 @@ def optimize_gamma_tilde(p, old, target_Lambda, Theta, seed, config=None):
         raise DimensionMismatch(
             f"Theta has shape {Theta.shape}, expected ({q}, {q})"
         )
+    if not np.array_equal(Theta, seed.Theta):
+        raise DimensionMismatch("Theta differs from the seed's Theta; the search "
+                                "varies GammaTilde1 only, with the seed's Theta")
     max_evals = config.max_evals or 200 * q
 
     def build(x):
@@ -274,8 +301,15 @@ def optimize_gamma_tilde(p, old, target_Lambda, Theta, seed, config=None):
     x0 = gamma_free_params(seed.GammaTilde1, s_tilde)
     f0 = evaluate(seed)
     baseline = f0 if seed.mode == "choice_a" else None
+    certificate = None
+    if np.isfinite(f0) and f0 < config.penalty:
+        certificate = prepared.seed_certificate(seed, config.tau1, config.tau2)
+    if certificate is not None and certificate < SEED_CERTIFICATE_MAX:
+        return OptimizationResult(best_params=seed, best_rec_mk=f0, baseline_rec_mk=baseline,
+                                  iterations=0, converged=True, trace=(),
+                                  certificate=certificate)
 
-    trace = []
+    trace, points = [], []
 
     def objective(x):
         try:
@@ -285,9 +319,9 @@ def optimize_gamma_tilde(p, old, target_Lambda, Theta, seed, config=None):
         if not np.isfinite(value):
             value = config.penalty
         trace.append(value)
+        points.append(np.array(x, dtype=float))
         return value
 
-    best_params, best_f = seed, f0
     total_evals = 0
     converged = False
     delta = config.simplex_scale * max(1.0, float(np.abs(x0).max()))
@@ -307,8 +341,14 @@ def optimize_gamma_tilde(p, old, target_Lambda, Theta, seed, config=None):
         )
         total_evals += res.nfev
         converged = converged or bool(res.success)
-        if res.fun < best_f:
-            best_params, best_f = build(np.asarray(res.x, dtype=float)), float(res.fun)
+
+    # The best point evaluated, not Nelder-Mead's final vertex: a search
+    # cut off by maxfev drops the trial it was evaluating, and a cut-off
+    # shrink leaves vertices with stale values.
+    best_params, best_f = seed, f0
+    if trace and min(trace) < f0:
+        i = int(np.argmin(trace))
+        best_params, best_f = build(points[i]), trace[i]
 
     if best_f >= config.penalty:
         raise NoFeasiblePoint(
@@ -323,4 +363,5 @@ def optimize_gamma_tilde(p, old, target_Lambda, Theta, seed, config=None):
         iterations=total_evals,
         converged=converged,
         trace=tuple(trace),
+        certificate=certificate,
     )

@@ -197,6 +197,7 @@ def test_embed_rejects_malformed_target_file(gen_dir, tmp_path):
 
 
 def test_optimize_never_loses_to_its_seed(gen_dir, tmp_path):
+    # at the default weights the choice_a seed is certified: no search
     out = str(tmp_path)
     rc = run("optimize", "--in", gen_dir, "--out", out,
              "--p", 4, "--stilde", 1, "--seed", 3, "--restarts", 1)
@@ -205,9 +206,23 @@ def test_optimize_never_loses_to_its_seed(gen_dir, tmp_path):
     assert report["command"] == "optimize"
     best = float(report["best_rec_mk"])
     assert report["baseline_rec_mk"] != "unavailable"
-    assert best <= float(report["baseline_rec_mk"]) + 1e-15
+    assert best == float(report["baseline_rec_mk"])
     assert best == pytest.approx(float(report["rec_mk"]), rel=1e-12)
+    assert report["iterations"] == "0"
+    assert report["converged"] == "true"
+    assert float(report["seed_certificate"]) < 1.0
+    assert run("verify", "--in", out) == 0
+
+
+def test_optimize_searches_where_the_seed_is_not_certified(gen_dir, tmp_path):
+    out = str(tmp_path)
+    rc = run("optimize", "--in", gen_dir, "--out", out, "--p", 4, "--stilde", 1,
+             "--seed", 3, "--restarts", 1, "--tau1", 0.01)
+    assert rc == 0
+    report = read_report(out, "optimize.report")
     assert int(report["iterations"]) >= 1
+    assert float(report["seed_certificate"]) >= sf.objective.SEED_CERTIFICATE_MAX
+    assert float(report["best_rec_mk"]) < float(report["baseline_rec_mk"])
     assert run("verify", "--in", out) == 0
 
 
@@ -286,6 +301,12 @@ def test_demo_runs_end_to_end(example, tmp_path):
     assert float(report["choice_b_rec_mk"]) <= \
         float(report[f"{seed_prefix}_rec_mk"]) + 1e-15
     assert float(report["choice_b_res1_updated"]) < 1e-10
+    if example == 1:
+        assert float(report["choice_b_seed_certificate"]) < 1.0
+        assert report["choice_b_iterations"] == "0"
+    else:
+        assert report["choice_b_seed_certificate"] == "unavailable"
+        assert int(report["choice_b_iterations"]) >= 1
     assert run("verify", "--in", out) == 0
 
 

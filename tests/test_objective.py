@@ -146,19 +146,20 @@ def test_optimize_config_defaults():
 
 
 def test_optimize_never_worse_than_seed():
+    # tau1 = 0.01: the seed is not certified, so the search runs
     c = EmbeddingCase(10, 4, s_sel=1, n_real=2, s_tilde=1, seed=3)
-    cfg = sf.OptimizeConfig(max_evals=80, restarts=1)
+    cfg = sf.OptimizeConfig(max_evals=80, restarts=1, tau1=0.01)
     result = sf.optimize_gamma_tilde(
         c.pencil, c.old, c.target.Lambda, np.eye(c.old.p), c.params, cfg
     )
-    f0 = sf.evaluate_rec_mk(c.pencil, c.old, c.target.Lambda, c.params)
+    f0 = sf.evaluate_rec_mk(c.pencil, c.old, c.target.Lambda, c.params, tau1=0.01)
     assert result.baseline_rec_mk == f0  # choice_a seed defines the baseline
     assert result.best_rec_mk <= f0
     assert result.best_rec_mk == min(min(result.trace), f0)
     assert result.iterations == len(result.trace)
     # the reported optimum must be reproducible from its parameters
     again = sf.evaluate_rec_mk(
-        c.pencil, c.old, c.target.Lambda, result.best_params
+        c.pencil, c.old, c.target.Lambda, result.best_params, tau1=0.01
     )
     assert again == result.best_rec_mk
 
@@ -176,7 +177,7 @@ def test_optimize_baseline_none_for_structure_change():
 
 def test_optimize_is_deterministic():
     c = EmbeddingCase(8, 3, s_sel=1, n_real=1, s_tilde=1, seed=7)
-    cfg = sf.OptimizeConfig(max_evals=60, restarts=2)
+    cfg = sf.OptimizeConfig(max_evals=60, restarts=2, tau1=0.01)
     runs = [
         sf.optimize_gamma_tilde(
             c.pencil, c.old, c.target.Lambda, np.eye(c.old.p), c.params, cfg
@@ -195,11 +196,11 @@ def test_optimize_restarts_add_evaluations():
     c = EmbeddingCase(8, 3, s_sel=1, n_real=1, s_tilde=1, seed=7)
     one = sf.optimize_gamma_tilde(
         c.pencil, c.old, c.target.Lambda, np.eye(c.old.p), c.params,
-        sf.OptimizeConfig(max_evals=40, restarts=1),
+        sf.OptimizeConfig(max_evals=40, restarts=1, tau1=0.01),
     )
     three = sf.optimize_gamma_tilde(
         c.pencil, c.old, c.target.Lambda, np.eye(c.old.p), c.params,
-        sf.OptimizeConfig(max_evals=40, restarts=3),
+        sf.OptimizeConfig(max_evals=40, restarts=3, tau1=0.01),
     )
     assert three.iterations > one.iterations
 
@@ -209,6 +210,15 @@ def test_optimize_theta_shape_guard():
     with pytest.raises(DimensionMismatch):
         sf.optimize_gamma_tilde(
             c.pencil, c.old, c.target.Lambda, np.eye(c.old.p + 1), c.params
+        )
+
+
+def test_optimize_rejects_a_theta_other_than_the_seeds():
+    # the baseline and every trial point must come from the same family
+    c = EmbeddingCase(8, 3, s_sel=1, n_real=1, s_tilde=1, seed=7)
+    with pytest.raises(DimensionMismatch, match="seed's Theta"):
+        sf.optimize_gamma_tilde(
+            c.pencil, c.old, c.target.Lambda, 2.0 * np.eye(c.old.p), c.params
         )
 
 
@@ -302,7 +312,7 @@ def test_prepared_objective_warns_on_asymmetric_core(caplog):
 @pytest.mark.parametrize("seed", [0, 7, 13])
 def test_optimizer_trajectory_matches_embedded_reference(monkeypatch, seed):
     c = scale_case(seed)
-    cfg = sf.OptimizeConfig(max_evals=150, restarts=1)
+    cfg = sf.OptimizeConfig(max_evals=150, restarts=1, tau1=0.01)
     args = (c.pencil, c.old, c.target.Lambda, np.eye(c.old.p), c.params, cfg)
     fast = sf.optimize_gamma_tilde(*args)
     monkeypatch.setattr(spilloverfree.objective, "evaluate_rec_mk", _embedded_rec_mk)
@@ -319,5 +329,83 @@ def test_optimizer_near_the_seed_logs_no_asymmetry(caplog):
         c = scale_case(seed)
         with caplog.at_level("WARNING", logger="spilloverfree.embedding"):
             sf.optimize_gamma_tilde(c.pencil, c.old, c.target.Lambda, np.eye(c.old.p),
-                                    c.params, sf.OptimizeConfig(restarts=1))
+                                    c.params, sf.OptimizeConfig(restarts=1, tau1=0.01))
     assert "asymmetric" not in caplog.text
+
+
+# -- the first-order certificate at the choice_a seed --------------------------
+
+MAX_RHO = spilloverfree.objective.SEED_CERTIFICATE_MAX
+
+
+def _certificate(case, tau1=1.0):
+    prepared = spilloverfree.embedding.prepare_update(case.pencil, case.old, case.target.Lambda)
+    return prepared, prepared.seed_certificate(case.params, tau1, 1.0)
+
+
+def test_certified_seed_is_returned_without_a_search():
+    c = scale_case(0)
+    result = sf.optimize_gamma_tilde(c.pencil, c.old, c.target.Lambda, np.eye(c.old.p),
+                                     c.params, sf.OptimizeConfig(restarts=3))
+    assert 0.0 <= result.certificate < MAX_RHO
+    assert result.certificate == _certificate(c)[1]
+    assert result.best_params is c.params
+    assert result.best_rec_mk == result.baseline_rec_mk
+    assert result.best_rec_mk == sf.evaluate_rec_mk(c.pencil, c.old, c.target.Lambda, c.params)
+    assert (result.iterations, result.converged, result.trace) == (0, True, ())
+
+
+def test_seed_certificate_is_sound():
+    # wherever it fires, no nearby GammaTilde1 scores below the seed
+    fired = 0
+    for seed in range(20):
+        c = scale_case(seed)
+        prepared, rho = _certificate(c)
+        if rho is None or rho >= MAX_RHO:
+            continue
+        fired += 1
+        s_tilde, q = c.params.s_tilde, c.old.p
+        x0 = sf.gamma_free_params(c.params.GammaTilde1, s_tilde)
+        f0 = prepared.rec_mk(c.params)
+        rng = np.random.default_rng(seed)
+        for step in (1e-7, 1e-6, 1e-5, 1e-4, 1e-3):
+            for _ in range(12):
+                d = rng.standard_normal(q)
+                x = x0 + step * np.abs(x0).max() * d / np.linalg.norm(d)
+                trial = sf.ParameterSet(np.eye(q), sf.structured_gamma(x, s_tilde, q), s_tilde)
+                assert prepared.rec_mk(trial) > f0, (seed, step)
+    assert fired == 20
+
+
+@pytest.mark.parametrize("seed", [0, 7, 13])
+def test_forced_search_returns_the_certified_seed(monkeypatch, seed):
+    c = scale_case(seed)
+    assert _certificate(c)[1] < MAX_RHO
+    monkeypatch.setattr(spilloverfree.embedding.PreparedUpdate, "seed_certificate",
+                        lambda *a, **k: None)
+    result = sf.optimize_gamma_tilde(c.pencil, c.old, c.target.Lambda, np.eye(c.old.p),
+                                     c.params, sf.OptimizeConfig(restarts=1))
+    assert result.certificate is None
+    assert result.iterations > 0
+    assert result.best_rec_mk == result.baseline_rec_mk
+    assert result.best_params is c.params
+
+
+def test_no_certificate_where_the_search_improves():
+    # at a small mass weight the seed is no longer a local minimum
+    c = scale_case(0)
+    result = sf.optimize_gamma_tilde(c.pencil, c.old, c.target.Lambda, np.eye(c.old.p),
+                                     c.params, sf.OptimizeConfig(restarts=1, tau1=0.01))
+    assert result.certificate >= MAX_RHO
+    assert result.iterations > 0
+    assert result.best_rec_mk < result.baseline_rec_mk
+
+
+def test_seed_certificate_needs_a_zero_mass_core():
+    # a structure change has no choice_a seed: the mass core is not zero
+    c = EmbeddingCase(10, 4, s_sel=1, n_real=1, s_tilde=0, seed=3)
+    assert c.params.mode == "custom"
+    assert _certificate(c)[1] is None
+    result = sf.optimize_gamma_tilde(c.pencil, c.old, c.target.Lambda, np.eye(c.old.p),
+                                     c.params, sf.OptimizeConfig(max_evals=30, restarts=1))
+    assert result.certificate is None and result.iterations > 0
