@@ -85,9 +85,22 @@ def _read_pencil(directory):
     return validate_pencil(M_u, K, n_u, n_phi)
 
 
-def _write_pencil(p, directory):
-    mmio.write_matrix(p.M_u, os.path.join(directory, "M_u.mtx"))
-    mmio.write_matrix(p.K, os.path.join(directory, "K.mtx"))
+def _generate(args, p, s_tilde):
+    """Generate the pencil of a ProblemSpec from args and write it to
+    args.out_dir; return the spec and the pencil."""
+    os.makedirs(args.out_dir, exist_ok=True)
+    spec = ProblemSpec(
+        n_u=args.nu,
+        n_phi=args.nphi,
+        p=p,
+        s_tilde=s_tilde,
+        max_perturbation=args.max_perturb,
+        seed=args.seed,
+    )
+    pencil = generate_pencil(spec)
+    mmio.write_matrix(pencil.M_u, os.path.join(args.out_dir, "M_u.mtx"))
+    mmio.write_matrix(pencil.K, os.path.join(args.out_dir, "K.mtx"))
+    return spec, pencil
 
 
 def _hash_entries(directory, names):
@@ -276,20 +289,10 @@ def _run_pipeline(args, pencil, spectrum, *, optimize, demo=False):
 
 
 def _cmd_gen(args):
-    os.makedirs(args.out_dir, exist_ok=True)
     p_sel = args.p if args.p is not None else min(6, args.nu)
     s_tilde = args.stilde if args.stilde is not None else min(2, p_sel // 2)
-    spec = ProblemSpec(
-        n_u=args.nu,
-        n_phi=args.nphi,
-        p=p_sel,
-        s_tilde=s_tilde,
-        max_perturbation=args.max_perturb,
-        seed=args.seed,
-    )
-    pencil = generate_pencil(spec)
+    spec, pencil = _generate(args, p_sel, s_tilde)
     spectrum = solve_spectrum(pencil)  # cached by generate_pencil
-    _write_pencil(pencil, args.out_dir)
     entries = {
         "command": "gen",
         "n_u": pencil.n_u,
@@ -480,18 +483,8 @@ def _cmd_verify(args):
 
 
 def _cmd_demo(args):
-    os.makedirs(args.out_dir, exist_ok=True)
     args.stilde = 2 if args.example == 1 else 1
-    spec = ProblemSpec(
-        n_u=args.nu,
-        n_phi=args.nphi,
-        p=args.p,
-        s_tilde=args.stilde,
-        max_perturbation=args.max_perturb,
-        seed=args.seed,
-    )
-    pencil = generate_pencil(spec)
-    _write_pencil(pencil, args.out_dir)
+    _, pencil = _generate(args, args.p, args.stilde)
     entries, result = _run_pipeline(args, pencil, solve_spectrum(pencil),
                                     optimize=True, demo=True)
     entries.update(

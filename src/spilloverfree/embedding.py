@@ -183,14 +183,14 @@ class UpdatedSystem:
         return self.K_tilde.shape[0]
 
 
-def compute_gamma1(p, X1, s=None):
+def compute_gamma1(p, X1, s):
     """Gram matrix Gamma_1 = X_1u^T M_u X_1u of the selected vectors.
 
-    X_1u is the top n_u block of X1. When the selection count s of
-    conjugate-pair blocks is supplied, the characteristic block pattern
-    (trace-free 2x2 blocks, then scalars) is measured and a warning is
-    logged if the matrix strays from it, which indicates the columns are
-    not eigendata of the pencil.
+    X_1u is the top n_u block of X1, and s the selection's count of
+    conjugate-pair blocks. The characteristic block pattern (trace-free
+    2x2 blocks, then scalars) is measured and a warning is logged if the
+    matrix strays from it, which indicates the columns are not eigendata
+    of the pencil.
     """
     X1 = np.asarray(X1, dtype=float)
     if X1.ndim != 2 or X1.shape[0] != p.n:
@@ -213,16 +213,15 @@ def compute_gamma1(p, X1, s=None):
             f"Gamma_1 is numerically singular (rcond {r:.3e}); the selected "
             f"eigenvectors are degenerate with respect to M_u"
         )
-    if s is not None:
-        scale = max(np.abs(G).max(), 1e-300)
-        dev = _structure_deviation(G, s) / scale
-        if dev > _COMMUTATION_TOL:
-            log.warning(
-                "Gamma_1 deviates from its expected block pattern by %.3e "
-                "relative; X1 may not be eigendata of this pencil", dev
-            )
-        else:
-            log.debug("Gamma_1 block pattern confirmed (deviation %.3e)", dev)
+    scale = max(np.abs(G).max(), 1e-300)
+    dev = _structure_deviation(G, s) / scale
+    if dev > _COMMUTATION_TOL:
+        log.warning(
+            "Gamma_1 deviates from its expected block pattern by %.3e "
+            "relative; X1 may not be eigendata of this pencil", dev
+        )
+    else:
+        log.debug("Gamma_1 block pattern confirmed (deviation %.3e)", dev)
     return G
 
 
@@ -243,9 +242,7 @@ def default_gamma_tilde(Gamma1, s, s_tilde):
             Theta=np.eye(p), GammaTilde1=Gamma1, s_tilde=s_tilde, mode="choice_a"
         )
     vals = np.ones(p)
-    for j in range(s_tilde):
-        vals[2 * j] = 1.0
-        vals[2 * j + 1] = 0.0
+    vals[1 : 2 * s_tilde : 2] = 0.0
     for i in range(2 * s_tilde, p):
         if i >= 2 * s and Gamma1[i, i] < 0:
             vals[i] = -1.0
@@ -286,8 +283,8 @@ def _check_commutes(name, G, iL):
 
 
 class PreparedUpdate:
-    """The parameter-independent part of one update, built once by
-    prepare_update(p, old, target_Lambda): W = M_u X_1u, Z = K X_1 and the
+    """The parameter-independent part of one update, built once as
+    PreparedUpdate(p, old, target_Lambda): W = M_u X_1u, Z = K X_1 and the
     p x p WtX = X_1u^T W, ZtX = X_1^T Z. It holds no n x n array, so a
     search reuses it for every trial (Theta, GammaTilde1).
 
@@ -447,9 +444,6 @@ class PreparedUpdate:
         return float(np.abs(np.linalg.eigvalsh(Y)).sum() * norm_m / tau1)
 
 
-prepare_update = PreparedUpdate
-
-
 def embed_direct(p, old, target_Lambda, params):
     """Reference update: form and invert the corrected full-size matrices.
 
@@ -457,7 +451,7 @@ def embed_direct(p, old, target_Lambda, params):
     dense inversions of orders n_u and n. embed never takes this path;
     the tests compare embed against it.
     """
-    prep = prepare_update(p, old, target_Lambda)
+    prep = PreparedUpdate(p, old, target_Lambda)
     iGt = prep.gamma_tilde_inverse(params)
     X1, iL1, iLt, iG1, Th = prep.X1, prep.iL1, prep.iLt, prep.iG1, params.Theta
     X1u = X1[: p.n_u]
@@ -489,7 +483,7 @@ def embed(p, old, target_Lambda, params):
     choice the p x p cores vanish identically and the original matrices
     are returned exactly.
     """
-    prep = prepare_update(p, old, target_Lambda)
+    prep = PreparedUpdate(p, old, target_Lambda)
     core_m, cap_m, core_k, cap_k = prep.woodbury_cores(params)
     Mt = p.M_u - prep.W @ core_m @ sla.solve(cap_m, prep.W.T)
     Kt = p.K - prep.Z @ core_k @ sla.solve(cap_k, prep.Z.T)

@@ -51,10 +51,6 @@ def _fail(path, line_no, column, msg):
     raise ParseError(msg, path=str(path), line=line_no, column=column)
 
 
-def _tokens(line):
-    return line.split()
-
-
 def _parse_float(tok, path, line_no, line):
     try:
         return float(tok)
@@ -99,7 +95,7 @@ def _line_values(path, lines, data, count, what):
     values = np.empty(count)
     filled = 0
     for line_no, line in data:
-        for tok in _tokens(line):
+        for tok in line.split():
             if filled >= count:
                 _fail(path, line_no, line.find(tok) + 1, "more values than the size line announced")
             values[filled] = _parse_float(tok, path, line_no, line)
@@ -140,7 +136,7 @@ def read_matrix(path):
         line_no, size_line = next(data)
     except StopIteration:
         _fail(path, len(lines), 1, "missing size line")
-    toks = _tokens(size_line)
+    toks = size_line.split()
 
     if fmt == "array":
         if len(toks) != 2:
@@ -172,7 +168,7 @@ def read_matrix(path):
     A = np.zeros((m, n))
     seen = 0
     for line_no, line in data:
-        toks = _tokens(line)
+        toks = line.split()
         if len(toks) != 3:
             _fail(path, line_no, 1, f"coordinate entry needs 'i j value', got {line!r}")
         i = _parse_int(toks[0], path, line_no, line, "row index")
@@ -191,6 +187,13 @@ def read_matrix(path):
     return A
 
 
+def _write_columns(fh, columns):
+    """Write the values of each column in turn, one per line, with one
+    write per column: the body is never held in memory whole."""
+    for col in columns:
+        fh.write((_FLOAT + "\n") * len(col) % tuple(col))
+
+
 def write_matrix(A, path):
     """Write a dense real matrix in Matrix Market array format, using
     the symmetric qualifier (lower triangle only) when A is exactly
@@ -204,14 +207,7 @@ def write_matrix(A, path):
         tag = "symmetric" if symmetric else "general"
         fh.write(f"%%MatrixMarket matrix array real {tag}\n")
         fh.write(f"{m} {n}\n")
-        if symmetric:
-            for j in range(n):
-                for i in range(j, m):
-                    fh.write(_FLOAT % A[i, j] + "\n")
-        else:
-            for j in range(n):
-                for i in range(m):
-                    fh.write(_FLOAT % A[i, j] + "\n")
+        _write_columns(fh, (A[j:, j] for j in range(n)) if symmetric else A.T)
 
 
 def read_spectral(path):
@@ -227,7 +223,7 @@ def read_spectral(path):
             _fail(path, len(lines) or 1, 1, f"unexpected end of file, expected {what}")
 
     line_no, header = next_line("the 'p s' header")
-    toks = _tokens(header)
+    toks = header.split()
     if len(toks) != 2:
         _fail(path, line_no, 1, f"header needs 'p s', got {header!r}")
     p = _parse_int(toks[0], path, line_no, header, "block size p")
@@ -240,20 +236,20 @@ def read_spectral(path):
     values = []
     for j in range(s):
         line_no, line = next_line("a 'pair alpha beta' line")
-        toks = _tokens(line)
+        toks = line.split()
         if len(toks) != 3 or toks[0] != "pair":
             _fail(path, line_no, 1, f"expected 'pair alpha beta', got {line!r}")
         values.append(complex(_parse_float(toks[1], path, line_no, line),
                               _parse_float(toks[2], path, line_no, line)))
     for k in range(p - 2 * s):
         line_no, line = next_line("a 'real lambda' line")
-        toks = _tokens(line)
+        toks = line.split()
         if len(toks) != 2 or toks[0] != "real":
             _fail(path, line_no, 1, f"expected 'real lambda', got {line!r}")
         values.append(_parse_float(toks[1], path, line_no, line))
 
     line_no, line = next_line("the 'n p' eigenvector size line")
-    toks = _tokens(line)
+    toks = line.split()
     if len(toks) != 2:
         _fail(path, line_no, 1, f"expected 'n p' size line, got {line!r}")
     n = _parse_int(toks[0], path, line_no, line, "row count")
@@ -268,17 +264,14 @@ def read_spectral(path):
 def write_spectral(d, path):
     """Write RealSpectralData in the spectral text format."""
     vals = block_eigenvalues(d.Lambda, d.s)
-    n = d.X.shape[0]
     with open(path, "w") as fh:
         fh.write(f"{d.p} {d.s}\n")
         for j in range(d.s):
             fh.write(("pair " + _FLOAT + " " + _FLOAT + "\n") % (vals[j].real, vals[j].imag))
         for k in range(d.p - 2 * d.s):
             fh.write(("real " + _FLOAT + "\n") % vals[d.s + k].real)
-        fh.write(f"{n} {d.p}\n")
-        for j in range(d.p):
-            for i in range(n):
-                fh.write(_FLOAT % d.X[i, j] + "\n")
+        fh.write(f"{d.X.shape[0]} {d.p}\n")
+        _write_columns(fh, d.X.T)
 
 
 def _format_value(v):

@@ -10,6 +10,7 @@ GammaTilde1 is treated as a free parameter.
 
 import logging
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import scipy.linalg as sla
@@ -18,9 +19,9 @@ import scipy.optimize
 from .embedding import (
     ILL_DEFINED_RCOND,
     ParameterSet,
+    PreparedUpdate,
     UpdatedSystem,
     gamma_free_params,
-    prepare_update,
     structured_gamma,
 )
 from .errors import (
@@ -39,6 +40,10 @@ log = logging.getLogger(__name__)
 # this without searching. A ratio below 1 proves a strict local minimum in
 # exact arithmetic; the slack covers rounding in the p x p computation.
 SEED_CERTIFICATE_MAX = 0.5
+# Nelder-Mead's absolute tolerance on Rec.MK, and the edge of its initial
+# simplex relative to the largest seed parameter (or 1).
+_FATOL = 1e-10
+_SIMPLEX_SCALE = 0.1
 
 
 def _spec_norm(A):
@@ -57,6 +62,11 @@ def rec_mk(M_u, K, M_u_tilde, K_tilde, tau1=1.0, tau2=1.0):
     """Weighted relative update distance
     tau1 * ||M_u - M_u~|| / ||M_u|| + tau2 * ||K - K~|| / ||K||."""
     return _rec_mk(M_u, K, M_u_tilde, K_tilde, _sym_norm(M_u), _sym_norm(K), tau1, tau2)
+
+
+def _check_weights(tau1, tau2):
+    if tau1 <= 0 or tau2 <= 0:
+        raise DimensionMismatch("weights tau1, tau2 must be positive")
 
 
 def _eigen_residual(M_u, K, X, Lam, norm_m, norm_k):
@@ -159,8 +169,7 @@ def residual_report(
             f"target matrix has shape {target_Lambda.shape}, expected "
             f"({old.p}, {old.p})"
         )
-    if tau1 <= 0 or tau2 <= 0:
-        raise DimensionMismatch("weights tau1, tau2 must be positive")
+    _check_weights(tau1, tau2)
 
     # each pencil norm once: the residuals and Rec.MK share them
     norm_m, norm_k = p.norms()
@@ -193,15 +202,19 @@ def residual_report(
 
 @dataclass(frozen=True)
 class OptimizeConfig:
-    """Nelder-Mead settings for the update-distance minimization."""
+    """Nelder-Mead settings for the update-distance minimization. An
+    infeasible trial point scores `penalty`, which is not a setting."""
 
+    penalty: ClassVar[float] = 1e12
     max_evals: int = 0  # 0 means 200 * p
-    fatol: float = 1e-10
-    simplex_scale: float = 0.1
     restarts: int = 3
-    penalty: float = 1e12
     tau1: float = 1.0
     tau2: float = 1.0
+
+    def __post_init__(self):
+        if self.max_evals < 0:
+            raise DimensionMismatch(f"max_evals must be nonnegative, got {self.max_evals}")
+        _check_weights(self.tau1, self.tau2)
 
 
 @dataclass(frozen=True)
@@ -223,10 +236,10 @@ class OptimizationResult:
 def evaluate_rec_mk(p, old, target_Lambda, params, tau1=1.0, tau2=1.0, *, prepared=None):
     """Rec.MK of one parameter set via PreparedUpdate.rec_mk, without
     forming the updated coefficients; raises whatever embed would raise.
-    `prepared`, from prepare_update(p, old, target_Lambda), saves
+    `prepared`, a PreparedUpdate(p, old, target_Lambda), saves
     rebuilding it."""
     if prepared is None:
-        prepared = prepare_update(p, old, target_Lambda)
+        prepared = PreparedUpdate(p, old, target_Lambda)
     return prepared.rec_mk(params, tau1, tau2)
 
 
@@ -253,11 +266,11 @@ def optimize_gamma_tilde(p, old, target_Lambda, Theta, seed, config=None):
     The p real parameters are the (a_j, b_j) of each 2x2 block and the
     scalars. Theta must equal seed.Theta, so that the seed and every
     trial point belong to the same family. Infeasible trial points
-    (singular GammaTilde1, ill-defined update) score the configured
-    penalty, so the search is effectively unconstrained. Evaluation of
-    the seed itself is not shielded: a seed that cannot be embedded
-    raises immediately. The update is prepared once, so each evaluation
-    costs O(p^3) whatever the pencil order.
+    (singular GammaTilde1, ill-defined update) score
+    OptimizeConfig.penalty, so the search is effectively unconstrained.
+    Evaluation of the seed itself is not shielded: a seed that cannot be
+    embedded raises immediately. The update is prepared once, so each
+    evaluation costs O(p^3) whatever the pencil order.
 
     Where the seed scores below the penalty, its first-order certificate
     (PreparedUpdate.seed_certificate) is taken, in O(p^3). It yields a
@@ -292,7 +305,7 @@ def optimize_gamma_tilde(p, old, target_Lambda, Theta, seed, config=None):
             mode="choice_b",
         )
 
-    prepared = prepare_update(p, old, target_Lambda)
+    prepared = PreparedUpdate(p, old, target_Lambda)
 
     def evaluate(params):
         return evaluate_rec_mk(p, old, target_Lambda, params, config.tau1, config.tau2,
@@ -324,7 +337,7 @@ def optimize_gamma_tilde(p, old, target_Lambda, Theta, seed, config=None):
 
     total_evals = 0
     converged = False
-    delta = config.simplex_scale * max(1.0, float(np.abs(x0).max()))
+    delta = _SIMPLEX_SCALE * max(1.0, float(np.abs(x0).max()))
     for start in _restart_points(x0, s_tilde)[: max(1, config.restarts)]:
         simplex = np.vstack([start] + [start + delta * e for e in np.eye(q)])
         res = scipy.optimize.minimize(
@@ -333,7 +346,7 @@ def optimize_gamma_tilde(p, old, target_Lambda, Theta, seed, config=None):
             method="Nelder-Mead",
             options={
                 "initial_simplex": simplex,
-                "fatol": config.fatol,
+                "fatol": _FATOL,
                 "xatol": np.inf,
                 "maxfev": max_evals,
                 "disp": False,

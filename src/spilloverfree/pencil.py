@@ -135,7 +135,6 @@ class StructuredPencil:
         self.K = K
         self.n_u = n_u
         self.n_phi = n_phi
-        self._schur = None
         self._spectrum = None
         self._norms = None
         self._k_rcond = None
@@ -201,25 +200,13 @@ def schur_reduce(p):
     symmetric Schur complement and R = -K_phi^{-1} @ K_uphi^T the
     recovery map: (lambda, u) solves the reduced pencil
     (lambda*M_u + S) u = 0 exactly when (lambda, [u; R u]) solves the
-    full one. Results are cached on the pencil.
+    full one.
     """
-    if p._schur is not None:
-        return p._schur
     if p.n_phi == 0:
-        S = p.K_u.copy()
-        R = np.zeros((0, p.n_u))
-    else:
-        try:
-            lu = sla.lu_factor(p.K_phi)
-        except sla.LinAlgError as exc:  # pragma: no cover - caught at validation
-            raise SingularBlock(f"K_phi factorization failed: {exc}") from exc
-        R = -sla.lu_solve(lu, p.K_uphi.T)
-        S = p.K_u + p.K_uphi @ R
-        S = 0.5 * (S + S.T)
-    S.setflags(write=False)
-    R.setflags(write=False)
-    p._schur = (S, R)
-    return p._schur
+        return p.K_u.copy(), np.zeros((0, p.n_u))
+    R = -sla.lu_solve(sla.lu_factor(p.K_phi), p.K_uphi.T)
+    S = p.K_u + p.K_uphi @ R
+    return 0.5 * (S + S.T), R
 
 
 @dataclass(frozen=True)
@@ -362,8 +349,8 @@ def solve_spectrum(p):
     zero) are closer than DEGENERACY_TOL times the spectral radius:
     downstream embedding assumes simple nonzero finite eigenvalues.
 
-    Only a spectrum that passed that check is cached on the pencil,
-    like schur_reduce's result, so a cached call returns it unchecked.
+    Only a spectrum that passed that check is cached on the pencil, so
+    a cached call returns it unchecked.
     Its arrays are read-only because every later caller shares them.
     """
     if p._spectrum is not None:
@@ -391,8 +378,6 @@ def solve_spectrum(p):
         )
 
     def lift(u):
-        if p.n_phi == 0:
-            return u.copy()
         return np.concatenate([u, R @ u])
 
     pairs = []

@@ -107,15 +107,20 @@ def _admissible(z, chosen, avoid, *, needs_imag):
         return False
     if needs_imag and abs(z.imag) < MIN_TARGET_MODULUS:
         return False
-    for w in chosen:
-        if abs(z - w) < _DISJOINT_TOL * max(abs(w), 1.0):
-            return False
-        if abs(z - w.conjugate()) < _DISJOINT_TOL * max(abs(w), 1.0):
-            return False
-    for w in avoid:
-        if abs(z - w) < _DISJOINT_TOL * max(abs(w), 1.0):
-            return False
-    return True
+    others = chosen + [w.conjugate() for w in chosen] + avoid
+    return not any(abs(z - w) < _DISJOINT_TOL * max(abs(w), 1.0) for w in others)
+
+
+def _draw(propose, taken, avoid, needs_imag, failure):
+    """Append to `taken` the first of _RESAMPLE_BUDGET proposals that is
+    admissible next to `taken` and `avoid`, a conjugate pair by its
+    upper member; raise StructureInfeasible(failure) when none is."""
+    for _ in range(_RESAMPLE_BUDGET):
+        cand = propose()
+        if _admissible(cand, taken, avoid, needs_imag=needs_imag):
+            taken.append(cand if cand.imag >= 0 else cand.conjugate())
+            return
+    raise StructureInfeasible(failure)
 
 
 def perturb_targets(old_eigs, s_tilde, max_perturbation, seed, avoid=()):
@@ -140,62 +145,33 @@ def perturb_targets(old_eigs, s_tilde, max_perturbation, seed, avoid=()):
         )
     avoid = [complex(a) for a in avoid]
     rng = np.random.default_rng(seed)
+    taken = []  # the pairs (upper members), then the reals
 
     if s_tilde == len(pairs):
         if max_perturbation == 0.0:
             return _ordered(pairs, reals)
-        new_pairs = []
-        for z in pairs:
-            for _ in range(_RESAMPLE_BUDGET):
-                r = rng.uniform(0.0, max_perturbation)
-                th = rng.uniform(0.0, 2.0 * np.pi)
-                cand = z + r * np.exp(1j * th)
-                if _admissible(cand, new_pairs, avoid, needs_imag=True):
-                    new_pairs.append(cand if cand.imag > 0 else cand.conjugate())
-                    break
-            else:
-                raise StructureInfeasible(
-                    f"could not place a perturbed conjugate pair near {z:.6e} "
-                    f"within {_RESAMPLE_BUDGET} draws"
-                )
-        new_reals = []
-        taken = [complex(w) for w in new_pairs]
-        for x in reals:
-            for _ in range(_RESAMPLE_BUDGET):
-                cand = complex(x + rng.uniform(-max_perturbation, max_perturbation))
-                if _admissible(cand, taken + [complex(v) for v in new_reals], avoid, needs_imag=False):
-                    new_reals.append(cand.real)
-                    break
-            else:
-                raise StructureInfeasible(
-                    f"could not place a perturbed real target near {x:.6e} "
-                    f"within {_RESAMPLE_BUDGET} draws"
-                )
-        return _ordered(new_pairs, new_reals)
 
-    # Structure change: fresh draws in a bounded box, nothing to stay
-    # near. Real parts and moduli stay order-one.
-    new_pairs = []
-    for _ in range(s_tilde):
-        for _ in range(_RESAMPLE_BUDGET):
-            cand = complex(rng.uniform(0.05, 1.0), rng.uniform(0.05, 1.0))
-            if _admissible(cand, new_pairs, avoid, needs_imag=True):
-                new_pairs.append(cand)
-                break
-        else:
-            raise StructureInfeasible(
-                f"could not draw {s_tilde} fresh conjugate pairs within budget"
-            )
-    new_reals = []
-    taken = list(new_pairs)
-    for _ in range(m - 2 * s_tilde):
-        for _ in range(_RESAMPLE_BUDGET):
-            cand = complex(rng.uniform(0.05, 1.0))
-            if _admissible(cand, taken + [complex(v) for v in new_reals], avoid, needs_imag=False):
-                new_reals.append(cand.real)
-                break
-        else:
-            raise StructureInfeasible(
-                "could not draw enough fresh real targets within budget"
-            )
-    return _ordered(new_pairs, new_reals)
+        def perturbed(z):  # radius before angle: seeded targets rely on the order
+            r = rng.uniform(0.0, max_perturbation)
+            return z + r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+
+        for z in pairs:
+            _draw(lambda: perturbed(z), taken, avoid, True,
+                  f"could not place a perturbed conjugate pair near {z:.6e} "
+                  f"within {_RESAMPLE_BUDGET} draws")
+        for x in reals:
+            _draw(lambda: complex(x + rng.uniform(-max_perturbation, max_perturbation)),
+                  taken, avoid, False,
+                  f"could not place a perturbed real target near {x:.6e} "
+                  f"within {_RESAMPLE_BUDGET} draws")
+    else:
+        # Structure change: fresh draws in a bounded box, nothing to stay
+        # near. Real parts and moduli stay order-one.
+        for _ in range(s_tilde):
+            _draw(lambda: complex(rng.uniform(0.05, 1.0), rng.uniform(0.05, 1.0)),
+                  taken, avoid, True,
+                  f"could not draw {s_tilde} fresh conjugate pairs within budget")
+        for _ in range(m - 2 * s_tilde):
+            _draw(lambda: complex(rng.uniform(0.05, 1.0)), taken, avoid, False,
+                  "could not draw enough fresh real targets within budget")
+    return _ordered(taken[:s_tilde], [z.real for z in taken[s_tilde:]])

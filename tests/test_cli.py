@@ -226,6 +226,18 @@ def test_optimize_searches_where_the_seed_is_not_certified(gen_dir, tmp_path):
     assert run("verify", "--in", out) == 0
 
 
+@pytest.mark.parametrize("flags", [("--tau1", 0), ("--max-evals", -5)])
+def test_optimize_rejects_bad_settings_before_searching(gen_dir, tmp_path, monkeypatch, flags):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr("spilloverfree.cli.optimize_gamma_tilde", no_search)
+    rc = run("optimize", "--in", gen_dir, "--out", tmp_path, "--p", 4, "--stilde", 1,
+             "--seed", 3, *flags)
+    assert rc == sf.DimensionMismatch.exit_code == 10
+    assert not os.path.exists(os.path.join(tmp_path, "optimize.report"))
+
+
 def test_verify_accepts_untampered_run(embed_run):
     gen, emb = embed_run
     assert run("verify", "--in", emb) == 0

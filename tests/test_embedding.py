@@ -252,7 +252,7 @@ def test_compute_gamma1_rank_deficient():
     X = d.X[:, :2].copy()
     X[:, 1] = X[:, 0]
     with pytest.raises(RankDeficient):
-        sf.compute_gamma1(p, X)
+        sf.compute_gamma1(p, X, s=0)
 
 
 def test_compute_gamma1_singular_gram():
@@ -261,13 +261,13 @@ def test_compute_gamma1_singular_gram():
     pencil = sf.validate_pencil(M_u, np.eye(3), 2, 1)
     X1 = np.array([[1.0], [1.0], [0.0]])
     with pytest.raises(Singular):
-        sf.compute_gamma1(pencil, X1)
+        sf.compute_gamma1(pencil, X1, s=0)
 
 
 def test_compute_gamma1_wrong_rows():
     p = make_pencil(6, 2, seed=1)
     with pytest.raises(DimensionMismatch):
-        sf.compute_gamma1(p, np.ones((5, 2)))
+        sf.compute_gamma1(p, np.ones((5, 2)), s=0)
 
 
 def test_default_gamma_tilde_trivial_when_structure_kept():

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import spilloverfree as sf
@@ -322,3 +322,36 @@ def test_bulk_parse_matches_the_line_parser(tmp_path_factory, seed, kind, m, n, 
             assert bulk == _outcome(read, path), name
         if name in ("written", "comment", "blank", "joined"):
             assert bulk == _bits(written), name
+
+
+_WRITER_VALUES = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=25, max_size=25)
+_EDGE_VALUES = ([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                 -1.7976931348623157e308, 1e-300, -1e300, 0.1, -1.0 / 3.0, 1.0] * 3)[:25]
+
+
+@settings(max_examples=100)
+@example(kind="general", m=5, n=5, values=_EDGE_VALUES)
+@example(kind="symmetric", m=5, n=5, values=_EDGE_VALUES)
+@example(kind="spectral", m=4, n=5, values=_EDGE_VALUES)
+@given(kind=st.sampled_from(["general", "symmetric", "spectral"]), m=st.integers(0, 5),
+       n=st.integers(1, 5), values=_WRITER_VALUES)
+def test_writers_match_a_per_value_reference(tmp_path_factory, kind, m, n, values):
+    # every value body (symmetric and general matrices, spectral
+    # eigenvectors) is column-major "%.17e\n" lines, byte for byte
+    grid = np.array(values).reshape(5, 5)
+    A = grid[:m, :n]
+    path = tmp_path_factory.mktemp("writer") / "f.txt"
+    if kind == "spectral":
+        assume(m < n)  # fewer rows than columns: X needs no rank check
+        sf.write_spectral(sf.RealSpectralData(Lambda=np.eye(n), X=A, s=0), path)
+        head, columns = n + 2, A.T
+    else:
+        if kind == "symmetric":
+            A = np.where(np.tri(n, dtype=bool), grid[:n, :n], grid[:n, :n].T)
+        sf.write_matrix(A, path)
+        symmetric = path.read_text().splitlines()[0].endswith("symmetric")
+        assert symmetric or kind == "general"
+        head = 2
+        columns = [A[j:, j] for j in range(n)] if symmetric else A.T
+    body = "".join(path.read_text().splitlines(keepends=True)[head:])
+    assert body == "".join("%.17e\n" % float(v) for col in columns for v in col)

@@ -140,9 +140,16 @@ def test_residual_report_rejects_singular_retained_lambda():
 def test_optimize_config_defaults():
     cfg = sf.OptimizeConfig()
     assert cfg.max_evals == 0
-    assert cfg.fatol == 1e-10
     assert cfg.restarts == 3
     assert cfg.penalty == 1e12
+
+
+@pytest.mark.parametrize("settings", [{"tau1": 0.0}, {"tau2": -1.0}, {"max_evals": -5}])
+def test_optimize_config_rejects_bad_settings(settings):
+    # checked at construction, so no search starts with a weight the seed
+    # certificate divides by, or with a negative evaluation budget
+    with pytest.raises(DimensionMismatch):
+        sf.OptimizeConfig(**settings)
 
 
 def test_optimize_never_worse_than_seed():
@@ -273,7 +280,7 @@ def test_prepared_objective_matches_embedded_reference():
     assert cases[-2].old.s != cases[-2].target.s
     assert 4 * cases[-1].old.p > cases[-1].pencil.n_u
     for i, c in enumerate(cases):
-        prepared = spilloverfree.embedding.prepare_update(c.pencil, c.old, c.target.Lambda)
+        prepared = spilloverfree.embedding.PreparedUpdate(c.pencil, c.old, c.target.Lambda)
         for params in _trial_params(c, 6, seed=i):
             fast = sf.evaluate_rec_mk(c.pencil, c.old, c.target.Lambda, params)
             assert prepared.rec_mk(params) == fast
@@ -299,7 +306,7 @@ def test_prepared_objective_rejects_wrong_pair_count_like_embed():
 def test_prepared_objective_warns_on_asymmetric_core(caplog):
     c = EmbeddingCase(10, 4, s_sel=1, n_real=2, s_tilde=1, seed=3)
     params = _trial_params(c, 2, seed=0)[1]
-    prepared = spilloverfree.embedding.prepare_update(c.pencil, c.old, c.target.Lambda)
+    prepared = spilloverfree.embedding.PreparedUpdate(c.pencil, c.old, c.target.Lambda)
     with caplog.at_level("WARNING", logger="spilloverfree.embedding"):
         prepared.rec_mk(params)
         assert "asymmetric" not in caplog.text
@@ -339,7 +346,7 @@ MAX_RHO = spilloverfree.objective.SEED_CERTIFICATE_MAX
 
 
 def _certificate(case, tau1=1.0):
-    prepared = spilloverfree.embedding.prepare_update(case.pencil, case.old, case.target.Lambda)
+    prepared = spilloverfree.embedding.PreparedUpdate(case.pencil, case.old, case.target.Lambda)
     return prepared, prepared.seed_certificate(case.params, tau1, 1.0)
 
 

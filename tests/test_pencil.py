@@ -102,12 +102,6 @@ def test_schur_reduce_values(small_pencil):
     assert np.abs(S - S.T).max() < 1e-12 * np.abs(S).max()
 
 
-def test_schur_reduce_is_cached(small_pencil):
-    S1, R1 = sf.schur_reduce(small_pencil)
-    S2, R2 = sf.schur_reduce(small_pencil)
-    assert S1 is S2 and R1 is R2
-
-
 def test_k_rcond_is_cached(small_pencil):
     p = small_pencil
     r = p.k_rcond()

@@ -1,5 +1,7 @@
 """Random instance generation and target drawing."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -136,3 +138,32 @@ def test_perturb_targets_rejects_zero_input():
 def test_perturb_targets_rejects_unpaired_complex():
     with pytest.raises(NotConjugateClosed):
         sf.perturb_targets([1.0 + 1.0j, 2.0], 1, 0.1, seed=0)
+
+
+_TARGET_GRID_OLD = (
+    [1.0 + 2.0j, 1.0 - 2.0j, -0.75, 2.5],
+    [0.5 + 0.3j, 0.5 - 0.3j, -1.0 + 1.0j, -1.0 - 1.0j, 3.0],
+    [1.0, -2.0, 4.0],
+)
+_TARGET_GRID_AVOID = [2.4, -0.8, 1.1 + 2.05j, 0.45 + 0.3j, 0.6]
+# sha256 of the grid's targets (float.hex of each real and imaginary part)
+_TARGET_GRID_SHA256 = "65f97db50a7f658f191ca2e732c163c79bf2f1cea6a388a8b2d2d0aef7eccd18"
+
+
+def _target_grid_digest():
+    h = hashlib.sha256()
+    for old in _TARGET_GRID_OLD:
+        for s_tilde in range(len(old) // 2 + 1):
+            for max_perturbation in (0.0, 0.3, 5.0):
+                for seed in range(4):
+                    out = sf.perturb_targets(old, s_tilde, max_perturbation, (seed, 2),
+                                             avoid=_TARGET_GRID_AVOID)
+                    h.update(";".join(f"{z.real.hex()},{z.imag.hex()}" for z in out).encode())
+                    h.update(b"\n")
+    return h.hexdigest()
+
+
+def test_perturb_targets_are_pinned():
+    # both branches (perturbed, and fresh draws after a structure
+    # change) keep their exact values, draw order included
+    assert _target_grid_digest() == _TARGET_GRID_SHA256
