@@ -43,7 +43,7 @@ from .errors import (
     UncertifiedSpectrum,
     VerificationFailed,
 )
-from .objective import OptimizeConfig, optimize_gamma_tilde, residual_report
+from .objective import OptimizeConfig, _check_weights, optimize_gamma_tilde, residual_report
 from .pencil import certified_spectrum, solve_spectrum, validate_pencil
 from .probgen import ProblemSpec, generate_pencil, perturb_targets
 from .spectral import (
@@ -336,6 +336,7 @@ def _cmd_solve(args):
 
 
 def _cmd_embed(args, *, optimize=False):
+    _check_weights(args.tau1, args.tau2)
     os.makedirs(args.out_dir, exist_ok=True)
     pencil = _read_pencil(args.in_dir)
     spectrum, _ = _load_spectrum(pencil, args.in_dir)
@@ -483,6 +484,7 @@ def _cmd_verify(args):
 
 
 def _cmd_demo(args):
+    _check_weights(args.tau1, args.tau2)
     args.stilde = 2 if args.example == 1 else 1
     _, pencil = _generate(args, args.p, args.stilde)
     entries, result = _run_pipeline(args, pencil, solve_spectrum(pencil),

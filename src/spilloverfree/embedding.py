@@ -44,7 +44,7 @@ from .pencil import (
     CheckReport,
     ConditionCheck,
     DEFAULT_RCOND,
-    _sym_norm,
+    _spec_norm,
     rcond_estimate,
     validate_pencil,
 )
@@ -52,7 +52,7 @@ from .spectral import RealSpectralData, infer_pair_count
 
 log = logging.getLogger(__name__)
 
-# Reciprocal condition estimate below which an inversion is refused.
+# rcond_estimate (a LAPACK ?gecon 1-norm estimate) below which an inversion is refused.
 ILL_DEFINED_RCOND = 1e-13
 # Relative asymmetry above which a computed symmetric matrix is flagged.
 ASYMMETRY_WARN = 1e-8
@@ -341,8 +341,9 @@ class PreparedUpdate:
         return _inverse_of(params.GammaTilde1, "GammaTilde_1")
 
     def woodbury_cores(self, params):
-        """(core_m, cap_m, core_k, cap_k) of M_u~ = M_u - W core_m cap_m^-1 W^T
-        and K~ = K - Z core_k cap_k^-1 Z^T; trivial parameters give zero cores."""
+        """(core_m, cap_m, core_k, cap_k, iGt) of M_u~ = M_u - W core_m cap_m^-1 W^T
+        and K~ = K - Z core_k cap_k^-1 Z^T, with iGt = GammaTilde1^-1;
+        trivial parameters give zero cores."""
         iGt = self.gamma_tilde_inverse(params)
         Th = params.Theta
         eye = np.eye(Th.shape[0])
@@ -354,7 +355,7 @@ class PreparedUpdate:
             if rcond_estimate(cap) < ILL_DEFINED_RCOND:
                 raise IllDefined(f"the p x p capacitance matrix of the {name} update is "
                                  f"singular; the update is not well defined")
-        return core_m, cap_m, core_k, cap_k
+        return core_m, cap_m, core_k, cap_k, iGt
 
     def _factors(self):
         """(R_w, R_z, ||M_u||, ||K||): the thin-QR R factors of W and Z and
@@ -368,7 +369,7 @@ class PreparedUpdate:
         """Rec.MK of the update with these parameters in O(p^3): with
         C_m = core_m cap_m^-1 and the thin QR W = Q_w R_w, ||M_u - M_u~|| =
         ||R_w sym(C_m) R_w^T||, likewise for K with Z."""
-        core_m, cap_m, core_k, cap_k = self.woodbury_cores(params)
+        core_m, cap_m, core_k, cap_k, _ = self.woodbury_cores(params)
         R_w, R_z, norm_m, norm_k = self._factors()
         dist = []
         for name, R, core, cap, norm in (("mass", R_w, core_m, cap_m, norm_m),
@@ -382,7 +383,7 @@ class PreparedUpdate:
                 if dev > ASYMMETRY_WARN:
                     log.warning("the %s update core came out asymmetric by %.3e relative; "
                                 "conditioning is suspect", name, dev)
-            dist.append(_sym_norm(R @ (0.5 * (C + C.T)) @ R.T))
+            dist.append(_spec_norm(R @ (0.5 * (C + C.T)) @ R.T))
         return tau1 * dist[0] / norm_m + tau2 * dist[1] / norm_k
 
     def seed_certificate(self, params, tau1=1.0, tau2=1.0):
@@ -414,12 +415,11 @@ class PreparedUpdate:
         of the p x p(p+1)/2 system is above INJECTIVE_RCOND times the
         largest; otherwise the result is None.
         """
-        core_m, _, core_k, cap_k = self.woodbury_cores(params)
+        core_m, _, core_k, cap_k, iGt = self.woodbury_cores(params)
         if np.any(core_m):
             return None
         R_w, R_z, norm_m, norm_k = self._factors()
         q, Th = params.p, params.Theta
-        iGt = _inverse_of(params.GammaTilde1, "GammaTilde_1")
         C0 = sla.solve(cap_k.T, core_k.T).T
         w, V = np.linalg.eigh(R_z @ (0.5 * (C0 + C0.T)) @ R_z.T)
         top = np.argmax(np.abs(w))
@@ -484,7 +484,7 @@ def embed(p, old, target_Lambda, params):
     are returned exactly.
     """
     prep = PreparedUpdate(p, old, target_Lambda)
-    core_m, cap_m, core_k, cap_k = prep.woodbury_cores(params)
+    core_m, cap_m, core_k, cap_k, _ = prep.woodbury_cores(params)
     Mt = p.M_u - prep.W @ core_m @ sla.solve(cap_m, prep.W.T)
     Kt = p.K - prep.Z @ core_k @ sla.solve(cap_k, prep.Z.T)
 

@@ -32,7 +32,8 @@ from .errors import (
     RankDeficient,
     Singular,
 )
-from .pencil import _infinite_basis, _mass_apply, _sym_norm, rcond_estimate
+from .pencil import _infinite_basis, _mass_apply, _spec_norm
+from .spectral import block_eigenvalues
 
 log = logging.getLogger(__name__)
 
@@ -46,22 +47,16 @@ _FATOL = 1e-10
 _SIMPLEX_SCALE = 0.1
 
 
-def _spec_norm(A):
-    if A.size == 0:
-        return 0.0
-    return float(np.linalg.norm(A, 2))
-
-
 def _rec_mk(M_u, K, M_u_tilde, K_tilde, norm_m, norm_k, tau1, tau2):
-    dm = _sym_norm(np.asarray(M_u) - np.asarray(M_u_tilde)) / norm_m
-    dk = _sym_norm(np.asarray(K) - np.asarray(K_tilde)) / norm_k
+    dm = _spec_norm(np.asarray(M_u) - np.asarray(M_u_tilde)) / norm_m
+    dk = _spec_norm(np.asarray(K) - np.asarray(K_tilde)) / norm_k
     return tau1 * dm + tau2 * dk
 
 
 def rec_mk(M_u, K, M_u_tilde, K_tilde, tau1=1.0, tau2=1.0):
     """Weighted relative update distance
     tau1 * ||M_u - M_u~|| / ||M_u|| + tau2 * ||K - K~|| / ||K||."""
-    return _rec_mk(M_u, K, M_u_tilde, K_tilde, _sym_norm(M_u), _sym_norm(K), tau1, tau2)
+    return _rec_mk(M_u, K, M_u_tilde, K_tilde, _spec_norm(M_u), _spec_norm(K), tau1, tau2)
 
 
 def _check_weights(tau1, tau2):
@@ -78,7 +73,7 @@ def _eigen_residual(M_u, K, X, Lam, norm_m, norm_k):
 def eigen_residual(M_u, K, X, Lam):
     """Relative residual ||M X Lam + K X|| / ((||M|| ||Lam|| + ||K||) ||X||)
     of eigendata (Lam, X) against the pencil with mass diag(M_u, 0)."""
-    return _eigen_residual(M_u, K, X, Lam, _sym_norm(M_u), _sym_norm(K))
+    return _eigen_residual(M_u, K, X, Lam, _spec_norm(M_u), _spec_norm(K))
 
 
 def _retained_residual(M_u, K, X2, Lam2_prime, norm_m, norm_k, norm_lam, norm_x):
@@ -91,7 +86,7 @@ def retained_residual(M_u, K, X2, Lam2_prime):
     """Relative residual ||M X2 + K X2 Lam2'|| / ((||M|| + ||K|| ||Lam2'||) ||X2||)
     in the inverse-eigenvalue form, which covers the infinite block
     (zero columns of Lam2') with no special casing."""
-    return _retained_residual(M_u, K, X2, Lam2_prime, _sym_norm(M_u), _sym_norm(K),
+    return _retained_residual(M_u, K, X2, Lam2_prime, _spec_norm(M_u), _spec_norm(K),
                               _spec_norm(Lam2_prime), _spec_norm(X2))
 
 
@@ -122,7 +117,10 @@ def _retained_block_data(p, retained):
             f"pencil order is {p.n}"
         )
     q3 = retained.p
-    r = rcond_estimate(retained.Lambda)
+    # each block of Lambda is |lam| times a rotation, so its singular
+    # values are the moduli of its eigenvalues
+    moduli = np.abs(block_eigenvalues(retained.Lambda, retained.s))
+    r = moduli.min() / moduli.max()
     if r < ILL_DEFINED_RCOND:
         raise IllDefined(
             f"the retained eigenvalue matrix is numerically singular "
@@ -173,7 +171,9 @@ def residual_report(
 
     # each pencil norm once: the residuals and Rec.MK share them
     norm_m, norm_k = p.norms()
-    norm_mt, norm_kt = _sym_norm(u.M_u_tilde), _sym_norm(u.K_tilde)
+    # an updated matrix equal to the original (choice_a's M_u~) has its norm
+    norm_mt = norm_m if np.array_equal(u.M_u_tilde, p.M_u) else _spec_norm(u.M_u_tilde)
+    norm_kt = norm_k if np.array_equal(u.K_tilde, p.K) else _spec_norm(u.K_tilde)
     res1_o = _eigen_residual(p.M_u, p.K, old.X, old.Lambda, norm_m, norm_k)
     res1_u = _eigen_residual(u.M_u_tilde, u.K_tilde, u.X1_tilde, target_Lambda,
                              norm_mt, norm_kt)

@@ -238,6 +238,32 @@ def test_optimize_rejects_bad_settings_before_searching(gen_dir, tmp_path, monke
     assert not os.path.exists(os.path.join(tmp_path, "optimize.report"))
 
 
+@pytest.mark.parametrize("argv", [
+    ("embed", "--in", "GEN", "--p", 4, "--stilde", 1, "--seed", 3, "--tau1", 0),
+    ("demo", "--example", 1, "--nu", 30, "--nphi", 12, "--seed", 5, "--tau1", 0),
+])
+def test_bad_weights_exit_before_any_output(gen_dir, tmp_path, argv):
+    out = tmp_path / "out"
+    argv = [gen_dir if a == "GEN" else a for a in argv]
+    assert run(*argv, "--out", out) == sf.DimensionMismatch.exit_code == 10
+    assert not out.exists()
+
+
+LEGACY_RUNS = os.path.join(os.path.dirname(__file__), "data", "legacy_runs")
+
+
+@pytest.mark.parametrize("run_dir", ["embed", "optimize"])
+def test_runs_written_by_an_earlier_version_still_verify(tmp_path, monkeypatch, run_dir):
+    """gen --nu 12 --nphi 5 --seed 5, then embed --p 6 --s 2 --stilde 2
+    --seed 3 and optimize --p 6 --s 2 --stilde 1 --seed 5, written with
+    one BLAS thread by the version before the standard eigensolve and
+    the Gram-matrix norms; their residuals must still reproduce."""
+    shutil.copytree(LEGACY_RUNS, tmp_path, dirs_exist_ok=True)
+    monkeypatch.chdir(tmp_path)  # the reports name their pencil as "gen"
+    assert run("verify", "--in", run_dir) == 0
+    assert read_report(run_dir, "verify.report")["spectrum_source"] == "stored"
+
+
 def test_verify_accepts_untampered_run(embed_run):
     gen, emb = embed_run
     assert run("verify", "--in", emb) == 0

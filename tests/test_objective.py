@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import spilloverfree as sf
 import spilloverfree.embedding
@@ -55,17 +56,24 @@ def test_residual_report_fields():
 
 
 def test_residual_report_takes_each_pencil_norm_once(monkeypatch):
-    # ||M_u||, ||K||, ||M_u~||, ||K~|| and the two differences: six
-    # eigvalsh calls, and the same values the public metrics give
+    # ||M_u|| and ||K|| come from the pencil's cache, ||M_u~|| is ||M_u||
+    # (choice_a leaves M_u bit for bit) and M_u - M_u~ = 0 has norm 0:
+    # of the full-order matrices only K~ and K - K~ take an eigensolve.
+    # The results are the values the public metrics give.
     c = EmbeddingCase(10, 4, s_sel=1, n_real=2, s_tilde=1, seed=3)
     u = sf.embed(c.pencil, c.old, c.target.Lambda, c.params)
     p, Lt = c.pencil, c.target.Lambda
+    assert c.params.mode == "choice_a" and np.array_equal(u.M_u_tilde, p.M_u)
+    p.norms()
     calls = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: calls.append(A.shape) or eigvalsh(A))
+    eigvalsh = sla.eigvalsh
+    monkeypatch.setattr(sla, "eigvalsh", lambda G, **kw: calls.append(G.shape) or eigvalsh(G, **kw))
     rep = sf.residual_report(p, u, c.old, Lt, c.retained)
-    assert len(calls) <= 6
     monkeypatch.undo()
+    # K~ and K - K~ (n x n), X2, Lam2_prime and the two spillover
+    # numerators (m x m Grams, m = n - p), and the small res1 operands
+    assert calls.count((p.n, p.n)) == 2
+    assert sum(min(shape) >= p.n_u for shape in calls) == 6
     X2, Lam2p = spilloverfree.objective._retained_block_data(p, c.retained)
     assert rep.res1_original == sf.eigen_residual(p.M_u, p.K, c.old.X, c.old.Lambda)
     assert rep.res1_updated == sf.eigen_residual(u.M_u_tilde, u.K_tilde, u.X1_tilde, Lt)

@@ -1,17 +1,22 @@
 """Structured pencil container, reduction, eigensolve, relation checks."""
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 import spilloverfree as sf
+from spilloverfree import pencil
 from spilloverfree.errors import (
     AsymmetricInput,
     DegenerateSpectrum,
     DimensionMismatch,
     SingularBlock,
 )
-from spilloverfree.pencil import rcond_estimate
+from spilloverfree.pencil import _spec_norm, rcond_estimate
 
 from conftest import dense_finite_eigs, make_pencil, multiset_match, spectrum_values
 
@@ -350,3 +355,146 @@ def test_certified_spectrum_checks_degeneracy_after_the_certificate(tmp_path):
     with pytest.raises(sf.UncertifiedSpectrum, match="not an eigenpair"):
         sf.certified_spectrum(p, close)
     assert sf.UncertifiedSpectrum.exit_code == sf.VerificationFailed.exit_code == 28
+
+
+def _ill_conditioned_pencil(seed, n_u=6, n_phi=4):
+    """M_u = Q diag(+-10^u) Q^T with u uniform on [-11, 0]; K uniform
+    symmetric with n added to the K_phi diagonal."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((n_u, n_u)))
+    d = rng.choice([-1.0, 1.0], n_u) * 10.0 ** rng.uniform(-11.0, 0.0, n_u)
+    M_u = Q @ (d[:, None] * Q.T)
+    n = n_u + n_phi
+    K = rng.uniform(-1.0, 1.0, (n, n))
+    K = 0.5 * (K + K.T)
+    K[n_u:, n_u:] += n * np.eye(n_phi)
+    return sf.validate_pencil(0.5 * (M_u + M_u.T), K, n_u, n_phi)
+
+
+def _assert_relative_match(got, want, tol):
+    got, want = np.asarray(got), np.asarray(want)
+    d = np.abs(got[:, None] - want[None, :]) / np.abs(want)[None, :]
+    rows, cols = linear_sum_assignment(d)
+    assert len(rows) == len(got) == len(want)
+    assert d[rows, cols].max() <= tol, d[rows, cols].max()
+
+
+@given(st.sampled_from(["generated", "ill-conditioned"]), st.integers(0, 10**6),
+       st.integers(2, 40), st.integers(0, 16))
+def test_standard_solve_matches_qz_and_falls_back_when_it_must(family, seed, n_u, n_phi):
+    if family == "generated":
+        p = make_pencil(n_u, n_phi, seed=seed)
+        p = sf.validate_pencil(p.M_u, p.K, n_u, n_phi)  # nothing cached
+    else:
+        p = _ill_conditioned_pencil(seed)
+    S, R = sf.schur_reduce(p)
+    lam, keep, _, X = pencil._eigenpairs(p, S, R, qz=False)
+    standard_error = pencil._pair_residuals(p, lam[keep], X)[1].max()
+    qz_calls = []
+    eig = sla.eig
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sla, "eig", lambda A, B=None, **k: qz_calls.append(B is not None)
+                   or eig(A, B, **k))
+        try:
+            s = sf.solve_spectrum(p)
+        except DegenerateSpectrum:
+            assume(False)
+    # QZ runs exactly when the standard solve is not backward stable enough
+    assert sum(qz_calls) == (standard_error > pencil.SOLVE_BACKWARD_ERROR)
+    values = spectrum_values(s)
+    lam_x = np.column_stack([x for _, x in s.finite_pairs])
+    eta = pencil._pair_residuals(p, values, lam_x)[1]
+    assert eta.max() <= pencil.SOLVE_BACKWARD_ERROR
+    assert s.backward_error == pytest.approx(eta.max(), rel=1e-6)
+    _assert_relative_match(values, -sla.eig(S, p.M_u, right=False), 1e-10)
+
+
+def test_ill_conditioned_mass_takes_the_qz_fallback(monkeypatch):
+    calls = []
+    eig = sla.eig
+    monkeypatch.setattr(sla, "eig", lambda A, B=None, **k: calls.append(B is not None)
+                        or eig(A, B, **k))
+    well = _ill_conditioned_pencil(0)  # cond(M_u) about 1e3
+    sf.solve_spectrum(well)
+    assert calls == [False]
+    ill = _ill_conditioned_pencil(3)  # cond(M_u) about 2.6e4
+    s = sf.solve_spectrum(ill)
+    assert calls == [False, False, True]
+    assert s.backward_error <= pencil.SOLVE_BACKWARD_ERROR
+
+
+def _mp_finite_eigenvalues(p):
+    """Eigenvalues of lambda*M_u + S at 30 digits, S the Schur complement
+    of K_phi formed in the same precision from the stored entries."""
+    with mpmath.workdps(30):
+        S = mpmath.matrix(p.K_u.tolist())
+        if p.n_phi:
+            Kuphi = mpmath.matrix(p.K_uphi.tolist())
+            S -= Kuphi * mpmath.inverse(mpmath.matrix(p.K_phi.tolist())) * Kuphi.T
+        A = mpmath.inverse(mpmath.matrix(p.M_u.tolist())) * S
+        values = mpmath.eig(A, left=False, right=False)
+        return np.array([-complex(v) for v in values])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_pencil(4, 2, seed=1),
+    lambda: make_pencil(8, 3, seed=7),
+    lambda: make_pencil(12, 5, seed=5),
+    lambda: make_pencil(12, 0, seed=2),
+    lambda: _ill_conditioned_pencil(0),
+    lambda: _ill_conditioned_pencil(3),
+], ids=["4+2", "8+3", "12+5", "12+0", "ill-standard", "ill-qz"])
+def test_solve_matches_a_30_digit_eigensolve(make):
+    p = make()
+    _assert_relative_match(spectrum_values(sf.solve_spectrum(p)), _mp_finite_eigenvalues(p),
+                           1e-10)
+
+
+def _near_singular(rng, n, smallest):
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return U @ np.diag(np.logspace(0.0, np.log10(smallest), n)) @ V.T
+
+
+@given(st.integers(0, 10**6), st.integers(1, 60),
+       st.sampled_from([None, 1e-6, 1e-11, 1e-12, 1e-13]))
+def test_rcond_estimate_is_within_n_of_the_svd_rcond(seed, n, smallest):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n)) if smallest is None else _near_singular(rng, n, smallest)
+    s = np.linalg.svd(A, compute_uv=False)
+    exact = s[-1] / s[0]
+    r = rcond_estimate(A)
+    assert exact / n <= r <= n * exact
+
+
+def test_rcond_estimate_of_singular_and_empty_matrices():
+    assert rcond_estimate(np.zeros((3, 3))) == 0.0
+    assert rcond_estimate(np.ones((4, 4))) < 1e-15
+    assert rcond_estimate(np.full((2, 2), np.nan)) == 0.0
+    assert rcond_estimate(np.zeros((0, 0))) == 1.0
+
+
+@given(st.integers(0, 10**6), st.integers(1, 50), st.integers(1, 50),
+       st.sampled_from([1e-200, 1e-150, 1.0, 1e150, 1e200]), st.booleans())
+def test_gram_norm_matches_the_svd_norm(seed, rows, cols, scale, symmetric):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((rows, cols))
+    if symmetric:
+        A = A[: min(rows, cols), : min(rows, cols)]
+        A = A + A.T
+    A = scale * A
+    exact = np.linalg.svd(A, compute_uv=False)[0]
+    assert abs(_spec_norm(A) - exact) <= 1e-13 * exact
+
+
+def test_gram_norm_of_zero_and_empty_matrices(monkeypatch):
+    monkeypatch.setattr(sla, "eigvalsh", None)  # no eigensolve is needed
+    assert _spec_norm(np.zeros((5, 3))) == 0.0
+    assert _spec_norm(np.zeros((0, 4))) == 0.0
+
+
+def test_pencil_keeps_read_only_block_factors(small_pencil):
+    p = small_pencil
+    for lu, piv in (p._lu_mu, p._lu_kphi):
+        assert not lu.flags.writeable and not piv.flags.writeable
+    np.testing.assert_allclose(sla.lu_solve(p._lu_mu, p.M_u), np.eye(p.n_u), atol=1e-10)
