@@ -44,6 +44,7 @@ from .pencil import (
     CheckReport,
     ConditionCheck,
     DEFAULT_RCOND,
+    _rank_rcond,
     _spec_norm,
     rcond_estimate,
     validate_pencil,
@@ -187,10 +188,11 @@ def compute_gamma1(p, X1, s):
     """Gram matrix Gamma_1 = X_1u^T M_u X_1u of the selected vectors.
 
     X_1u is the top n_u block of X1, and s the selection's count of
-    conjugate-pair blocks. The characteristic block pattern (trace-free
-    2x2 blocks, then scalars) is measured and a warning is logged if the
-    matrix strays from it, which indicates the columns are not eigendata
-    of the pencil.
+    conjugate-pair blocks. X_1u is RankDeficient when it is wide or
+    pencil._rank_rcond(X_1u) is below DEFAULT_RCOND. The characteristic
+    block pattern (trace-free 2x2 blocks, then scalars) is measured and
+    a warning is logged if the matrix strays from it, which indicates
+    the columns are not eigendata of the pencil.
     """
     X1 = np.asarray(X1, dtype=float)
     if X1.ndim != 2 or X1.shape[0] != p.n:
@@ -198,9 +200,7 @@ def compute_gamma1(p, X1, s):
             f"X1 has shape {X1.shape}, expected {p.n} rows"
         )
     X1u = X1[: p.n_u]
-    cols = X1.shape[1]
-    sv = np.linalg.svd(X1u, compute_uv=False) if X1u.size else np.array([])
-    if cols and (sv.size < cols or sv[0] == 0.0 or sv[cols - 1] / sv[0] < DEFAULT_RCOND):
+    if _rank_rcond(X1u) < DEFAULT_RCOND:
         raise RankDeficient(
             "the structural block X_1u of the selected eigenvectors is "
             "numerically rank-deficient; the update hypothesis fails"
@@ -546,9 +546,9 @@ def verify_theorem1(X, J1, Gamma11, Phi, tol):
     rx = rcond_estimate(X)
     checks.append(ConditionCheck("nonsingular_x", rx, ILL_DEFINED_RCOND, rx > ILL_DEFINED_RCOND))
 
-    sG = max(np.linalg.norm(Gamma11, 2), 1e-300)
-    resid = np.linalg.norm(J1.T @ Gamma11 - Gamma11 @ J1, 2)
-    scale = sG * max(np.linalg.norm(J1, 2), 1e-300)
+    sG = max(_spec_norm(Gamma11), 1e-300)
+    resid = _spec_norm(J1.T @ Gamma11 - Gamma11 @ J1)
+    scale = sG * max(_spec_norm(J1), 1e-300)
     checks.append(
         ConditionCheck("commutation", float(resid), tol * scale, resid <= tol * scale)
     )
@@ -566,11 +566,8 @@ def verify_theorem1(X, J1, Gamma11, Phi, tol):
     if n_phi:
         T = sla.solve(Tinv, np.eye(n), assume_a="sym")
         B = X_u @ T @ X_phi.T
-        scale = max(
-            np.linalg.norm(X_u, 2) * np.linalg.norm(T, 2) * np.linalg.norm(X_phi, 2),
-            1e-300,
-        )
-        resid = np.linalg.norm(B, 2)
+        scale = max(_spec_norm(X_u) * _spec_norm(T) * _spec_norm(X_phi), 1e-300)
+        resid = _spec_norm(B)
         checks.append(
             ConditionCheck("off_block", float(resid), tol * scale, resid <= tol * scale)
         )
@@ -582,8 +579,8 @@ def verify_theorem1(X, J1, Gamma11, Phi, tol):
                 f"its inverse enters the normalization condition"
             )
         iPhi = sla.solve(Phi, np.eye(n_phi), assume_a="sym")
-        resid = np.linalg.norm(X_phi @ T @ X_phi.T - iPhi, 2)
-        scale = max(np.linalg.norm(iPhi, 2), 1e-300)
+        resid = _spec_norm(X_phi @ T @ X_phi.T - iPhi)
+        scale = max(_spec_norm(iPhi), 1e-300)
         checks.append(
             ConditionCheck(
                 "phi_normalization", float(resid), tol * scale, resid <= tol * scale

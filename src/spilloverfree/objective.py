@@ -76,18 +76,19 @@ def eigen_residual(M_u, K, X, Lam):
     return _eigen_residual(M_u, K, X, Lam, _spec_norm(M_u), _spec_norm(K))
 
 
-def _retained_residual(M_u, K, X2, Lam2_prime, norm_m, norm_k, norm_lam, norm_x):
-    num = _spec_norm(_mass_apply(M_u, X2) + K @ (X2 @ Lam2_prime))
+def _retained_residual(MX2u, K, X2Lam, norm_m, norm_k, norm_lam, norm_x):
+    num = K @ X2Lam
+    num[: len(MX2u)] += MX2u  # M X2 = [M_u X2_u; 0]
     den = (norm_m + norm_k * norm_lam) * norm_x
-    return num / den if den else 0.0
+    return _spec_norm(num) / den if den else 0.0
 
 
 def retained_residual(M_u, K, X2, Lam2_prime):
     """Relative residual ||M X2 + K X2 Lam2'|| / ((||M|| + ||K|| ||Lam2'||) ||X2||)
     in the inverse-eigenvalue form, which covers the infinite block
     (zero columns of Lam2') with no special casing."""
-    return _retained_residual(M_u, K, X2, Lam2_prime, _spec_norm(M_u), _spec_norm(K),
-                              _spec_norm(Lam2_prime), _spec_norm(X2))
+    return _retained_residual(M_u @ X2[: len(M_u)], K, X2 @ Lam2_prime, _spec_norm(M_u),
+                              _spec_norm(K), _spec_norm(Lam2_prime), _spec_norm(X2))
 
 
 @dataclass(frozen=True)
@@ -116,7 +117,6 @@ def _retained_block_data(p, retained):
             f"retained eigendata has {retained.X.shape[0]} rows, "
             f"pencil order is {p.n}"
         )
-    q3 = retained.p
     # each block of Lambda is |lam| times a rotation, so its singular
     # values are the moduli of its eigenvalues
     moduli = np.abs(block_eigenvalues(retained.Lambda, retained.s))
@@ -126,13 +126,9 @@ def _retained_block_data(p, retained):
             f"the retained eigenvalue matrix is numerically singular "
             f"(rcond {r:.3e}); its inverse enters the spillover residual"
         )
-    L3_inv = sla.solve(retained.Lambda, np.eye(q3))
-
+    L3_inv = sla.solve(retained.Lambda, np.eye(retained.p))
     X2 = np.hstack([retained.X, _infinite_basis(p)])
-    m = X2.shape[1]
-    Lam2p = np.zeros((m, m))
-    Lam2p[:q3, :q3] = L3_inv
-    return X2, Lam2p
+    return X2, sla.block_diag(L3_inv, np.zeros((p.n_phi, p.n_phi)))
 
 
 def residual_report(
@@ -169,11 +165,13 @@ def residual_report(
         )
     _check_weights(tau1, tau2)
 
-    # each pencil norm once: the residuals and Rec.MK share them
+    # each pencil norm once: the residuals and Rec.MK share them; Rec.MK first caps peak memory
     norm_m, norm_k = p.norms()
-    # an updated matrix equal to the original (choice_a's M_u~) has its norm
-    norm_mt = norm_m if np.array_equal(u.M_u_tilde, p.M_u) else _spec_norm(u.M_u_tilde)
+    # an updated matrix equal to the original (choice_a's M_u~) shares its norm and M X2
+    same_m = np.array_equal(u.M_u_tilde, p.M_u)
+    norm_mt = norm_m if same_m else _spec_norm(u.M_u_tilde)
     norm_kt = norm_k if np.array_equal(u.K_tilde, p.K) else _spec_norm(u.K_tilde)
+    rec = _rec_mk(p.M_u, p.K, u.M_u_tilde, u.K_tilde, norm_m, norm_k, tau1, tau2)
     res1_o = _eigen_residual(p.M_u, p.K, old.X, old.Lambda, norm_m, norm_k)
     res1_u = _eigen_residual(u.M_u_tilde, u.K_tilde, u.X1_tilde, target_Lambda,
                              norm_mt, norm_kt)
@@ -183,16 +181,17 @@ def residual_report(
     else:
         X2, Lam2p = _retained_block_data(p, retained)
         norm_lam, norm_x = _spec_norm(Lam2p), _spec_norm(X2)
-        res2_o = _retained_residual(p.M_u, p.K, X2, Lam2p, norm_m, norm_k, norm_lam, norm_x)
-        res2_u = _retained_residual(u.M_u_tilde, u.K_tilde, X2, Lam2p,
-                                    norm_mt, norm_kt, norm_lam, norm_x)
+        X2Lam, MX2 = X2 @ Lam2p, p.M_u @ X2[: p.n_u]
+        MX2t = MX2 if same_m else u.M_u_tilde @ X2[: p.n_u]
+        res2_o = _retained_residual(MX2, p.K, X2Lam, norm_m, norm_k, norm_lam, norm_x)
+        res2_u = _retained_residual(MX2t, u.K_tilde, X2Lam, norm_mt, norm_kt, norm_lam, norm_x)
 
     return ResidualReport(
         res1_original=res1_o,
         res1_updated=res1_u,
         res2_original=res2_o,
         res2_updated=res2_u,
-        rec_mk=_rec_mk(p.M_u, p.K, u.M_u_tilde, u.K_tilde, norm_m, norm_k, tau1, tau2),
+        rec_mk=rec,
         tau1=tau1,
         tau2=tau2,
         method=u.method,

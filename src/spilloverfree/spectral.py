@@ -33,7 +33,7 @@ from .errors import (
     Overlap,
     ZeroEigenvalue,
 )
-from .pencil import JordanPairCandidate
+from .pencil import JordanPairCandidate, _rank_rcond
 
 DEFAULT_MATCH_TOL = 1e-6
 _CLOSURE_TOL = 1e-10
@@ -49,7 +49,8 @@ class RealSpectralData:
     in real block form, with s the number of conjugate-pair blocks.
 
     X may have zero rows when the data carries eigenvalues only (target
-    spectra read from file); the rank requirement applies otherwise.
+    spectra read from file). An X with at least p rows must have full
+    column rank: pencil._rank_rcond(X) >= 1e-12, or MalformedBlocks.
     """
 
     Lambda: np.ndarray
@@ -71,10 +72,8 @@ class RealSpectralData:
         if not (0 <= 2 * self.s <= p):
             raise MalformedBlocks(f"s={self.s} impossible for p={p}")
         _validate_block_structure(Lam, self.s)
-        if X.shape[0] and X.shape[0] >= p:
-            sv = np.linalg.svd(X, compute_uv=False)
-            if sv[0] == 0.0 or sv[-1] / sv[0] < 1e-12:
-                raise MalformedBlocks("eigenvector matrix X is numerically rank-deficient")
+        if X.shape[0] and X.shape[0] >= p and _rank_rcond(X) < 1e-12:
+            raise MalformedBlocks("eigenvector matrix X is numerically rank-deficient")
 
     @property
     def p(self):
@@ -259,19 +258,15 @@ def select_eigendata(spectrum, targets, *, match_tol=DEFAULT_MATCH_TOL):
     finite-pair indices).
     """
     lams = spectrum.eigenvalues
-    n_f = len(lams)
-    taken = [False] * n_f
+    taken = np.zeros(len(lams), dtype=bool)
     sel_idx = []
     for t in targets:
         t = complex(t)
-        best, best_d = None, np.inf
-        for i in range(n_f):
-            if taken[i]:
-                continue
-            d = abs(lams[i] - t)
-            if d < best_d:
-                best, best_d = i, d
-        if best is None or best_d > match_tol * max(abs(lams[best]), 1.0):
+        # the nearest untaken eigenvalue, the first on ties; NaN never matches
+        d = np.abs(lams - t)
+        d[taken | np.isnan(d)] = np.inf
+        best = int(np.argmin(d)) if d.size else None
+        if best is None or not d[best] <= match_tol * max(abs(lams[best]), 1.0):
             raise NoMatch(
                 f"requested eigenvalue {t:.8e} does not match any unselected "
                 f"finite eigenvalue within relative tolerance {match_tol:.1e}"
@@ -280,16 +275,17 @@ def select_eigendata(spectrum, targets, *, match_tol=DEFAULT_MATCH_TOL):
         sel_idx.append(best)
 
     chosen = to_real_representation([spectrum.finite_pairs[i] for i in sorted(sel_idx)])
-    sel_set = set(sel_idx)
-    retained = tuple(i for i in range(n_f) if i not in sel_set)
-    for i in sel_idx:
-        for j in retained:
-            if abs(lams[i] - lams[j]) <= match_tol * max(abs(lams[i]), 1.0):
-                raise Overlap(
-                    f"selected eigenvalue {lams[i]:.8e} coincides with retained "
-                    f"eigenvalue {lams[j]:.8e} within matching tolerance; the two "
-                    f"spectra must be disjoint"
-                )
+    retained = tuple(int(i) for i in np.flatnonzero(~taken))
+    sel, ret = lams[sel_idx], lams[list(retained)]
+    close = np.abs(sel[:, None] - ret[None, :]) <= match_tol * np.maximum(np.abs(sel), 1.0)[:, None]
+    if close.any():
+        # the first offending (selected, retained) pair in selection order
+        i, j = np.unravel_index(np.argmax(close), close.shape)
+        raise Overlap(
+            f"selected eigenvalue {sel[i]:.8e} coincides with retained "
+            f"eigenvalue {ret[j]:.8e} within matching tolerance; the two "
+            f"spectra must be disjoint"
+        )
     return chosen, retained
 
 

@@ -196,6 +196,17 @@ def test_embed_rejects_malformed_target_file(gen_dir, tmp_path):
     assert rc == 17
 
 
+def test_embed_rejects_a_selection_file_with_rank_deficient_vectors(gen_dir, tmp_path):
+    # two reals whose stored eigenvector columns coincide: RealSpectralData
+    # refuses the file (MalformedBlocks) before any selection
+    sel_path = str(tmp_path / "sel.spectral")
+    column = [f"{v:.17e}\n" for v in np.random.default_rng(3).standard_normal(11)]
+    with open(sel_path, "w") as fh:
+        fh.write("2 0\nreal 1.0\nreal 2.0\n11 2\n" + "".join(column * 2))
+    rc = run("embed", "--in", gen_dir, "--out", str(tmp_path / "out"), "--select", sel_path)
+    assert rc == sf.MalformedBlocks.exit_code == 17
+
+
 def test_optimize_never_loses_to_its_seed(gen_dir, tmp_path):
     # at the default weights the choice_a seed is certified: no search
     out = str(tmp_path)

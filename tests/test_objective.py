@@ -70,16 +70,59 @@ def test_residual_report_takes_each_pencil_norm_once(monkeypatch):
     monkeypatch.setattr(sla, "eigvalsh", lambda G, **kw: calls.append(G.shape) or eigvalsh(G, **kw))
     rep = sf.residual_report(p, u, c.old, Lt, c.retained)
     monkeypatch.undo()
-    # K~ and K - K~ (n x n), X2, Lam2_prime and the two spillover
-    # numerators (m x m Grams, m = n - p), and the small res1 operands
+    # K~ and K - K~ (n x n), X2 (m x m Gram, m = n - p), and the small
+    # res1 operands; Lam2_prime and the two spillover numerators drop
+    # their n_phi exactly-zero infinite columns (q3 x q3 Grams, q3 = n_u - p)
+    q3 = c.retained.p
     assert calls.count((p.n, p.n)) == 2
-    assert sum(min(shape) >= p.n_u for shape in calls) == 6
+    assert sum(min(shape) >= p.n_u for shape in calls) == 3
+    assert calls.count((q3, q3)) == 3
     X2, Lam2p = spilloverfree.objective._retained_block_data(p, c.retained)
     assert rep.res1_original == sf.eigen_residual(p.M_u, p.K, c.old.X, c.old.Lambda)
     assert rep.res1_updated == sf.eigen_residual(u.M_u_tilde, u.K_tilde, u.X1_tilde, Lt)
     assert rep.res2_original == sf.retained_residual(p.M_u, p.K, X2, Lam2p)
     assert rep.res2_updated == sf.retained_residual(u.M_u_tilde, u.K_tilde, X2, Lam2p)
     assert rep.rec_mk == sf.rec_mk(p.M_u, p.K, u.M_u_tilde, u.K_tilde)
+
+
+def test_embed_chain_takes_no_large_svd_and_one_gram_of_order_m(monkeypatch):
+    # validate -> solve -> select -> embed -> residual_report at n = 168:
+    # eigenvector ranks come from QR, norms from Gram eigensolves, and the
+    # only Gram of order m = n - p is ||X2||'s (the spillover numerators
+    # and Lam2_prime drop their infinite zero columns)
+    n_u, n_phi, p = 120, 48, 6
+    g = make_pencil(n_u, n_phi, seed=4, p=p, s_tilde=2)
+    M_u, K = np.array(g.M_u), np.array(g.K)
+    svds, grams = [], []
+
+    def counted(f, log):
+        return lambda A, *a, **kw: log.append(np.shape(A)) or f(A, *a, **kw)
+
+    svd = np.linalg.svd
+    # np.linalg.norm(., 2) looks svd up in numpy's private linalg module
+    for module in {np.linalg, getattr(np.linalg, "_linalg", np.linalg)}:
+        monkeypatch.setattr(module, "svd", counted(svd, svds))
+    monkeypatch.setattr(sla, "svd", counted(sla.svd, svds))
+    monkeypatch.setattr(sla, "eigvalsh", counted(sla.eigvalsh, grams))
+    pencil = sf.validate_pencil(M_u, K, n_u, n_phi)
+    spectrum = sf.solve_spectrum(pencil)
+    vals = [lam for lam, _ in spectrum.finite_pairs]
+    wanted = [z for v in [v for v in vals if v.imag > 0][:2] for z in (v, v.conjugate())]
+    wanted += [v for v in vals if v.imag == 0][:2]
+    old, kept = sf.select_eigendata(spectrum, wanted)
+    retained = sf.retained_eigendata(spectrum, kept)
+    target = sf.real_lambda_from_eigenvalues(
+        sf.perturb_targets(wanted, 2, 0.3, 1, avoid=[vals[i] for i in kept]))
+    params = sf.default_gamma_tilde(sf.compute_gamma1(pencil, old.X, s=old.s), old.s, target.s)
+    u = sf.embed(pencil, old, target.Lambda, params)
+    rep = sf.residual_report(pencil, u, old, target.Lambda, retained)
+    monkeypatch.undo()
+    assert max(rep.res1_updated, rep.res2_updated) < 1e-12
+    m = pencil.n - p
+    assert [shape for shape in svds if min(shape) >= 100] == []
+    assert grams.count((m, m)) == 1
+    # besides ||X2||: ||M_u||, ||K||, ||K~|| and ||K - K~||
+    assert sum(min(shape) >= n_u for shape in grams) == 5
 
 
 def test_residual_report_res2_unavailable_without_retained():

@@ -16,7 +16,7 @@ from spilloverfree.errors import (
     DimensionMismatch,
     SingularBlock,
 )
-from spilloverfree.pencil import _spec_norm, rcond_estimate
+from spilloverfree.pencil import _rank_rcond, _spec_norm, rcond_estimate
 
 from conftest import dense_finite_eigs, make_pencil, multiset_match, spectrum_values
 
@@ -491,6 +491,70 @@ def test_gram_norm_of_zero_and_empty_matrices(monkeypatch):
     monkeypatch.setattr(sla, "eigvalsh", None)  # no eigensolve is needed
     assert _spec_norm(np.zeros((5, 3))) == 0.0
     assert _spec_norm(np.zeros((0, 4))) == 0.0
+
+
+@given(st.integers(0, 10**6), st.integers(1, 40), st.integers(1, 40),
+       st.sampled_from([1e-200, 1e-150, 1.0, 1e150, 1e200]), st.booleans())
+def test_gram_norm_drops_exactly_zero_columns(seed, rows, cols, scale, symmetric):
+    # ||[A, 0]|| = ||A||: padded copies of A give the same bits as A, and
+    # the trimmed path matches the SVD norm
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((rows, cols))
+    if symmetric:
+        A = A[: min(rows, cols), : min(rows, cols)]
+        A = A + A.T
+    A = scale * A
+    rows, cols = A.shape
+    interleaved = np.zeros((rows, 2 * cols + 1))
+    interleaved[:, 1::2] = A
+    Z = np.zeros((rows, 1 + seed % 5))
+    ref = _spec_norm(A)
+    for padded in (np.hstack([A, Z]), np.hstack([Z, A]), interleaved):
+        assert _spec_norm(padded) == ref
+        exact = np.linalg.norm(padded, 2)
+        assert abs(_spec_norm(padded) - exact) <= 1e-13 * exact
+
+
+def test_gram_norm_of_a_padded_matrix_takes_the_trimmed_gram(monkeypatch):
+    A = np.random.default_rng(1).standard_normal((9, 4))
+    calls = []
+    eigvalsh = sla.eigvalsh
+    monkeypatch.setattr(sla, "eigvalsh", lambda G, **kw: calls.append(G.shape) or eigvalsh(G, **kw))
+    _spec_norm(np.hstack([A, np.zeros((9, 7))]))
+    assert calls == [(4, 4)]
+
+
+@given(st.integers(0, 10**6), st.integers(1, 50), st.integers(0, 30),
+       st.sampled_from([None, 1e-6, 1e-10, 1e-11, 1e-12, 1e-13, 1e-14, 1e-16]))
+def test_rank_rcond_agrees_with_the_svd_ratio(seed, cols, extra_rows, smallest):
+    # the estimate lies within a factor of n of sigma_min / sigma_max,
+    # so the 1e-12 rank test decides as the SVD does outside that band
+    rng = np.random.default_rng(seed)
+    rows = cols + extra_rows
+    if smallest is None:
+        X = rng.standard_normal((rows, cols))
+    else:
+        U, _ = np.linalg.qr(rng.standard_normal((rows, cols)))
+        V, _ = np.linalg.qr(rng.standard_normal((cols, cols)))
+        X = U @ np.diag(np.logspace(0.0, np.log10(smallest), cols)) @ V.T
+    s = np.linalg.svd(X, compute_uv=False)
+    exact = s[-1] / s[0]
+    r = _rank_rcond(X)
+    if exact >= 1e-13:
+        assert exact / cols <= r <= cols * exact
+    if exact > cols * 1e-12:
+        assert r >= 1e-12
+    if exact < 1e-12 / cols:
+        assert r < 1e-12
+
+
+def test_rank_rcond_of_wide_deficient_and_empty_matrices():
+    X = np.random.default_rng(2).standard_normal((6, 3))
+    assert _rank_rcond(X.T) == 0.0  # wide: never full column rank
+    assert _rank_rcond(np.zeros((5, 3))) == 0.0
+    assert _rank_rcond(np.full((5, 3), np.nan)) == 0.0
+    assert _rank_rcond(np.column_stack([X, X[:, 1]])) < 1e-15
+    assert _rank_rcond(np.zeros((4, 0))) == 1.0
 
 
 def test_pencil_keeps_read_only_block_factors(small_pencil):

@@ -1,5 +1,7 @@
 """Real block representation, canonical ordering, eigendata selection."""
 
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -172,9 +174,12 @@ def test_real_spectral_data_rejects_column_mismatch():
 
 
 def test_real_spectral_data_rejects_rank_deficient_vectors():
-    X = np.ones((4, 2))
-    with pytest.raises(MalformedBlocks):
-        sf.RealSpectralData(Lambda=np.diag([1.0, 2.0]), X=X, s=0)
+    # equal, zero and linearly dependent columns
+    Y = np.random.default_rng(4).standard_normal((7, 2))
+    for X in (np.ones((4, 2)), np.column_stack([Y, Y[:, 0]]), np.column_stack([Y, 0 * Y[:, 0]]),
+              np.column_stack([Y, 2.0 * Y[:, 0] - Y[:, 1]])):
+        with pytest.raises(MalformedBlocks):
+            sf.RealSpectralData(Lambda=np.diag([1.0, 2.0, 3.0][: X.shape[1]]), X=X, s=0)
 
 
 def test_infer_pair_count_plain_diagonal():
@@ -268,6 +273,82 @@ def test_select_eigendata_overlap_on_close_spectrum():
     spectrum = sf.solve_spectrum(p)
     with pytest.raises(Overlap):
         sf.select_eigendata(spectrum, [1.0], match_tol=1e-6)
+
+
+def _scan_select(spectrum, targets, match_tol):
+    """select_eigendata as an element-by-element scan: the reference for
+    its picks and its errors."""
+    lams = spectrum.eigenvalues
+    taken = [False] * len(lams)
+    sel_idx = []
+    for t in targets:
+        t = complex(t)
+        best, best_d = None, np.inf
+        for i in range(len(lams)):
+            if not taken[i] and abs(lams[i] - t) < best_d:
+                best, best_d = i, abs(lams[i] - t)
+        if best is None or best_d > match_tol * max(abs(lams[best]), 1.0):
+            raise NoMatch(
+                f"requested eigenvalue {t:.8e} does not match any unselected "
+                f"finite eigenvalue within relative tolerance {match_tol:.1e}"
+            )
+        taken[best] = True
+        sel_idx.append(best)
+    chosen = sf.to_real_representation([spectrum.finite_pairs[i] for i in sorted(sel_idx)])
+    retained = tuple(i for i in range(len(lams)) if i not in sel_idx)
+    for i in sel_idx:
+        for j in retained:
+            if abs(lams[i] - lams[j]) <= match_tol * max(abs(lams[i]), 1.0):
+                raise Overlap(
+                    f"selected eigenvalue {lams[i]:.8e} coincides with retained "
+                    f"eigenvalue {lams[j]:.8e} within matching tolerance; the two "
+                    f"spectra must be disjoint"
+                )
+    return chosen, retained
+
+
+def _outcome(select):
+    try:
+        chosen, retained = select()
+    except sf.SpilloverError as exc:
+        return type(exc), str(exc)
+    return chosen.Lambda.tolist(), chosen.X.tolist(), retained
+
+
+@given(st.integers(0, 10**6), st.sampled_from([1e-6, 0.3, 0.6]))
+def test_select_eigendata_picks_and_fails_as_the_scan_does(seed, match_tol):
+    # values on an integer grid, so that half-integer targets tie
+    # between two eigenvalues and a wide tolerance makes overlaps
+    rng = np.random.default_rng(seed)
+    grid = np.r_[-9:0, 1:10].astype(float)
+    reals = list(rng.choice(grid, size=rng.integers(1, 7), replace=False))
+    if rng.random() < 0.3:
+        reals.append(reals[0] * (1.0 + 1e-7))
+    if rng.random() < 0.2:  # a NaN eigenvalue is never the nearest one
+        reals.insert(int(rng.integers(len(reals) + 1)), np.nan)
+    pairs = [complex(a, b) for a, b in {(int(a), int(b)) for a, b in rng.integers(1, 5, (3, 2))}]
+    values = [z for w in pairs for z in (w, w.conjugate())] + reals
+    n = len(values) + 3
+    vecs = {w: rng.standard_normal(n) + 1j * rng.standard_normal(n) for w in pairs}
+    finite = [(z, vecs[w] if z == w else np.conj(vecs[w])) for w in pairs
+              for z in (w, w.conjugate())]
+    finite += [(complex(x), rng.standard_normal(n).astype(complex)) for x in reals]
+    spectrum = types.SimpleNamespace(finite_pairs=tuple(finite),
+                                     eigenvalues=np.array([z for z, _ in finite]))
+    targets = []
+    for _ in range(rng.integers(0, 5)):
+        z = values[rng.integers(len(values))]
+        kind = rng.choice(4, p=[0.6, 0.2, 0.1, 0.1])
+        if kind == 0:  # an eigenvalue, with its partner
+            targets += [z, z.conjugate()] if z.imag else [z]
+        elif kind == 1:  # half-way to the next grid point: a tie at a wide tolerance
+            targets.append(z + 0.5)
+        elif kind == 2:  # a grid point
+            targets.append(complex(rng.choice(grid)))
+        else:
+            targets.append(complex(np.nan) if rng.random() < 0.5 else z)
+    expected = _outcome(lambda: _scan_select(spectrum, targets, match_tol))
+    assert _outcome(lambda: sf.select_eigendata(spectrum, targets, match_tol=match_tol)) == expected
 
 
 def test_selected_vectors_are_eigendata(small_pencil):
