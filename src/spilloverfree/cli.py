@@ -237,7 +237,7 @@ def _run_pipeline(args, pencil, spectrum, *, optimize, demo=False):
             args.stilde,
             args.max_perturb,
             (args.seed, 2),
-            avoid=[spectrum.eigenvalues[i] for i in retained_idx],
+            avoid=spectrum.eigenvalues[list(retained_idx)],
         )
         target = real_lambda_from_eigenvalues(values)
 

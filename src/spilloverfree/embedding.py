@@ -44,6 +44,7 @@ from .pencil import (
     CheckReport,
     ConditionCheck,
     DEFAULT_RCOND,
+    _asymmetry,
     _rank_rcond,
     _spec_norm,
     rcond_estimate,
@@ -146,12 +147,10 @@ class ParameterSet:
             raise Singular("Theta is numerically singular")
         if rcond_estimate(G) < DEFAULT_RCOND:
             raise Singular("GammaTilde1 is numerically singular")
+        dev = _asymmetry(G)
+        if dev > _PATTERN_TOL:
+            raise MalformedBlocks(f"GammaTilde1 deviates from symmetry by {dev:.3e} relative")
         scale = max(np.abs(G).max(), 1e-300)
-        dev = np.abs(G - G.T).max()
-        if dev > _PATTERN_TOL * scale:
-            raise MalformedBlocks(
-                f"GammaTilde1 deviates from symmetry by {dev / scale:.3e} relative"
-            )
         dev = _structure_deviation(G, self.s_tilde)
         if dev > _PATTERN_TOL * scale:
             raise MalformedBlocks(
@@ -261,8 +260,7 @@ def _inverse_of(A, name):
 
 
 def _symmetrized(A, name):
-    scale = max(np.abs(A).max(), 1e-300)
-    dev = np.abs(A - A.T).max() / scale
+    dev = _asymmetry(A)
     if dev > ASYMMETRY_WARN:
         log.warning(
             "%s came out asymmetric by %.3e relative; conditioning is suspect",
@@ -273,8 +271,7 @@ def _symmetrized(A, name):
 
 def _check_commutes(name, G, iL):
     """The block layouts make G Lambda^-1 symmetric; everything downstream assumes it."""
-    C = G @ iL
-    dev = np.abs(C - C.T).max() / max(np.abs(C).max(), 1e-300)
+    dev = _asymmetry(G @ iL)
     if dev > _COMMUTATION_TOL:
         raise MalformedBlocks(
             f"{name} does not commute with its eigenvalue matrix "
@@ -623,12 +620,10 @@ def reconstruct_theorem1(X, J1, Gamma11, Phi, K22prime=None, *, tol=RECONSTRUCT_
         raise DimensionMismatch(
             f"K22prime has shape {K22prime.shape}, expected {(n_phi, n_phi)}"
         )
-    if n_phi:
-        dev = np.abs(K22prime - K22prime.T).max()
-        if dev > ASYMMETRY_WARN * max(np.abs(K22prime).max(), 1e-300):
-            raise IllDefined("K22prime must be symmetric")
-        if rcond_estimate(K22prime) < DEFAULT_RCOND:
-            raise IllDefined("K22prime must be nonsingular")
+    if _asymmetry(K22prime) > ASYMMETRY_WARN:
+        raise IllDefined("K22prime must be symmetric")
+    if rcond_estimate(K22prime) < DEFAULT_RCOND:
+        raise IllDefined("K22prime must be nonsingular")
 
     X_u = X[:n_u]
     X_phi = X[n_u:]

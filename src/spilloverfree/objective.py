@@ -32,7 +32,7 @@ from .errors import (
     RankDeficient,
     Singular,
 )
-from .pencil import _infinite_basis, _mass_apply, _spec_norm
+from .pencil import _eigen_residual, _infinite_basis, _retained_residual, _spec_norm
 from .spectral import block_eigenvalues
 
 log = logging.getLogger(__name__)
@@ -64,23 +64,10 @@ def _check_weights(tau1, tau2):
         raise DimensionMismatch("weights tau1, tau2 must be positive")
 
 
-def _eigen_residual(M_u, K, X, Lam, norm_m, norm_k):
-    num = _spec_norm(_mass_apply(M_u, X @ Lam) + K @ X)
-    den = (norm_m * _spec_norm(Lam) + norm_k) * _spec_norm(X)
-    return num / den if den else 0.0
-
-
 def eigen_residual(M_u, K, X, Lam):
     """Relative residual ||M X Lam + K X|| / ((||M|| ||Lam|| + ||K||) ||X||)
     of eigendata (Lam, X) against the pencil with mass diag(M_u, 0)."""
     return _eigen_residual(M_u, K, X, Lam, _spec_norm(M_u), _spec_norm(K))
-
-
-def _retained_residual(MX2u, K, X2Lam, norm_m, norm_k, norm_lam, norm_x):
-    num = K @ X2Lam
-    num[: len(MX2u)] += MX2u  # M X2 = [M_u X2_u; 0]
-    den = (norm_m + norm_k * norm_lam) * norm_x
-    return _spec_norm(num) / den if den else 0.0
 
 
 def retained_residual(M_u, K, X2, Lam2_prime):

@@ -57,15 +57,18 @@ def _as_matrix(A, name):
     return A
 
 
+def _asymmetry(A):
+    """Relative asymmetry max|A - A^T| / max|A| of a square A (0.0 when
+    A is empty or zero)."""
+    return float(np.abs(A - A.T).max(initial=0.0) / max(np.abs(A).max(initial=0.0), 1e-300))
+
+
 def _check_symmetric(A, name, tol):
-    if A.size == 0:
-        return A
-    dev = np.abs(A - A.T).max()
-    scale = max(np.abs(A).max(), 1e-300)
-    if dev > tol * scale:
+    dev = _asymmetry(A)
+    if dev > tol:
         raise AsymmetricInput(
-            f"{name} deviates from symmetry by {dev:.3e} (relative {dev / scale:.3e}, "
-            f"tolerance {tol:.1e})"
+            f"{name} deviates from symmetry by {dev * np.abs(A).max():.3e} (relative "
+            f"{dev:.3e}, tolerance {tol:.1e})"
         )
     return 0.5 * (A + A.T)
 
@@ -90,7 +93,9 @@ def _spec_norm(A):
     B = A.astype(float) if keep.all() else A[:, keep].astype(float, copy=False)
     B /= scale
     G = B.T @ B if B.shape[0] >= B.shape[1] else B @ B.T
-    return scale * float(np.sqrt(sla.eigvalsh(G, subset_by_index=[len(G) - 1] * 2)[0]))
+    # G is exactly symmetric, so G.T is G in the Fortran order LAPACK takes, uncopied
+    top = sla.eigvalsh(G.T, overwrite_a=True, subset_by_index=[len(G) - 1] * 2)[0]
+    return scale * float(np.sqrt(top))
 
 
 def _lu_rcond(A):
@@ -187,15 +192,6 @@ class StructuredPencil:
     @property
     def K_phi(self):
         return self.K[self.n_u :, self.n_u :]
-
-    def mass_action(self, X):
-        """Product diag(M_u, 0) @ X without forming the full mass matrix."""
-        X = np.asarray(X)
-        if X.shape[0] != self.n:
-            raise DimensionMismatch(
-                f"operand has {X.shape[0]} rows, pencil order is {self.n}"
-            )
-        return _mass_apply(self.M_u, X)
 
     def k_rcond(self):
         """Cached rcond_estimate of the full K."""
@@ -553,6 +549,19 @@ def certified_spectrum(p, pairs):
     )
 
 
+def _eigen_residual(M_u, K, X, Lam, norm_m, norm_k):
+    num = _spec_norm(_mass_apply(M_u, X @ Lam) + K @ X)
+    den = (norm_m * _spec_norm(Lam) + norm_k) * _spec_norm(X)
+    return num / den if den else 0.0
+
+
+def _retained_residual(MX2u, K, X2Lam, norm_m, norm_k, norm_lam, norm_x):
+    num = K @ X2Lam
+    num[: len(MX2u)] += MX2u  # M X2 = [M_u X2_u; 0]
+    den = (norm_m + norm_k * norm_lam) * norm_x
+    return _spec_norm(num) / den if den else 0.0
+
+
 def _zero_block_order(J):
     """Trailing zero-block size of a block-diagonal J = diag(J1, 0)."""
     m = J.shape[0]
@@ -568,15 +577,17 @@ def check_jordan_pair(p, c, tol):
     Checked, as applicable to the candidate's shape:
 
     - rank(X) = m (column count): _rank_rcond(X) above the tolerance;
-    - with no zero block in J, the finite relation M X J + K X = 0;
+    - with no zero block in J, the finite relation M X J + K X = 0, as
+      eigen_residual measures it;
     - with a zero block (infinite directions present), the inverted
-      relation M X + K X diag(J1^{-1}, 0) = 0, which reduces to the
-      kernel condition M X = 0 when J = 0;
+      relation M X + K X diag(J1^{-1}, 0) = 0, as retained_residual
+      measures it, which reduces to the kernel condition M X = 0 when
+      J = 0;
     - for a full-size candidate (m = n), the block-triangular shape of
-      X: its upper-right n_u x n_phi block must vanish.
+      X: its upper-right n_u x n_phi block must vanish, relative to ||X||.
 
-    All residuals are measured relative to a norm-based scale; the
-    report carries one entry per condition.
+    Every entry is a relative quantity compared with tol (its
+    threshold); the report carries one entry per condition.
     """
     X = np.asarray(c.X, dtype=float)
     J = np.asarray(c.J, dtype=float)
@@ -598,15 +609,8 @@ def check_jordan_pair(p, c, tol):
     norm_X = _spec_norm(X)
 
     q = _zero_block_order(J)
-    MX = p.mass_action(X)
     if q == m:
-        resid = _spec_norm(MX @ J + p.K @ X)
-        scale = (norm_M * _spec_norm(J) + norm_K) * norm_X
-        checks.append(
-            ConditionCheck(
-                "finite_relation", float(resid), tol * scale, resid <= tol * scale
-            )
-        )
+        relations = {"finite_relation": _eigen_residual(p.M_u, p.K, X, J, norm_M, norm_K)}
     else:
         J1 = J[:q, :q]
         if q and rcond_estimate(J1) < 1e-14:
@@ -615,22 +619,12 @@ def check_jordan_pair(p, c, tol):
                 "J must have the form diag(J1, 0) with J1 invertible"
             )
         Jp = sla.block_diag(np.linalg.inv(J1), np.zeros((m - q, m - q)))
-        resid = _spec_norm(MX + p.K @ X @ Jp)
-        scale = (norm_M + norm_K * _spec_norm(Jp)) * norm_X
-        if scale == 0.0:
-            scale = 1.0
         name = "infinite_relation" if q == 0 else "pencil_relation"
-        checks.append(
-            ConditionCheck(name, float(resid), tol * scale, resid <= tol * scale)
-        )
+        relations = {name: _retained_residual(p.M_u @ X[: p.n_u], p.K, X @ Jp, norm_M,
+                                              norm_K, _spec_norm(Jp), norm_X)}
 
     if m == n and p.n_phi:
-        resid = _spec_norm(X[: p.n_u, q:])
-        scale = norm_X if norm_X else 1.0
-        checks.append(
-            ConditionCheck(
-                "block_form", float(resid), tol * scale, resid <= tol * scale
-            )
-        )
+        relations["block_form"] = _spec_norm(X[: p.n_u, q:]) / norm_X if norm_X else 0.0
 
-    return CheckReport(checks)
+    return CheckReport(checks + [ConditionCheck(name, r, tol, r <= tol)
+                                 for name, r in relations.items()])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import spilloverfree as sf
 import spilloverfree.embedding
 from spilloverfree.errors import (
+    AsymmetricInput,
     DimensionMismatch,
     IllDefined,
     MalformedBlocks,
@@ -404,3 +405,54 @@ def test_reconstruct_theorem1_k22_guards():
         )
     with pytest.raises(IllDefined):
         sf.reconstruct_theorem1(X, J1, G11, Phi, K22prime=np.zeros((2, 2)))
+
+
+# ------------------------------------------------------------ asymmetry
+
+
+def _theorem1_with_k22(K22prime):
+    _, X, J1, G11, Phi = theorem_data(6, 2, seed=11)
+    sf.reconstruct_theorem1(X, J1, G11, Phi, K22prime=K22prime)
+
+
+# Each guard on a relative asymmetry, with its tolerance and the signal it
+# gives beyond it: an exception type, or None for the logged warning.
+ASYMMETRY_GUARDS = {
+    "validate_pencil": (
+        sf.pencil.SYMMETRY_TOL,
+        lambda A: sf.validate_pencil(A, np.eye(4), 2, 2),
+        AsymmetricInput,
+    ),
+    "ParameterSet": (
+        spilloverfree.embedding._PATTERN_TOL,
+        lambda A: sf.ParameterSet(Theta=np.eye(2), GammaTilde1=A, s_tilde=0),
+        MalformedBlocks,
+    ),
+    "_check_commutes": (
+        spilloverfree.embedding._COMMUTATION_TOL,
+        lambda A: spilloverfree.embedding._check_commutes("Gamma_1", A, np.eye(2)),
+        MalformedBlocks,
+    ),
+    "K22prime": (spilloverfree.embedding.ASYMMETRY_WARN, _theorem1_with_k22, IllDefined),
+    "_symmetrized": (
+        spilloverfree.embedding.ASYMMETRY_WARN,
+        lambda A: spilloverfree.embedding._symmetrized(A, "the test matrix"),
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+@pytest.mark.parametrize("guard", sorted(ASYMMETRY_GUARDS))
+def test_asymmetry_guards_trip_at_their_tolerance(guard, factor, caplog):
+    tol, call, error = ASYMMETRY_GUARDS[guard]
+    A = np.eye(2)
+    A[0, 1] = factor * tol  # relative asymmetry factor * tol, as max|A| = 1
+    with caplog.at_level("WARNING", logger="spilloverfree.embedding"):
+        if factor > 1.0 and error is not None:
+            with pytest.raises(error):
+                call(A)
+        else:
+            call(A)
+    warned = "the test matrix came out asymmetric" in caplog.text
+    assert warned == (factor > 1.0 and error is None)

@@ -45,7 +45,7 @@ def test_pencil_arrays_read_only(small_pencil):
 def test_mass_action_zero_electric_rows(small_pencil):
     p = small_pencil
     X = np.arange(p.n * 3, dtype=float).reshape(p.n, 3)
-    MX = p.mass_action(X)
+    MX = pencil._mass_apply(p.M_u, X)
     np.testing.assert_allclose(MX[: p.n_u], p.M_u @ X[: p.n_u])
     assert np.all(MX[p.n_u :] == 0.0)
 
@@ -160,7 +160,7 @@ def test_solve_spectrum_infinite_basis():
     assert s.infinite_basis.shape == (9, 3)
     assert np.all(s.infinite_basis[:6] == 0.0)
     np.testing.assert_array_equal(s.infinite_basis[6:], np.eye(3))
-    assert np.all(p.mass_action(s.infinite_basis) == 0.0)
+    assert np.all(pencil._mass_apply(p.M_u, s.infinite_basis) == 0.0)
 
 
 def test_solve_spectrum_rejects_multiple_eigenvalue():
@@ -242,6 +242,20 @@ def test_check_jordan_pair_shape_errors(small_pencil):
         sf.check_jordan_pair(
             small_pencil, sf.JordanPairCandidate(X=np.eye(n), J=np.eye(n - 1)), 1e-8
         )
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_check_jordan_pair_relations_are_the_public_residuals(seed):
+    p = make_pencil(10, 4, seed=seed)
+    s = sf.solve_spectrum(p)
+    c = sf.assemble_jordan_pair(s)
+    Jp = sla.block_diag(np.linalg.inv(c.J[: p.n_u, : p.n_u]), np.zeros((p.n_phi, p.n_phi)))
+    assembled = sf.check_jordan_pair(p, c, 1e-8)
+    assert assembled["pencil_relation"].residual == sf.retained_residual(p.M_u, p.K, c.X, Jp)
+    d = sf.to_real_representation(list(s.finite_pairs))
+    finite = sf.check_jordan_pair(p, sf.JordanPairCandidate(X=d.X, J=d.Lambda), 1e-8)
+    assert finite["finite_relation"].residual == sf.eigen_residual(p.M_u, p.K, d.X, d.Lambda)
+    assert all(chk.threshold == 1e-8 for chk in assembled.checks + finite.checks)
 
 
 def test_check_report_lookup(small_pencil):
