@@ -48,11 +48,10 @@ from .pencil import certified_spectrum, solve_spectrum, validate_pencil
 from .probgen import ProblemSpec, generate_pencil, perturb_targets
 from .spectral import (
     DEFAULT_MATCH_TOL,
-    from_real_representation,
+    _expanded_values,
     real_lambda_from_eigenvalues,
     retained_eigendata,
     select_eigendata,
-    to_real_representation,
 )
 
 log = logging.getLogger(__name__)
@@ -125,8 +124,7 @@ def _load_spectrum(pencil, directory):
     if not os.path.exists(path):
         return solve_spectrum(pencil), "solved"
     try:
-        stored = from_real_representation(mmio.read_spectral(path))
-        return certified_spectrum(pencil, stored), "stored"
+        return certified_spectrum(pencil, mmio.read_spectral(path)), "stored"
     except (ParseError, DegenerateSpectrum):
         raise
     except SpilloverError as exc:
@@ -138,10 +136,9 @@ def _load_spectrum(pencil, directory):
 
 def _write_spectrum(spectrum, directory):
     """Write spectrum.spectral; return the spectrum's report entries."""
-    full = to_real_representation(list(spectrum.finite_pairs))
-    mmio.write_spectral(full, os.path.join(directory, "spectrum.spectral"))
+    mmio.write_spectral(spectrum.finite, os.path.join(directory, "spectrum.spectral"))
     entries = {
-        "finite_count": len(spectrum.finite_pairs),
+        "finite_count": spectrum.finite.p,
         "pair_count": spectrum.pair_count(),
         "real_count": spectrum.real_count(),
         "min_gap": float(spectrum.condition_summary.min()),
@@ -165,21 +162,19 @@ def _select_values(spectrum, p_sel, s_sel, rng):
     """Pick s_sel conjugate pairs and p_sel - 2*s_sel real eigenvalues
     from a solved spectrum, by seeded draw without replacement."""
     lams = spectrum.eigenvalues
-    pair_idx = [i for i, l in enumerate(lams) if l.imag > 0]
-    real_idx = [i for i, l in enumerate(lams) if l.imag == 0.0]
+    n_pairs, n_reals = spectrum.pair_count(), spectrum.real_count()
     n_real = p_sel - 2 * s_sel
-    if s_sel > len(pair_idx) or n_real > len(real_idx):
+    if s_sel > n_pairs or n_real > n_reals:
         raise StructureInfeasible(
-            f"spectrum offers {len(pair_idx)} conjugate pairs and "
-            f"{len(real_idx)} real eigenvalues; cannot select s={s_sel} "
+            f"spectrum offers {n_pairs} conjugate pairs and "
+            f"{n_reals} real eigenvalues; cannot select s={s_sel} "
             f"pairs plus {n_real} reals"
         )
     chosen = []
-    for i in sorted(rng.choice(len(pair_idx), size=s_sel, replace=False)):
-        l = lams[pair_idx[i]]
-        chosen.extend([l, l.conjugate()])
-    for i in sorted(rng.choice(len(real_idx), size=n_real, replace=False)):
-        chosen.append(lams[real_idx[i]])
+    for j in sorted(rng.choice(n_pairs, size=s_sel, replace=False)):
+        chosen.extend(lams[2 * j : 2 * j + 2])
+    for i in sorted(rng.choice(n_reals, size=n_real, replace=False)):
+        chosen.append(lams[2 * n_pairs + i])
     return chosen
 
 
@@ -210,7 +205,8 @@ def _run_pipeline(args, pencil, spectrum, *, optimize, demo=False):
     residuals under choice_a_ (or seed_ when the structure changes).
     """
     if args.select is not None:
-        wanted = [lam for lam, _ in from_real_representation(mmio.read_spectral(args.select))]
+        selection = mmio.read_spectral(args.select)
+        wanted = _expanded_values(selection.Lambda, selection.s)
     else:
         if args.p is None:
             raise DimensionMismatch("provide --p (with optional --s) or --select FILE")
@@ -233,7 +229,7 @@ def _run_pipeline(args, pencil, spectrum, *, optimize, demo=False):
             )
     else:
         values = perturb_targets(
-            [lam for lam, _ in from_real_representation(old)],
+            _expanded_values(old.Lambda, old.s),
             args.stilde,
             args.max_perturb,
             (args.seed, 2),
@@ -328,7 +324,7 @@ def _cmd_solve(args):
     entries.update(_hash_entries(args.in_dir, _PENCIL_FILES))
     mmio.write_report(entries, os.path.join(out_dir, "solve.report"))
     print(
-        f"solve: {len(spectrum.finite_pairs)} finite eigenvalues "
+        f"solve: {spectrum.finite.p} finite eigenvalues "
         f"({spectrum.pair_count()} pairs, {spectrum.real_count()} real), "
         f"{pencil.n_phi} at infinity -> {out_dir}"
     )
@@ -428,7 +424,7 @@ def _cmd_verify(args):
     )
 
     spectrum, source = _load_spectrum(pencil, pencil_dir)
-    wanted = [lam for lam, _ in from_real_representation(old)]
+    wanted = _expanded_values(old.Lambda, old.s)
     _, retained_idx = select_eigendata(spectrum, wanted, match_tol=args.tol_match)
     retained = retained_eigendata(spectrum, retained_idx) if retained_idx else None
 

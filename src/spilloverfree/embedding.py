@@ -45,12 +45,11 @@ from .pencil import (
     ConditionCheck,
     DEFAULT_RCOND,
     _asymmetry,
-    _rank_rcond,
     _spec_norm,
     rcond_estimate,
     validate_pencil,
 )
-from .spectral import RealSpectralData, infer_pair_count
+from .spectral import RealSpectralData, _rank_rcond, infer_pair_count
 
 log = logging.getLogger(__name__)
 
@@ -84,28 +83,18 @@ def structured_gamma(values, s_tilde, p):
         raise DimensionMismatch(
             f"expected {p} free parameters, got shape {values.shape}"
         )
-    G = np.zeros((p, p))
-    for j in range(s_tilde):
-        a, b = values[2 * j], values[2 * j + 1]
-        G[2 * j, 2 * j] = a
-        G[2 * j + 1, 2 * j + 1] = -a
-        G[2 * j, 2 * j + 1] = b
-        G[2 * j + 1, 2 * j] = b
-    for i in range(2 * s_tilde, p):
-        G[i, i] = values[i]
+    G = np.diag(values)
+    i = np.arange(0, 2 * s_tilde, 2)
+    G[i + 1, i + 1] = -values[i]
+    G[i, i + 1] = G[i + 1, i] = values[i + 1]
     return G
 
 
 def gamma_free_params(G, s_tilde):
     """Inverse of structured_gamma: extract the p free parameters."""
     G = np.asarray(G, dtype=float)
-    p = G.shape[0]
-    out = np.empty(p)
-    for j in range(s_tilde):
-        out[2 * j] = G[2 * j, 2 * j]
-        out[2 * j + 1] = G[2 * j, 2 * j + 1]
-    for i in range(2 * s_tilde, p):
-        out[i] = G[i, i]
+    out = np.diagonal(G).copy()
+    out[1 : 2 * s_tilde : 2] = np.diagonal(G, 1)[0 : 2 * s_tilde : 2]
     return out
 
 
@@ -188,7 +177,7 @@ def compute_gamma1(p, X1, s):
 
     X_1u is the top n_u block of X1, and s the selection's count of
     conjugate-pair blocks. X_1u is RankDeficient when it is wide or
-    pencil._rank_rcond(X_1u) is below DEFAULT_RCOND. The characteristic
+    spectral._rank_rcond(X_1u) is below DEFAULT_RCOND. The characteristic
     block pattern (trace-free 2x2 blocks, then scalars) is measured and
     a warning is logged if the matrix strays from it, which indicates
     the columns are not eigendata of the pencil.
@@ -512,6 +501,12 @@ def verify_theorem1(X, J1, Gamma11, Phi, tol):
     singular T^-1 raises SingularT since the remaining conditions are
     then meaningless.
     """
+    return _theorem1(X, J1, Gamma11, Phi, tol)[0]
+
+
+def _theorem1(X, J1, Gamma11, Phi, tol):
+    """(verify_theorem1's report, the normalization matrix T it solved
+    for), so that reconstruct_theorem1 forms and solves T^-1 once."""
     X = np.asarray(X, dtype=float)
     J1 = np.asarray(J1, dtype=float)
     Gamma11 = np.asarray(Gamma11, dtype=float)
@@ -559,9 +554,9 @@ def verify_theorem1(X, J1, Gamma11, Phi, tol):
             f"(rcond {rt:.3e}); the data cannot be realized"
         )
     checks.append(ConditionCheck("nonsingular_t", rt, ILL_DEFINED_RCOND, True))
+    T = sla.solve(Tinv, np.eye(n), assume_a="sym")
 
     if n_phi:
-        T = sla.solve(Tinv, np.eye(n), assume_a="sym")
         B = X_u @ T @ X_phi.T
         scale = max(_spec_norm(X_u) * _spec_norm(T) * _spec_norm(X_phi), 1e-300)
         resid = _spec_norm(B)
@@ -584,7 +579,7 @@ def verify_theorem1(X, J1, Gamma11, Phi, tol):
             )
         )
 
-    return CheckReport(checks)
+    return CheckReport(checks), T
 
 
 def reconstruct_theorem1(X, J1, Gamma11, Phi, K22prime=None, *, tol=RECONSTRUCT_TOL):
@@ -601,9 +596,8 @@ def reconstruct_theorem1(X, J1, Gamma11, Phi, K22prime=None, *, tol=RECONSTRUCT_
     X = np.asarray(X, dtype=float)
     J1 = np.asarray(J1, dtype=float)
     Gamma11 = np.asarray(Gamma11, dtype=float)
-    Phi = np.asarray(Phi, dtype=float)
 
-    report = verify_theorem1(X, J1, Gamma11, Phi, tol)
+    report, T = _theorem1(X, J1, Gamma11, Phi, tol)
     if not report.passed:
         raise IllDefined(
             "spectral data fails realizability conditions: "
@@ -626,11 +620,6 @@ def reconstruct_theorem1(X, J1, Gamma11, Phi, K22prime=None, *, tol=RECONSTRUCT_
         raise IllDefined("K22prime must be nonsingular")
 
     X_u = X[:n_u]
-    X_phi = X[n_u:]
-    Tinv = X_phi.T @ Phi @ X_phi
-    Tinv[:n_u, :n_u] += Gamma11
-    T = sla.solve(Tinv, np.eye(n), assume_a="sym")
-
     Mu = _inverse_of(_symmetrized(X_u @ T @ X_u.T, "X_u T X_u^T"), "X_u T X_u^T")
 
     iJ1 = _inverse_of(J1, "J1")

@@ -137,16 +137,17 @@ def read_matrix(path):
     except StopIteration:
         _fail(path, len(lines), 1, "missing size line")
     toks = size_line.split()
+    count = 2 if fmt == "array" else 3
+    if len(toks) != count:
+        _fail(path, line_no, 1, f"{fmt} size line needs {count} integers, got {len(toks)}")
+    m = _parse_int(toks[0], path, line_no, size_line, "row count")
+    n = _parse_int(toks[1], path, line_no, size_line, "column count")
+    if m < 0 or n < 0:
+        _fail(path, line_no, 1, "matrix dimensions must be nonnegative")
+    if symmetry == "symmetric" and m != n:
+        _fail(path, line_no, 1, f"symmetric matrix must be square, got {m}x{n}")
 
     if fmt == "array":
-        if len(toks) != 2:
-            _fail(path, line_no, 1, f"array size line needs 2 integers, got {len(toks)}")
-        m = _parse_int(toks[0], path, line_no, size_line, "row count")
-        n = _parse_int(toks[1], path, line_no, size_line, "column count")
-        if m < 0 or n < 0:
-            _fail(path, line_no, 1, "matrix dimensions must be nonnegative")
-        if symmetry == "symmetric" and m != n:
-            _fail(path, line_no, 1, f"symmetric matrix must be square, got {m}x{n}")
         if symmetry == "general":
             values = _body_values(path, lines, line_no, data, m * n, "values")
             return np.ascontiguousarray(values.reshape(n, m).T)
@@ -158,13 +159,7 @@ def read_matrix(path):
         A.T[upper] = values
         return A
 
-    if len(toks) != 3:
-        _fail(path, line_no, 1, f"coordinate size line needs 3 integers, got {len(toks)}")
-    m = _parse_int(toks[0], path, line_no, size_line, "row count")
-    n = _parse_int(toks[1], path, line_no, size_line, "column count")
     nnz = _parse_int(toks[2], path, line_no, size_line, "entry count")
-    if symmetry == "symmetric" and m != n:
-        _fail(path, line_no, 1, f"symmetric matrix must be square, got {m}x{n}")
     A = np.zeros((m, n))
     seen = 0
     for line_no, line in data:
@@ -234,19 +229,13 @@ def read_spectral(path):
         raise MalformedBlocks(f"{s} conjugate-pair blocks do not fit into p={p}")
 
     values = []
-    for j in range(s):
-        line_no, line = next_line("a 'pair alpha beta' line")
+    for k in range(p - s):
+        form = "pair alpha beta" if k < s else "real lambda"
+        line_no, line = next_line(f"a '{form}' line")
         toks = line.split()
-        if len(toks) != 3 or toks[0] != "pair":
-            _fail(path, line_no, 1, f"expected 'pair alpha beta', got {line!r}")
-        values.append(complex(_parse_float(toks[1], path, line_no, line),
-                              _parse_float(toks[2], path, line_no, line)))
-    for k in range(p - 2 * s):
-        line_no, line = next_line("a 'real lambda' line")
-        toks = line.split()
-        if len(toks) != 2 or toks[0] != "real":
-            _fail(path, line_no, 1, f"expected 'real lambda', got {line!r}")
-        values.append(_parse_float(toks[1], path, line_no, line))
+        if len(toks) != len(form.split()) or toks[0] != form[:4]:
+            _fail(path, line_no, 1, f"expected '{form}', got {line!r}")
+        values.append(complex(*(_parse_float(t, path, line_no, line) for t in toks[1:])))
 
     line_no, line = next_line("the 'n p' eigenvector size line")
     toks = line.split()
@@ -254,6 +243,8 @@ def read_spectral(path):
         _fail(path, line_no, 1, f"expected 'n p' size line, got {line!r}")
     n = _parse_int(toks[0], path, line_no, line, "row count")
     p2 = _parse_int(toks[1], path, line_no, line, "column count")
+    if n < 0:
+        _fail(path, line_no, 1, f"eigenvector row count must be nonnegative, got {n}")
     if p2 != p:
         _fail(path, line_no, 1, f"eigenvector block has {p2} columns, header said {p}")
     X = _body_values(path, lines, line_no, data, n * p, "eigenvector values")

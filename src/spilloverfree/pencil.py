@@ -23,6 +23,8 @@ from .errors import (
     SingularBlock,
     UncertifiedSpectrum,
 )
+from .spectral import (RealSpectralData, _expand, _expanded_values, _layout, _rank_rcond,
+                       from_real_representation)
 
 # rcond_estimate below which a block or parameter matrix counts as singular
 DEFAULT_RCOND = 1e-12
@@ -106,16 +108,6 @@ def _lu_rcond(A):
     lu, piv, info = sla.lapack.dgetrf(A)
     r = 0.0 if info > 0 else sla.lapack.dgecon(lu, np.abs(A).sum(axis=0).max(), norm="1")[0]
     return (lu, piv), float(r) if np.isfinite(r) else 0.0
-
-
-def _rank_rcond(X):
-    """sigma_min / sigma_max of an X with at least as many rows as columns,
-    estimated within a factor of about n by LAPACK ?trcon on its thin-QR
-    R factor; 0.0 for a wide, exactly rank-deficient or non-finite X."""
-    if X.shape[0] < X.shape[1]:
-        return 0.0
-    r = sla.lapack.dtrcon(np.linalg.qr(X, mode="r"))[0]
-    return float(r) if np.isfinite(r) else 0.0
 
 
 def rcond_estimate(A):
@@ -290,10 +282,11 @@ class JordanPairCandidate:
 class SpectrumResult:
     """Complete eigendata of a structured pencil.
 
-    finite_pairs holds (eigenvalue, eigenvector) with conjugate pairs
-    adjacent, the positive-imaginary-part member first and its partner
-    stored as the exact conjugate. Pairs come first (sorted by real then
-    imaginary part), real eigenvalues after (ascending).
+    finite holds the n_u finite eigenpairs once, as the RealSpectralData
+    that spectrum.spectral stores: the pair blocks sorted by real then
+    imaginary part, then the real eigenvalues ascending. eigenvalues
+    and finite_pairs expand it into complex eigenpairs, conjugates
+    adjacent (positive imaginary part first); pair i is column i.
     condition_summary[i] is the gap from finite eigenvalue i to its
     nearest distinct neighbor. enclosure_ratio is the largest
     enclosure radius / (gap / 2) that certified_spectrum measured, or
@@ -301,7 +294,7 @@ class SpectrumResult:
     backward error of the eigenpairs, as certified_spectrum defines it.
     """
 
-    finite_pairs: tuple
+    finite: RealSpectralData
     infinite_basis: np.ndarray
     condition_summary: np.ndarray
     n_u: int
@@ -311,13 +304,17 @@ class SpectrumResult:
 
     @property
     def eigenvalues(self):
-        return np.array([lam for lam, _ in self.finite_pairs])
+        return _expanded_values(self.finite.Lambda, self.finite.s)
+
+    @property
+    def finite_pairs(self):
+        return tuple(from_real_representation(self.finite))
 
     def real_count(self):
-        return sum(1 for lam, _ in self.finite_pairs if lam.imag == 0.0)
+        return self.finite.p - 2 * self.finite.s
 
     def pair_count(self):
-        return (len(self.finite_pairs) - self.real_count()) // 2
+        return self.finite.s
 
 
 def _pivots(X):
@@ -450,37 +447,34 @@ def solve_spectrum(p):
             f"eigenvector of the nearly real eigenvalue {kept[np.argmax(unrotated)]:.6e} "
             f"could not be rotated real"
         )
-    # pairs first by (real, imaginary) part, each with its conjugate
-    # partner, then the real eigenvalues ascending
-    finite = []
-    for i in np.lexsort((kept.imag, kept.real, real)):
-        if real[i]:
-            finite.append((complex(kept[i].real), X[:, i].real.astype(complex)))
-        else:
-            finite += [(kept[i], X[:, i].copy()), (np.conj(kept[i]), np.conj(X[:, i]))]
+    # pairs first by (real, imaginary) part, then the real eigenvalues
+    # ascending
+    order = np.lexsort((kept.imag, kept.real, real))
+    finite = _layout(kept[order], X[:, order], int(np.count_nonzero(~real)))
 
     spectrum = SpectrumResult(
-        finite_pairs=tuple(finite),
+        finite=finite,
         infinite_basis=_infinite_basis(p),
-        condition_summary=_nearest_gaps(np.array([l for l, _ in finite])),
+        condition_summary=_nearest_gaps(_expanded_values(finite.Lambda, finite.s)),
         n_u=p.n_u,
         n_phi=p.n_phi,
         backward_error=float(eta),
     )
-    for a in [x for _, x in finite] + [spectrum.infinite_basis, spectrum.condition_summary]:
+    for a in (finite.Lambda, finite.X, spectrum.infinite_basis, spectrum.condition_summary):
         a.setflags(write=False)
     p._spectrum = spectrum
     return spectrum
 
 
-def certified_spectrum(p, pairs):
-    """SpectrumResult from stored finite eigenpairs, certified against
+def certified_spectrum(p, finite):
+    """SpectrumResult holding stored finite eigenpairs, certified against
     the pencil instead of re-solved.
 
-    `pairs` is laid out like SpectrumResult.finite_pairs (as
-    from_real_representation returns a stored spectrum). The checks:
+    `finite` is RealSpectralData laid out like SpectrumResult.finite (as
+    read_spectral returns spectrum.spectral), and the result holds it.
+    The checks, on its eigenpairs as from_real_representation expands them:
 
-    - exactly n_u pairs, with eigenvectors of length n;
+    - exactly n_u eigenpairs, with eigenvectors of length n;
     - every eigenvector normalized as solve_spectrum writes it (unit
       norm, first significant component real and positive), to within
       CERTIFY_NORMALIZATION; the residual tests below do not see a
@@ -500,12 +494,11 @@ def certified_spectrum(p, pairs):
     UncertifiedSpectrum naming the offending or worst pair when a check
     fails, and DegenerateSpectrum as solve_spectrum would.
     """
-    if len(pairs) != p.n_u:
+    if finite.p != p.n_u:
         raise UncertifiedSpectrum(
-            f"{len(pairs)} stored finite eigenpairs, the pencil has n_u = {p.n_u}"
+            f"{finite.p} stored finite eigenpairs, the pencil has n_u = {p.n_u}"
         )
-    lam = np.array([complex(l) for l, _ in pairs])
-    X = np.column_stack([x for _, x in pairs])
+    lam, X = _expand(finite)
     if X.shape[0] != p.n:
         raise UncertifiedSpectrum(
             f"stored eigenvectors have {X.shape[0]} rows, the pencil order is {p.n}"
@@ -539,7 +532,7 @@ def certified_spectrum(p, pairs):
         )
     _check_degeneracy(lam, gaps)
     return SpectrumResult(
-        finite_pairs=tuple(pairs),
+        finite=finite,
         infinite_basis=_infinite_basis(p),
         condition_summary=gaps,
         n_u=p.n_u,
@@ -628,3 +621,11 @@ def check_jordan_pair(p, c, tol):
 
     return CheckReport(checks + [ConditionCheck(name, r, tol, r <= tol)
                                  for name, r in relations.items()])
+
+
+def assemble_jordan_pair(spectrum):
+    """Full-size candidate (X, J) from a spectrum: the finite block
+    layout followed by the infinite basis, with J = diag(Lambda, 0)."""
+    d = spectrum.finite
+    J = sla.block_diag(d.Lambda, np.zeros((spectrum.n_phi,) * 2))
+    return JordanPairCandidate(X=np.hstack([d.X, spectrum.infinite_basis]), J=J)

@@ -19,7 +19,7 @@ from .errors import (
     StructureInfeasible,
 )
 from .pencil import solve_spectrum, validate_pencil
-from .spectral import _split_conjugates
+from .spectral import _expanded_values, _split_conjugates, real_lambda_from_eigenvalues
 
 # Targets (and their imaginary parts, for conjugate pairs) must keep at
 # least this modulus: zero and near-axis targets break the simple
@@ -92,16 +92,6 @@ def generate_pencil(spec):
     )
 
 
-def _ordered(pairs, reals):
-    pairs = sorted(pairs, key=lambda z: (z.real, z.imag))
-    reals = sorted(reals)
-    out = []
-    for z in pairs:
-        out.extend([z, z.conjugate()])
-    out.extend(complex(r) for r in reals)
-    return out
-
-
 def _admissible(z, chosen, avoid, *, needs_imag):
     if abs(z) < MIN_TARGET_MODULUS:
         return False
@@ -147,9 +137,9 @@ def perturb_targets(old_eigs, s_tilde, max_perturbation, seed, avoid=()):
     rng = np.random.default_rng(seed)
     taken = []  # the pairs (upper members), then the reals
 
-    if s_tilde == len(pairs):
-        if max_perturbation == 0.0:
-            return _ordered(pairs, reals)
+    if s_tilde == len(pairs) and max_perturbation == 0.0:
+        taken = pairs + reals
+    elif s_tilde == len(pairs):
 
         def perturbed(z):  # radius before angle: seeded targets rely on the order
             r = rng.uniform(0.0, max_perturbation)
@@ -174,4 +164,7 @@ def perturb_targets(old_eigs, s_tilde, max_perturbation, seed, avoid=()):
         for _ in range(m - 2 * s_tilde):
             _draw(lambda: complex(rng.uniform(0.05, 1.0)), taken, avoid, False,
                   "could not draw enough fresh real targets within budget")
-    return _ordered(taken[:s_tilde], [z.real for z in taken[s_tilde:]])
+    # in the canonical order of spectral, as a block layout sorts and expands them
+    values = [w for z in taken[:s_tilde] for w in (z, z.conjugate())]
+    d = real_lambda_from_eigenvalues(values + [complex(x.real) for x in taken[s_tilde:]])
+    return [complex(v) for v in _expanded_values(d.Lambda, d.s)]

@@ -12,17 +12,19 @@ part then ascending imaginary part, followed by real eigenvalues in
 ascending order.
 
 Each piece of this layout has one implementation here. _split_conjugates
-is the only conjugate-pairing routine (to_real_representation,
-real_lambda_from_eigenvalues and probgen.perturb_targets use it).
-block_matrix encodes the layout from its values and block_eigenvalues
-decodes it; the block-structure check is decode, re-encode, compare.
-from_real_representation expands blocks back into a conjugate-closed
-list.
+pairs values that arrive as a complex list (to_real_representation,
+real_lambda_from_eigenvalues, probgen.perturb_targets); a spectrum is
+held in this layout (SpectrumResult.finite), and selections take its
+columns and blocks. _layout and block_matrix encode the layout,
+_expand and _expanded_values expand it (complex index i is column i,
+conjugates adjacent), and the block-structure check is decode,
+re-encode, compare.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 from .errors import (
     DimensionMismatch,
@@ -33,7 +35,6 @@ from .errors import (
     Overlap,
     ZeroEigenvalue,
 )
-from .pencil import JordanPairCandidate, _rank_rcond
 
 DEFAULT_MATCH_TOL = 1e-6
 _CLOSURE_TOL = 1e-10
@@ -41,6 +42,17 @@ _DUPLICATE_TOL = 1e-10
 # Entries of Lambda outside the block pattern must vanish up to this
 # relative slack (exact zeros in everything this package constructs).
 _PATTERN_TOL = 1e-14
+_EMPTY = "an empty eigenvalue set has no real block representation"
+
+
+def _rank_rcond(X):
+    """sigma_min / sigma_max of an X with at least as many rows as columns,
+    estimated within a factor of about n by LAPACK ?trcon on its thin-QR
+    R factor; 0.0 for a wide, exactly rank-deficient or non-finite X."""
+    if X.shape[0] < X.shape[1]:
+        return 0.0
+    r = sla.lapack.dtrcon(np.linalg.qr(X, mode="r"))[0]
+    return float(r) if np.isfinite(r) else 0.0
 
 
 @dataclass(frozen=True)
@@ -50,7 +62,7 @@ class RealSpectralData:
 
     X may have zero rows when the data carries eigenvalues only (target
     spectra read from file). An X with at least p rows must have full
-    column rank: pencil._rank_rcond(X) >= 1e-12, or MalformedBlocks.
+    column rank: _rank_rcond(X) >= 1e-12, or MalformedBlocks.
     """
 
     Lambda: np.ndarray
@@ -99,30 +111,43 @@ def _validate_block_structure(Lam, s):
         )
 
 
+def _expanded_values(Lam, s):
+    """The complex eigenvalues of a block matrix, one per column: each
+    pair block's value (positive imaginary part) followed by its
+    conjugate, then the scalars."""
+    diag = np.diagonal(Lam)
+    values = diag.astype(complex)
+    values.real[1 : 2 * s : 2] = diag[0 : 2 * s : 2]
+    values.imag[0 : 2 * s : 2] = np.diagonal(Lam, 1)[0 : 2 * s : 2]
+    values.imag[1 : 2 * s : 2] = -values.imag[0 : 2 * s : 2]
+    return values
+
+
 def block_eigenvalues(Lam, s):
     """Complex eigenvalues represented by a validated block matrix, one
     per block: s pair values (positive imaginary part), then scalars."""
-    vals = []
-    for j in range(s):
-        i = 2 * j
-        vals.append(complex(Lam[i, i], Lam[i, i + 1]))
-    for i in range(2 * s, Lam.shape[0]):
-        vals.append(complex(Lam[i, i]))
-    return vals
+    return np.delete(_expanded_values(Lam, s), np.arange(1, 2 * s, 2)).tolist()
 
 
 def block_matrix(values, s):
     """Inverse of block_eigenvalues: the real block matrix of s pair
     values (positive imaginary part) followed by real scalars."""
-    Lam = np.zeros((len(values) + s,) * 2)
-    for j, z in enumerate(values[:s]):
-        i = 2 * j
-        Lam[i, i] = Lam[i + 1, i + 1] = z.real
-        Lam[i, i + 1] = z.imag
-        Lam[i + 1, i] = -z.imag
-    for i, z in enumerate(values[s:], start=2 * s):
-        Lam[i, i] = z.real
+    values = np.asarray(values, dtype=complex)
+    Lam = np.diag(np.r_[np.repeat(values[:s].real, 2), values[s:].real])
+    i = np.arange(0, 2 * s, 2)
+    Lam[i, i + 1] = values[:s].imag
+    Lam[i + 1, i] = -values[:s].imag
     return Lam
+
+
+def _layout(values, V, s):
+    """RealSpectralData of the eigenpairs (values[i], V[:, i]) given in
+    layout order: s pair values (positive imaginary part), then reals."""
+    X = np.empty((V.shape[0], len(values) + s))
+    X[:, 0 : 2 * s : 2] = V[:, :s].real
+    X[:, 1 : 2 * s : 2] = V[:, :s].imag
+    X[:, 2 * s :] = V[:, s:].real
+    return RealSpectralData(Lambda=block_matrix(values, s), X=X, s=s)
 
 
 def infer_pair_count(Lam):
@@ -139,6 +164,13 @@ def infer_pair_count(Lam):
     return s
 
 
+def _no_partner(lam):
+    return NotConjugateClosed(
+        f"eigenvalue {lam:.8e} has no conjugate partner in the set; "
+        f"conjugate pairs go together"
+    )
+
+
 def _split_conjugates(values, *, distinct=False):
     """Split a conjugate-closed list of nonzero values into the indices
     of the pair representatives (the member with positive imaginary
@@ -152,7 +184,7 @@ def _split_conjugates(values, *, distinct=False):
     """
     lams = np.array([complex(v) for v in values])
     if not lams.size:
-        raise DimensionMismatch("an empty eigenvalue set has no real block representation")
+        raise DimensionMismatch(_EMPTY)
     mods = np.abs(lams)
     scale = mods.max()
     if scale == 0.0 or mods.min() < 1e-14 * scale:
@@ -176,10 +208,7 @@ def _split_conjugates(values, *, distinct=False):
             continue
         free = np.flatnonzero(~used & (np.abs(lams - np.conj(lam)) <= _CLOSURE_TOL * scale))
         if not free.size:
-            raise NotConjugateClosed(
-                f"eigenvalue {lam:.8e} has no conjugate partner in the set; "
-                f"conjugate pairs go together"
-            )
+            raise _no_partner(lam)
         used[free[0]] = True
         pair_idx.append(i if lam.imag > 0 else int(free[0]))
     return pair_idx, real_idx
@@ -203,46 +232,60 @@ def to_real_representation(pairs):
     pairs : list of (complex eigenvalue, complex eigenvector)
         Conjugate members adjacent; eigenvalues simple and nonzero.
     """
-    lams = [complex(l) for l, _ in pairs]
-    vecs = [np.asarray(v) for _, v in pairs]
+    lams = np.array([complex(l) for l, _ in pairs])
     order, s = _canonical_order(lams, distinct=True)
-    cols = []
-    for i in order[:s]:
-        cols += [vecs[i].real, vecs[i].imag]
     for i in order[s:]:
-        v = vecs[i]
+        v = np.asarray(pairs[i][1])
         if np.linalg.norm(np.imag(v)) > 1e-8 * max(np.linalg.norm(v), 1e-300):
             raise MalformedBlocks(
                 f"eigenvector of real eigenvalue {lams[i].real:.8e} has a significant imaginary part"
             )
-        cols.append(v.real)
-    Lam = block_matrix([lams[i] for i in order], s)
-    return RealSpectralData(Lambda=Lam, X=np.column_stack(cols), s=s)
+    return _layout(lams[order], np.column_stack([pairs[i][1] for i in order]), s)
+
+
+def _expand(d):
+    """(values, V): the complex eigenpairs of a block layout, V[:, i]
+    the eigenvector of values[i]. A pair's columns [Re x, Im x] become
+    x and conj(x), bit for bit; a scalar's column becomes complex."""
+    re, im = d.X[:, 0 : 2 * d.s : 2], d.X[:, 1 : 2 * d.s : 2]
+    V = d.X.astype(complex)
+    V.real[:, 1 : 2 * d.s : 2] = re
+    V.imag[:, 0 : 2 * d.s : 2] = im
+    V.imag[:, 1 : 2 * d.s : 2] = -im
+    return _expanded_values(d.Lambda, d.s), V
 
 
 def from_real_representation(d):
     """Decode RealSpectralData back into complex eigenpairs, conjugate
     members adjacent (positive imaginary part first)."""
-    vals = block_eigenvalues(d.Lambda, d.s)
-    out = []
-    for j in range(d.s):
-        l = vals[j]
-        v = d.X[:, 2 * j] + 1j * d.X[:, 2 * j + 1]
-        out.append((l, v))
-        out.append((np.conj(l), np.conj(v)))
-    for k in range(d.p - 2 * d.s):
-        l = vals[d.s + k]
-        out.append((l, d.X[:, 2 * d.s + k].astype(complex)))
-    return out
+    values, V = _expand(d)
+    return [(values[i], V[:, i]) for i in range(d.p)]
 
 
 def real_lambda_from_eigenvalues(values):
     """Build just the eigenvalue matrix (no vectors) for a conjugate-
     closed list of targets. Returns RealSpectralData with an empty X."""
-    values = [complex(v) for v in values]
+    values = np.array([complex(v) for v in values])
     order, s = _canonical_order(values)
-    Lam = block_matrix([values[i] for i in order], s)
-    return RealSpectralData(Lambda=Lam, X=np.zeros((0, len(order) + s)), s=s)
+    return _layout(values[order], np.zeros((0, len(order))), s)
+
+
+def _columns(d, indices):
+    """The eigenpairs of a block layout at the complex indices `indices`
+    (complex index i is column i), as a layout of their columns and
+    blocks in the order of d. Raises NotConjugateClosed when the indices
+    hold one member of a pair without the other."""
+    chosen = np.zeros(d.p, dtype=bool)
+    chosen[list(indices)] = True
+    if not chosen.any():
+        raise DimensionMismatch(_EMPTY)
+    in_pairs = chosen[: 2 * d.s]
+    split = in_pairs & ~in_pairs.reshape(-1, 2)[:, ::-1].ravel()
+    if split.any():
+        raise _no_partner(_expanded_values(d.Lambda, d.s)[np.argmax(split)])
+    cols = np.flatnonzero(chosen)
+    return RealSpectralData(Lambda=d.Lambda[np.ix_(cols, cols)], X=d.X.take(cols, axis=1),
+                            s=int(np.count_nonzero(in_pairs)) // 2)
 
 
 def select_eigendata(spectrum, targets, *, match_tol=DEFAULT_MATCH_TOL):
@@ -254,8 +297,8 @@ def select_eigendata(spectrum, targets, *, match_tol=DEFAULT_MATCH_TOL):
     distance of a selected one (the replaced and retained spectra must
     be disjoint for the update to be well posed).
 
-    Returns (RealSpectralData of the selected pairs, tuple of retained
-    finite-pair indices).
+    Returns (the selected columns and blocks of spectrum.finite, as
+    RealSpectralData, tuple of retained finite-pair indices).
     """
     lams = spectrum.eigenvalues
     taken = np.zeros(len(lams), dtype=bool)
@@ -274,7 +317,7 @@ def select_eigendata(spectrum, targets, *, match_tol=DEFAULT_MATCH_TOL):
         taken[best] = True
         sel_idx.append(best)
 
-    chosen = to_real_representation([spectrum.finite_pairs[i] for i in sorted(sel_idx)])
+    chosen = _columns(spectrum.finite, sel_idx)
     retained = tuple(int(i) for i in np.flatnonzero(~taken))
     sel, ret = lams[sel_idx], lams[list(retained)]
     close = np.abs(sel[:, None] - ret[None, :]) <= match_tol * np.maximum(np.abs(sel), 1.0)[:, None]
@@ -290,21 +333,6 @@ def select_eigendata(spectrum, targets, *, match_tol=DEFAULT_MATCH_TOL):
 
 
 def retained_eigendata(spectrum, retained_indices):
-    """Real representation of the retained finite eigenpairs."""
-    chosen = [spectrum.finite_pairs[i] for i in retained_indices]
-    return to_real_representation(chosen)
-
-
-def assemble_jordan_pair(spectrum):
-    """Full-size candidate (X, J) from a solved spectrum: the finite
-    real representation followed by the infinite basis, with
-    J = diag(Lambda, 0)."""
-    d = to_real_representation(list(spectrum.finite_pairs))
-    n = d.X.shape[0]
-    m = d.p + spectrum.n_phi
-    X = np.zeros((n, m))
-    X[:, : d.p] = d.X
-    X[:, d.p :] = spectrum.infinite_basis
-    J = np.zeros((m, m))
-    J[: d.p, : d.p] = d.Lambda
-    return JordanPairCandidate(X=X, J=J)
+    """Real representation of the retained finite eigenpairs: the
+    columns and blocks of spectrum.finite at those indices."""
+    return _columns(spectrum.finite, retained_indices)

@@ -316,6 +316,15 @@ def test_corrupt_matrix_file_is_a_parse_error(tmp_path):
     assert run("solve", "--in", d) == 27
 
 
+def test_negative_matrix_dimensions_are_a_parse_error(tmp_path, capsys):
+    d = str(tmp_path)
+    with open(os.path.join(d, "M_u.mtx"), "w") as fh:
+        fh.write("%%MatrixMarket matrix coordinate real general\n-1 3 0\n")
+    mmio.write_matrix(np.eye(3), os.path.join(d, "K.mtx"))
+    assert run("solve", "--in", d) == 27
+    assert "M_u.mtx:2:" in capsys.readouterr().err
+
+
 def test_asymmetric_input_is_rejected(tmp_path):
     d = str(tmp_path)
     mmio.write_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]),
@@ -438,6 +447,25 @@ def test_one_eigensolve_per_chain(tmp_path, monkeypatch):
     assert run("verify", "--in", emb) == 0
     assert run("verify", "--in", opt) == 0
     assert calls == [(12, 12)]
+
+
+def test_the_spectrum_is_never_paired_again(tmp_path, monkeypatch):
+    # a solved or stored spectrum is indexed in its block layout: only
+    # the p selected or target values ever go through conjugate pairing
+    sizes = []
+    split = sf.spectral._split_conjugates
+
+    def counting(values, **kwargs):
+        sizes.append(len(values))
+        return split(values, **kwargs)
+
+    for module in (sf.spectral, sf.probgen):
+        monkeypatch.setattr(module, "_split_conjugates", counting)
+    gen, emb = (str(tmp_path / name) for name in ("gen", "emb"))
+    assert run("gen", "--nu", 12, "--nphi", 5, "--seed", 5, "--out", gen) == 0
+    assert run("embed", "--in", gen, "--out", emb, *SELECT) == 0
+    assert run("verify", "--in", emb) == 0
+    assert sizes and max(sizes) <= SELECT[1]
 
 
 def test_verify_certifies_the_stored_spectrum(run12):

@@ -145,6 +145,18 @@ def test_read_matrix_rejects_upper_triangle_symmetric_coordinate(tmp_path):
         sf.read_matrix(f)
 
 
+@pytest.mark.parametrize("body", ["%%MatrixMarket matrix coordinate real general\n-1 3 0\n",
+                                  "%%MatrixMarket matrix coordinate real general\n3 -1 0\n",
+                                  "%%MatrixMarket matrix array real general\n-1 3\n"],
+                         ids=["coordinate-rows", "coordinate-columns", "array-rows"])
+def test_read_matrix_rejects_negative_dimensions(tmp_path, body):
+    f = tmp_path / "neg.mtx"
+    f.write_text(body)
+    with pytest.raises(ParseError, match="nonnegative") as exc:
+        sf.read_matrix(f)
+    assert exc.value.line == 2
+
+
 def test_read_matrix_rejects_empty_file(tmp_path):
     f = tmp_path / "empty.mtx"
     f.write_text("")
@@ -204,6 +216,14 @@ def test_read_spectral_rejects_truncation(tmp_path):
     f.write_text("2 1\npair 1.0 2.0\n3 2\n1.0\n2.0\n")
     with pytest.raises(ParseError):
         sf.read_spectral(f)
+
+
+def test_read_spectral_rejects_negative_row_count(tmp_path):
+    f = tmp_path / "neg.spectral"
+    f.write_text("1 0\nreal 3.0\n-2 1\n")
+    with pytest.raises(ParseError, match="nonnegative") as exc:
+        sf.read_spectral(f)
+    assert exc.value.line == 3
 
 
 def test_report_round_trip(tmp_path):

@@ -1,5 +1,7 @@
 """Structured pencil container, reduction, eigensolve, relation checks."""
 
+from dataclasses import replace
+
 import mpmath
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from spilloverfree.errors import (
     DimensionMismatch,
     SingularBlock,
 )
-from spilloverfree.pencil import _rank_rcond, _spec_norm, rcond_estimate
+from spilloverfree.pencil import _spec_norm, rcond_estimate
+from spilloverfree.spectral import _rank_rcond
 
 from conftest import dense_finite_eigs, make_pencil, multiset_match, spectrum_values
 
@@ -311,17 +314,15 @@ def test_solve_spectrum_is_cached_and_still_checks_degeneracy(monkeypatch):
 
 def test_cached_spectrum_is_read_only():
     s = sf.solve_spectrum(make_pencil(6, 2, seed=4))
-    lam, x = s.finite_pairs[0]
-    with pytest.raises(ValueError):
-        x[0] = 0.0
-    with pytest.raises(ValueError):
-        s.condition_summary[0] = 0.0
+    for a in (s.finite.Lambda, s.finite.X, s.condition_summary, s.infinite_basis):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
 
 
 def _stored(spectrum, tmp_path):
     path = tmp_path / "spectrum.spectral"
-    sf.write_spectral(sf.to_real_representation(list(spectrum.finite_pairs)), path)
-    return sf.from_real_representation(sf.read_spectral(path))
+    sf.write_spectral(spectrum.finite, path)
+    return sf.read_spectral(path)
 
 
 def test_certified_spectrum_reproduces_the_solve(tmp_path):
@@ -329,6 +330,9 @@ def test_certified_spectrum_reproduces_the_solve(tmp_path):
     solved = sf.solve_spectrum(p)
     fresh = sf.validate_pencil(p.M_u, p.K, p.n_u, p.n_phi)
     c = sf.certified_spectrum(fresh, _stored(solved, tmp_path))
+    assert c.finite.s == solved.finite.s
+    assert c.finite.Lambda.tobytes() == solved.finite.Lambda.tobytes()
+    assert c.finite.X.tobytes() == solved.finite.X.tobytes()
     assert len(c.finite_pairs) == len(solved.finite_pairs)
     for (l1, x1), (l2, x2) in zip(c.finite_pairs, solved.finite_pairs):
         assert l1 == l2
@@ -340,34 +344,50 @@ def test_certified_spectrum_reproduces_the_solve(tmp_path):
     assert fresh._spectrum is None  # certified, not solved
 
 
+def _with_column(d, j, x):
+    """d with the real column j (and j + 1 for a complex x) replaced by x."""
+    X = d.X.copy()
+    X[:, j] = x.real
+    if np.iscomplexobj(x):
+        X[:, j + 1] = x.imag
+    return replace(d, X=X)
+
+
 def test_certified_spectrum_names_the_worst_pair(tmp_path):
     p = make_pencil(12, 5, seed=5)
-    pairs = _stored(sf.solve_spectrum(p), tmp_path)
-    lam, x = pairs[-1]
-    bad = pairs[:-1] + [(lam * (1 + 1e-8), x)]
-    with pytest.raises(sf.UncertifiedSpectrum, match=f"eigenpair {len(pairs) - 1} "):
-        sf.certified_spectrum(p, bad)
+    d = _stored(sf.solve_spectrum(p), tmp_path)
+    last = d.p - 1
+    assert d.s >= 1 and d.p > 2 * d.s  # a pair block first, a real last
+    Lam = d.Lambda.copy()
+    Lam[-1, -1] *= 1 + 1e-8
+    with pytest.raises(sf.UncertifiedSpectrum, match=f"eigenpair {last} "):
+        sf.certified_spectrum(p, replace(d, Lambda=Lam))
+    dropped = sf.RealSpectralData(Lambda=d.Lambda[2:, 2:], X=d.X[:, 2:], s=d.s - 1)
     with pytest.raises(sf.UncertifiedSpectrum, match="n_u = 12"):
-        sf.certified_spectrum(p, pairs[2:])
+        sf.certified_spectrum(p, dropped)
     other = make_pencil(12, 5, seed=6)
     with pytest.raises(sf.UncertifiedSpectrum):
-        sf.certified_spectrum(other, pairs)
+        sf.certified_spectrum(other, d)
     # a rescaled eigenvector is still an eigenvector, but not the one
-    # solve writes: the certificate checks the normalization
+    # solve writes: the certificate checks the normalization, of a real
+    # column and of a pair's columns [Re x, Im x]
+    for scale in (-1.0, 2.0):
+        with pytest.raises(sf.UncertifiedSpectrum, match=f"eigenvector {last} "):
+            sf.certified_spectrum(p, _with_column(d, last, scale * d.X[:, last]))
     for scale in (-1.0, 2.0, 1j):
-        rescaled = pairs[:-1] + [(lam, scale * x)]
-        with pytest.raises(sf.UncertifiedSpectrum, match=f"eigenvector {len(pairs) - 1} "):
-            sf.certified_spectrum(p, rescaled)
+        x = scale * (d.X[:, 0] + 1j * d.X[:, 1])
+        with pytest.raises(sf.UncertifiedSpectrum, match="eigenvector 0 "):
+            sf.certified_spectrum(p, _with_column(d, 0, x))
 
 
 def test_certified_spectrum_checks_degeneracy_after_the_certificate(tmp_path):
     p = make_pencil(12, 5, seed=5)
-    pairs = _stored(sf.solve_spectrum(p), tmp_path)
-    (l0, x0), (l1, x1) = pairs[-2:]
-    assert l0.imag == l1.imag == 0.0
-    close = pairs[:-1] + [(l0 * (1 + 1e-10), x1)]
+    d = _stored(sf.solve_spectrum(p), tmp_path)
+    assert d.p - 2 * d.s >= 2  # the last two eigenvalues are real
+    Lam = d.Lambda.copy()
+    Lam[-1, -1] = Lam[-2, -2] * (1 + 1e-10)
     with pytest.raises(sf.UncertifiedSpectrum, match="not an eigenpair"):
-        sf.certified_spectrum(p, close)
+        sf.certified_spectrum(p, replace(d, Lambda=Lam))
     assert sf.UncertifiedSpectrum.exit_code == sf.VerificationFailed.exit_code == 28
 
 

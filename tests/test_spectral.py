@@ -1,6 +1,6 @@
 """Real block representation, canonical ordering, eigendata selection."""
 
-import types
+import re
 
 import numpy as np
 import pytest
@@ -17,8 +17,9 @@ from spilloverfree.errors import (
     Overlap,
     ZeroEigenvalue,
 )
+from spilloverfree.spectral import block_matrix
 
-from conftest import multiset_match, spectrum_values
+from conftest import make_pencil, multiset_match, spectrum_values
 
 
 def rotation_block(a, b):
@@ -318,23 +319,24 @@ def _outcome(select):
 @given(st.integers(0, 10**6), st.sampled_from([1e-6, 0.3, 0.6]))
 def test_select_eigendata_picks_and_fails_as_the_scan_does(seed, match_tol):
     # values on an integer grid, so that half-integer targets tie
-    # between two eigenvalues and a wide tolerance makes overlaps
+    # between two eigenvalues and a wide tolerance makes overlaps; the
+    # spectrum is in canonical order, as a solve lays it out
     rng = np.random.default_rng(seed)
     grid = np.r_[-9:0, 1:10].astype(float)
     reals = list(rng.choice(grid, size=rng.integers(1, 7), replace=False))
     if rng.random() < 0.3:
         reals.append(reals[0] * (1.0 + 1e-7))
+    reals.sort()
     if rng.random() < 0.2:  # a NaN eigenvalue is never the nearest one
         reals.insert(int(rng.integers(len(reals) + 1)), np.nan)
-    pairs = [complex(a, b) for a, b in {(int(a), int(b)) for a, b in rng.integers(1, 5, (3, 2))}]
+    pairs = sorted({(int(a), int(b)) for a, b in rng.integers(1, 5, (3, 2))})
+    pairs = [complex(a, b) for a, b in pairs]
     values = [z for w in pairs for z in (w, w.conjugate())] + reals
     n = len(values) + 3
-    vecs = {w: rng.standard_normal(n) + 1j * rng.standard_normal(n) for w in pairs}
-    finite = [(z, vecs[w] if z == w else np.conj(vecs[w])) for w in pairs
-              for z in (w, w.conjugate())]
-    finite += [(complex(x), rng.standard_normal(n).astype(complex)) for x in reals]
-    spectrum = types.SimpleNamespace(finite_pairs=tuple(finite),
-                                     eigenvalues=np.array([z for z, _ in finite]))
+    layout = sf.RealSpectralData(Lambda=block_matrix(pairs + reals, len(pairs)),
+                                 X=rng.standard_normal((n, len(values))), s=len(pairs))
+    spectrum = sf.SpectrumResult(finite=layout, infinite_basis=np.zeros((n, 0)),
+                                 condition_summary=None, n_u=len(values), n_phi=0)
     targets = []
     for _ in range(rng.integers(0, 5)):
         z = values[rng.integers(len(values))]
@@ -393,3 +395,46 @@ def test_three_routes_build_the_same_lambda(tmp_path_factory, pair_ints, real_in
     assert from_values.s == from_file.s == from_pairs.s
     for d in (from_values, from_file):
         assert d.Lambda.tobytes() == from_pairs.Lambda.tobytes()
+
+
+def _same_layout(a, b):
+    assert a.s == b.s
+    assert a.Lambda.tobytes() == b.Lambda.tobytes()
+    assert a.X.tobytes() == b.X.tobytes()
+    # products with X round differently in another memory order
+    assert a.X.flags.c_contiguous and b.X.flags.c_contiguous
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_the_layout_is_the_complex_route_bit_for_bit(seed, tmp_path):
+    # the block layout a spectrum holds, and the columns a selection
+    # takes from it, equal to_real_representation of the complex
+    # eigenpairs, for a solved and for a stored-then-certified spectrum
+    rng = np.random.default_rng(seed)
+    n_u, n_phi = int(rng.integers(10, 60)), int(rng.integers(0, 30))
+    p = make_pencil(n_u, n_phi, seed=seed)
+    solved = sf.solve_spectrum(p)
+    path = tmp_path / "spectrum.spectral"
+    sf.write_spectral(solved.finite, path)
+    fresh = sf.validate_pencil(p.M_u, p.K, p.n_u, p.n_phi)
+    stored = sf.certified_spectrum(fresh, sf.read_spectral(path))
+    for spectrum in (solved, stored):
+        pairs = list(spectrum.finite_pairs)
+        _same_layout(spectrum.finite, sf.to_real_representation(pairs))
+        s, n_real = spectrum.pair_count(), spectrum.real_count()
+        picked = [2 * j + k for j in rng.choice(s, size=min(s, 2), replace=False) for k in (0, 1)]
+        picked += [2 * s + i for i in rng.choice(n_real, size=min(n_real, 2), replace=False)]
+        old, retained = sf.select_eigendata(spectrum, spectrum.eigenvalues[picked])
+        _same_layout(old, sf.to_real_representation([pairs[i] for i in sorted(picked)]))
+        _same_layout(sf.retained_eigendata(spectrum, retained),
+                     sf.to_real_representation([pairs[i] for i in retained]))
+
+
+def test_a_selection_that_splits_a_pair_is_not_conjugate_closed(small_pencil):
+    spectrum = sf.solve_spectrum(small_pencil)
+    upper, lower = spectrum.eigenvalues[:2]
+    for wanted in ([upper], [lower]):
+        with pytest.raises(NotConjugateClosed, match=re.escape(f"{wanted[0]:.8e}")):
+            sf.select_eigendata(spectrum, wanted)
+    with pytest.raises(NotConjugateClosed):
+        sf.retained_eigendata(spectrum, range(1, spectrum.finite.p))
