@@ -32,7 +32,8 @@ from .errors import (
     RankDeficient,
     Singular,
 )
-from .pencil import _eigen_residual, _infinite_basis, _retained_residual, _spec_norm
+from .pencil import (_block_diagonal_norm, _eigen_residual, _infinite_basis, _retained_residual,
+                     _spec_norm)
 from .spectral import block_eigenvalues
 
 log = logging.getLogger(__name__)
@@ -75,7 +76,7 @@ def retained_residual(M_u, K, X2, Lam2_prime):
     in the inverse-eigenvalue form, which covers the infinite block
     (zero columns of Lam2') with no special casing."""
     return _retained_residual(M_u @ X2[: len(M_u)], K, X2 @ Lam2_prime, _spec_norm(M_u),
-                              _spec_norm(K), _spec_norm(Lam2_prime), _spec_norm(X2))
+                              _spec_norm(K), _block_diagonal_norm(Lam2_prime), _spec_norm(X2))
 
 
 @dataclass(frozen=True)
@@ -167,7 +168,7 @@ def residual_report(
         res2_o = res2_u = None
     else:
         X2, Lam2p = _retained_block_data(p, retained)
-        norm_lam, norm_x = _spec_norm(Lam2p), _spec_norm(X2)
+        norm_lam, norm_x = _block_diagonal_norm(Lam2p), _spec_norm(X2)
         X2Lam, MX2 = X2 @ Lam2p, p.M_u @ X2[: p.n_u]
         MX2t = MX2 if same_m else u.M_u_tilde @ X2[: p.n_u]
         res2_o = _retained_residual(MX2, p.K, X2Lam, norm_m, norm_k, norm_lam, norm_x)

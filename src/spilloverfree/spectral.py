@@ -21,7 +21,7 @@ conjugates adjacent), and the block-structure check is decode,
 re-encode, compare.
 """
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -63,13 +63,16 @@ class RealSpectralData:
     X may have zero rows when the data carries eigenvalues only (target
     spectra read from file). An X with at least p rows must have full
     column rank: _rank_rcond(X) >= 1e-12, or MalformedBlocks.
+    _columns skips that test with _full_rank=True: a column subset of a
+    full-rank X has a reciprocal condition at least X's.
     """
 
     Lambda: np.ndarray
     X: np.ndarray
     s: int
+    _full_rank: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _full_rank):
         Lam = np.asarray(self.Lambda, dtype=float)
         X = np.asarray(self.X, dtype=float)
         object.__setattr__(self, "Lambda", Lam)
@@ -84,7 +87,7 @@ class RealSpectralData:
         if not (0 <= 2 * self.s <= p):
             raise MalformedBlocks(f"s={self.s} impossible for p={p}")
         _validate_block_structure(Lam, self.s)
-        if X.shape[0] and X.shape[0] >= p and _rank_rcond(X) < 1e-12:
+        if not _full_rank and X.shape[0] and X.shape[0] >= p and _rank_rcond(X) < 1e-12:
             raise MalformedBlocks("eigenvector matrix X is numerically rank-deficient")
 
     @property
@@ -285,7 +288,7 @@ def _columns(d, indices):
         raise _no_partner(_expanded_values(d.Lambda, d.s)[np.argmax(split)])
     cols = np.flatnonzero(chosen)
     return RealSpectralData(Lambda=d.Lambda[np.ix_(cols, cols)], X=d.X.take(cols, axis=1),
-                            s=int(np.count_nonzero(in_pairs)) // 2)
+                            s=int(np.count_nonzero(in_pairs)) // 2, _full_rank=True)
 
 
 def select_eigendata(spectrum, targets, *, match_tol=DEFAULT_MATCH_TOL):

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 
 import spilloverfree as sf
 import spilloverfree.embedding
 import spilloverfree.objective
 from spilloverfree.errors import DimensionMismatch, IllDefined, MalformedBlocks, NoFeasiblePoint
+from spilloverfree.pencil import _spec_norm
 
 from conftest import EmbeddingCase, make_pencil
 from test_acceptance import scale_case
@@ -71,12 +73,13 @@ def test_residual_report_takes_each_pencil_norm_once(monkeypatch):
     rep = sf.residual_report(p, u, c.old, Lt, c.retained)
     monkeypatch.undo()
     # K~ and K - K~ (n x n), X2 (m x m Gram, m = n - p), and the small
-    # res1 operands; Lam2_prime and the two spillover numerators drop
-    # their n_phi exactly-zero infinite columns (q3 x q3 Grams, q3 = n_u - p)
+    # res1 operands; the two spillover numerators drop their n_phi
+    # exactly-zero infinite columns (q3 x q3 Grams, q3 = n_u - p), and
+    # ||Lam2_prime|| takes no eigensolve (block-diagonal closed form)
     q3 = c.retained.p
     assert calls.count((p.n, p.n)) == 2
     assert sum(min(shape) >= p.n_u for shape in calls) == 3
-    assert calls.count((q3, q3)) == 3
+    assert calls.count((q3, q3)) == 2
     X2, Lam2p = spilloverfree.objective._retained_block_data(p, c.retained)
     assert rep.res1_original == sf.eigen_residual(p.M_u, p.K, c.old.X, c.old.Lambda)
     assert rep.res1_updated == sf.eigen_residual(u.M_u_tilde, u.K_tilde, u.X1_tilde, Lt)
@@ -123,6 +126,50 @@ def test_embed_chain_takes_no_large_svd_and_one_gram_of_order_m(monkeypatch):
     assert grams.count((m, m)) == 1
     # besides ||X2||: ||M_u||, ||K||, ||K~|| and ||K - K~||
     assert sum(min(shape) >= n_u for shape in grams) == 5
+
+
+def test_lanczos_norms_leave_the_pencil_norms_and_rec_mk_on_the_gram_path(monkeypatch):
+    # above the Lanczos crossover (residual_report's full-order operands
+    # have order at least 200 here), ||M_u|| and ||K|| keep their Gram bits: they scale
+    # Rec.MK and the solve and certificate thresholds, so run files do not
+    # move. The report's Lanczos norms agree with the Gram reference on the
+    # same operands, which ARPACK failing on every call gives.
+    n_u, n_phi, p = 210, 50, 6
+    g = make_pencil(n_u, n_phi, seed=4, p=p, s_tilde=2)
+    M_u, K = np.array(g.M_u), np.array(g.K)
+    pencil = sf.validate_pencil(M_u, K, n_u, n_phi)
+    spectrum = sf.solve_spectrum(pencil)
+    vals = spectrum.eigenvalues
+    wanted = [z for v in [v for v in vals if v.imag > 0][:2] for z in (v, v.conjugate())]
+    wanted += [v for v in vals if v.imag == 0][:2]
+    old, kept = sf.select_eigendata(spectrum, wanted)
+    retained = sf.retained_eigendata(spectrum, kept)
+    assert min(retained.p, pencil.n - p) >= spilloverfree.pencil.LANCZOS_MIN_ORDER
+    target = sf.real_lambda_from_eigenvalues(
+        sf.perturb_targets(wanted, 2, 0.3, 1, avoid=[vals[i] for i in kept]))
+    params = sf.default_gamma_tilde(sf.compute_gamma1(pencil, old.X, s=old.s), old.s, target.s)
+    u = sf.embed(pencil, old, target.Lambda, params)
+    rep = sf.residual_report(pencil, u, old, target.Lambda, retained)
+    rec = spilloverfree.embedding.PreparedUpdate(pencil, old, target.Lambda).rec_mk(params)
+
+    calls = []
+
+    def no_convergence(*args, **kwargs):
+        calls.append(1)
+        raise spla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    fresh = sf.validate_pencil(M_u, K, n_u, n_phi)
+    assert fresh.norms() == pencil.norms() == (_spec_norm(fresh.M_u, gram=True),
+                                               _spec_norm(fresh.K, gram=True))
+    assert spilloverfree.embedding.PreparedUpdate(fresh, old, target.Lambda).rec_mk(params) == rec
+    assert calls == []
+    gram = sf.residual_report(fresh, u, old, target.Lambda, retained)
+    assert len(calls) >= 5  # K~, K - K~, X2 and the two spillover numerators
+    for field in ("res1_original", "res1_updated", "res2_original", "res2_updated", "rec_mk"):
+        value, ref = getattr(rep, field), getattr(gram, field)
+        assert type(value) is float
+        assert abs(value - ref) <= 1e-12 * ref, field
 
 
 def test_residual_report_res2_unavailable_without_retained():

@@ -558,6 +558,104 @@ def test_gram_norm_of_a_padded_matrix_takes_the_trimmed_gram(monkeypatch):
     assert calls == [(4, 4)]
 
 
+def _lanczos_cases():
+    """Operands at or above the Lanczos crossover, each with its shape as
+    residual_report meets it."""
+    rng = np.random.default_rng(5)
+    m = pencil.LANCZOS_MIN_ORDER
+    S = rng.standard_normal((m + 20, m + 20))
+    W = rng.standard_normal((m + 40, 6))
+    # embed-n560's K: the n_phi electric unknowns carry n on their diagonal,
+    # so the top eigenvalues cluster
+    n_u, n_phi = m, m // 4
+    K = rng.standard_normal((n_u + n_phi,) * 2)
+    K = K + K.T
+    K[n_u:, n_u:] += (n_u + n_phi) * np.eye(n_phi)
+    padded = np.zeros((m + 30, 2 * m))
+    padded[:, ::2] = rng.standard_normal((m + 30, m))
+    return {
+        "symmetric": S + S.T,
+        "tall": rng.standard_normal((m + 60, m + 10)),
+        "wide": rng.standard_normal((m + 5, 2 * m)),
+        "rank_p": W @ np.diag([3.0, -2.0, 1.0, 0.5, -0.25, 0.1]) @ W.T,
+        "clustered": K,
+        "zero_columns": padded,
+        "zero_rows_and_columns": sla.block_diag(S + S.T, np.zeros((m // 2, m // 2))),
+    }
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+@pytest.mark.parametrize("name", sorted(_lanczos_cases()))
+def test_lanczos_norm_matches_the_gram_reference(name, scale, monkeypatch):
+    A = scale * _lanczos_cases()[name]
+    calls = []
+    eigsh = pencil.spla.eigsh
+    monkeypatch.setattr(pencil.spla, "eigsh", lambda *a, **kw: calls.append(1) or eigsh(*a, **kw))
+    value = _spec_norm(A)
+    ref = _spec_norm(A, gram=True)
+    assert calls == [1]
+    assert type(value) is float and type(ref) is float
+    assert abs(value - ref) <= 1e-12 * ref
+    assert _spec_norm(A) == value  # the seeded start vector repeats the bits
+
+
+@given(st.integers(0, 10**6), st.integers(0, 4), st.integers(0, 4), st.integers(0, 3),
+       st.sampled_from([1e-150, 1.0, 1e150]))
+def test_block_diagonal_norm_is_the_svd_norm(seed, pairs, reals, zeros, scale):
+    # diag(Lambda^-1, 0) of a real block layout, and any other matrix of
+    # 1x1 and 2x2 diagonal blocks, in closed form with no eigensolve
+    assume(pairs + reals)
+    rng = np.random.default_rng(seed)
+    values = list(rng.standard_normal(pairs) + 1j * rng.uniform(0.1, 2.0, pairs))
+    values += list(rng.standard_normal(reals))
+    Lam = sla.block_diag(sla.inv(sf.spectral.block_matrix(values, pairs)), np.zeros((zeros, zeros)))
+    general = sla.block_diag(*[rng.standard_normal((k, k)) for k in (2, 1, 2, 2, 1)])
+    for L in (scale * Lam, scale * general):
+        exact = np.linalg.norm(L, 2)
+        assert abs(pencil._block_diagonal_norm(L) - exact) <= 1e-14 * exact
+
+
+def test_block_diagonal_norm_of_other_matrices_is_spec_norm(monkeypatch):
+    rng = np.random.default_rng(8)
+    chained = np.diag(rng.standard_normal(5))
+    chained[0, 1] = chained[2, 1] = 1.0  # a 3x3 block
+    far = np.diag(rng.standard_normal(5))
+    far[0, 3] = 2.0  # an entry off the tridiagonal
+    for L in (chained, far, rng.standard_normal((4, 4))):
+        assert pencil._block_diagonal_norm(L) == _spec_norm(L)
+    monkeypatch.setattr(sla, "eigvalsh", None)
+    assert pencil._block_diagonal_norm(np.zeros((3, 3))) == 0.0
+    assert type(pencil._block_diagonal_norm(np.diag([1.0, -3.0]))) is float
+
+
+def test_lanczos_norm_of_an_all_zero_matrix_takes_no_eigensolve(monkeypatch):
+    monkeypatch.setattr(pencil.spla, "eigsh", None)
+    monkeypatch.setattr(sla, "eigvalsh", None)
+    m = pencil.LANCZOS_MIN_ORDER
+    assert _spec_norm(np.zeros((m + 10, m + 10))) == 0.0
+
+
+def test_gram_norm_below_the_lanczos_crossover(monkeypatch):
+    # the order is the smaller dimension after zero columns are dropped
+    m = pencil.LANCZOS_MIN_ORDER
+    monkeypatch.setattr(pencil.spla, "eigsh", None)
+    A = np.zeros((m + 50, m + 50))
+    A[:, : m - 1] = np.random.default_rng(6).standard_normal((m + 50, m - 1))
+    assert type(_spec_norm(A)) is float
+    assert type(_spec_norm(A[: m - 1].T)) is float
+
+
+def test_lanczos_norm_falls_back_to_the_gram_path(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise pencil.spla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+    cases = _lanczos_cases()
+    monkeypatch.setattr(pencil.spla, "eigsh", no_convergence)
+    for A in cases.values():
+        value = _spec_norm(A)
+        assert type(value) is float and value == _spec_norm(A, gram=True)
+
+
 @given(st.integers(0, 10**6), st.integers(1, 50), st.integers(0, 30),
        st.sampled_from([None, 1e-6, 1e-10, 1e-11, 1e-12, 1e-13, 1e-14, 1e-16]))
 def test_rank_rcond_agrees_with_the_svd_ratio(seed, cols, extra_rows, smallest):

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import spilloverfree as sf
+from spilloverfree import spectral
 from spilloverfree.errors import (
     DimensionMismatch,
     DuplicateEigenvalue,
@@ -181,6 +182,22 @@ def test_real_spectral_data_rejects_rank_deficient_vectors():
               np.column_stack([Y, 2.0 * Y[:, 0] - Y[:, 1]])):
         with pytest.raises(MalformedBlocks):
             sf.RealSpectralData(Lambda=np.diag([1.0, 2.0, 3.0][: X.shape[1]]), X=X, s=0)
+
+
+def test_selections_take_no_second_rank_test(small_pencil, monkeypatch):
+    # a column subset of a full-rank X has full rank: the selections of a
+    # validated layout skip the QR rank test that RealSpectralData runs
+    # on a layout built from outside input
+    spectrum = sf.solve_spectrum(small_pencil)
+    calls = []
+    rank_rcond = spectral._rank_rcond
+    monkeypatch.setattr(spectral, "_rank_rcond", lambda X: calls.append(X.shape) or rank_rcond(X))
+    old, retained = sf.select_eigendata(spectrum, spectrum.eigenvalues[:2])
+    kept = sf.retained_eigendata(spectrum, retained)
+    assert calls == []
+    assert old.X.shape[1] + kept.X.shape[1] == spectrum.finite.p
+    sf.RealSpectralData(Lambda=kept.Lambda, X=kept.X, s=kept.s)
+    assert calls == [kept.X.shape]
 
 
 def test_infer_pair_count_plain_diagonal():
