@@ -252,15 +252,8 @@ def _run_pipeline(args, pencil, spectrum, *, optimize, demo=False):
 
     def embed_and_report(params, prefix):
         updated = embed(pencil, old, target.Lambda, params)
-        report = residual_report(
-            pencil,
-            updated,
-            old,
-            target.Lambda,
-            retained,
-            args.tau1,
-            args.tau2,
-        )
+        report = residual_report(pencil, updated, old, target.Lambda, retained, args.tau1,
+                                 args.tau2)
         entries.update(_residual_entries(report, prefix))
         return updated
 
@@ -269,12 +262,8 @@ def _run_pipeline(args, pencil, spectrum, *, optimize, demo=False):
     result = None
     params = seed_params
     if optimize:
-        config = OptimizeConfig(
-            max_evals=args.max_evals,
-            restarts=args.restarts,
-            tau1=args.tau1,
-            tau2=args.tau2,
-        )
+        config = OptimizeConfig(max_evals=args.max_evals, restarts=args.restarts,
+                                tau1=args.tau1, tau2=args.tau2)
         result = optimize_gamma_tilde(
             pencil, old, target.Lambda, np.eye(old.p), seed_params, config
         )
@@ -338,13 +327,7 @@ def _cmd_embed(args, *, optimize=False):
     spectrum, _ = _load_spectrum(pencil, args.in_dir)
     entries, result = _run_pipeline(args, pencil, spectrum, optimize=optimize)
     command = "optimize" if optimize else "embed"
-    entries.update(
-        {
-            "command": command,
-            "input_dir": args.in_dir,
-            "max_perturb": args.max_perturb,
-        }
-    )
+    entries.update(command=command, input_dir=args.in_dir, max_perturb=args.max_perturb)
     entries.update(_hash_entries(args.in_dir, _PENCIL_FILES))
     if result is not None:
         entries.update(
@@ -433,15 +416,7 @@ def _cmd_verify(args):
         float(report.get(key, 1.0)) if flag is None else flag
         for key, flag in (("tau1", args.tau1), ("tau2", args.tau2))
     )
-    recomputed = residual_report(
-        pencil,
-        updated,
-        old,
-        target.Lambda,
-        retained,
-        tau1,
-        tau2,
-    )
+    recomputed = residual_report(pencil, updated, old, target.Lambda, retained, tau1, tau2)
 
     for key in ("res1_updated", "res2_updated"):
         value = getattr(recomputed, key)

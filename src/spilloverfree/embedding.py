@@ -365,7 +365,7 @@ class PreparedUpdate:
             # pencil norm; the Frobenius norm bounds the 2-norm from above.
             skew = R @ (C - C.T) @ R.T
             if np.linalg.norm(skew) > ASYMMETRY_WARN * norm:
-                dev = np.linalg.norm(skew, 2) / norm
+                dev = _spec_norm(skew) / norm
                 if dev > ASYMMETRY_WARN:
                     log.warning("the %s update core came out asymmetric by %.3e relative; "
                                 "conditioning is suspect", name, dev)
@@ -535,15 +535,14 @@ def _theorem1(X, J1, Gamma11, Phi, tol):
     X_phi = X[n_u:]
     checks = []
 
+    def relative(name, resid, scale):
+        checks.append(ConditionCheck(name, float(resid), tol * scale, resid <= tol * scale))
+
     rx = rcond_estimate(X)
     checks.append(ConditionCheck("nonsingular_x", rx, ILL_DEFINED_RCOND, rx > ILL_DEFINED_RCOND))
 
-    sG = max(_spec_norm(Gamma11), 1e-300)
-    resid = _spec_norm(J1.T @ Gamma11 - Gamma11 @ J1)
-    scale = sG * max(_spec_norm(J1), 1e-300)
-    checks.append(
-        ConditionCheck("commutation", float(resid), tol * scale, resid <= tol * scale)
-    )
+    relative("commutation", _spec_norm(J1.T @ Gamma11 - Gamma11 @ J1),
+             max(_spec_norm(Gamma11), 1e-300) * max(_spec_norm(J1), 1e-300))
 
     Tinv = X_phi.T @ Phi @ X_phi
     Tinv[:n_u, :n_u] += Gamma11
@@ -557,12 +556,8 @@ def _theorem1(X, J1, Gamma11, Phi, tol):
     T = sla.solve(Tinv, np.eye(n), assume_a="sym")
 
     if n_phi:
-        B = X_u @ T @ X_phi.T
-        scale = max(_spec_norm(X_u) * _spec_norm(T) * _spec_norm(X_phi), 1e-300)
-        resid = _spec_norm(B)
-        checks.append(
-            ConditionCheck("off_block", float(resid), tol * scale, resid <= tol * scale)
-        )
+        relative("off_block", _spec_norm(X_u @ T @ X_phi.T),
+                 max(_spec_norm(X_u) * _spec_norm(T) * _spec_norm(X_phi), 1e-300))
 
         rp = rcond_estimate(Phi)
         if rp < ILL_DEFINED_RCOND:
@@ -571,13 +566,8 @@ def _theorem1(X, J1, Gamma11, Phi, tol):
                 f"its inverse enters the normalization condition"
             )
         iPhi = sla.solve(Phi, np.eye(n_phi), assume_a="sym")
-        resid = _spec_norm(X_phi @ T @ X_phi.T - iPhi)
-        scale = max(_spec_norm(iPhi), 1e-300)
-        checks.append(
-            ConditionCheck(
-                "phi_normalization", float(resid), tol * scale, resid <= tol * scale
-            )
-        )
+        relative("phi_normalization", _spec_norm(X_phi @ T @ X_phi.T - iPhi),
+                 max(_spec_norm(iPhi), 1e-300))
 
     return CheckReport(checks), T
 

@@ -32,7 +32,7 @@ from .errors import (
     RankDeficient,
     Singular,
 )
-from .pencil import (_block_diagonal_norm, _eigen_residual, _infinite_basis, _retained_residual,
+from .pencil import (_as_matrix, _eigen_residual, _infinite_basis, _retained_residual,
                      _spec_norm)
 from .spectral import block_eigenvalues
 
@@ -54,9 +54,24 @@ def _rec_mk(M_u, K, M_u_tilde, K_tilde, norm_m, norm_k, tau1, tau2):
     return tau1 * dm + tau2 * dk
 
 
+def _check_operands(M_u, K, X, Lam, names=("X", "Lam")):
+    """DimensionMismatch unless M_u, K and Lam are finite square matrices,
+    K of at least M_u's order, and X has K's order of rows and Lam's of
+    columns."""
+    n_u, n, m = (len(_as_matrix(A, name)) for A, name in ((M_u, "M_u"), (K, "K"), (Lam, names[1])))
+    if n < n_u or np.shape(X) != (n, m):
+        raise DimensionMismatch(f"M_u of order {n_u}, K of order {n} and {names[1]} of order {m} "
+                                f"need n >= n_u and {names[0]} of shape {(n, m)}, got "
+                                f"{np.shape(X)}")
+
+
 def rec_mk(M_u, K, M_u_tilde, K_tilde, tau1=1.0, tau2=1.0):
     """Weighted relative update distance
     tau1 * ||M_u - M_u~|| / ||M_u|| + tau2 * ||K - K~|| / ||K||."""
+    n_u, n = len(_as_matrix(M_u, "M_u")), len(_as_matrix(K, "K"))
+    if np.shape(M_u_tilde) != (n_u, n_u) or np.shape(K_tilde) != (n, n):
+        raise DimensionMismatch(f"M_u_tilde and K_tilde have shapes {np.shape(M_u_tilde)} and "
+                                f"{np.shape(K_tilde)}, expected {(n_u, n_u)} and {(n, n)}")
     return _rec_mk(M_u, K, M_u_tilde, K_tilde, _spec_norm(M_u), _spec_norm(K), tau1, tau2)
 
 
@@ -68,6 +83,7 @@ def _check_weights(tau1, tau2):
 def eigen_residual(M_u, K, X, Lam):
     """Relative residual ||M X Lam + K X|| / ((||M|| ||Lam|| + ||K||) ||X||)
     of eigendata (Lam, X) against the pencil with mass diag(M_u, 0)."""
+    _check_operands(M_u, K, X, Lam)
     return _eigen_residual(M_u, K, X, Lam, _spec_norm(M_u), _spec_norm(K))
 
 
@@ -75,8 +91,9 @@ def retained_residual(M_u, K, X2, Lam2_prime):
     """Relative residual ||M X2 + K X2 Lam2'|| / ((||M|| + ||K|| ||Lam2'||) ||X2||)
     in the inverse-eigenvalue form, which covers the infinite block
     (zero columns of Lam2') with no special casing."""
+    _check_operands(M_u, K, X2, Lam2_prime, ("X2", "Lam2_prime"))
     return _retained_residual(M_u @ X2[: len(M_u)], K, X2 @ Lam2_prime, _spec_norm(M_u),
-                              _spec_norm(K), _block_diagonal_norm(Lam2_prime), _spec_norm(X2))
+                              _spec_norm(K), _spec_norm(Lam2_prime), _spec_norm(X2))
 
 
 @dataclass(frozen=True)
@@ -168,7 +185,7 @@ def residual_report(
         res2_o = res2_u = None
     else:
         X2, Lam2p = _retained_block_data(p, retained)
-        norm_lam, norm_x = _block_diagonal_norm(Lam2p), _spec_norm(X2)
+        norm_lam, norm_x = _spec_norm(Lam2p), _spec_norm(X2)
         X2Lam, MX2 = X2 @ Lam2p, p.M_u @ X2[: p.n_u]
         MX2t = MX2 if same_m else u.M_u_tilde @ X2[: p.n_u]
         res2_o = _retained_residual(MX2, p.K, X2Lam, norm_m, norm_k, norm_lam, norm_x)

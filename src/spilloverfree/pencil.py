@@ -90,27 +90,47 @@ def _mass_apply(M_u, X):
     return out
 
 
-def _spec_norm(A, *, gram=False):
-    """||A||_2 of a real matrix as a float, 0.0 for an empty or all-zero A
-    with no eigensolve, taken on the nonzero columns (||[A, 0]|| = ||A||)
-    scaled by 1 / max|A|. Below LANCZOS_MIN_ORDER (their smaller
-    dimension), or with `gram`, it is the top eigenvalue of the smaller
-    Gram matrix: the reference. Otherwise it is the Ritz value of ARPACK's
-    Lanczos (seeded start vector, so the bits repeat) on A if A is
-    exactly symmetric, else on its smaller Gram operator, or the
-    reference when ARPACK fails. With relative residual at most
-    LANCZOS_TOL, the Ritz value is a lower bound on ||A|| up to rounding:
-    conservative in a denominator, and in a residual's numerator a
-    tolerance decision can flip only within LANCZOS_TOL of its threshold."""
+def _spec_norm(A):
+    """||A||_2 of a real matrix as a float. A square A of 1x1 and 2x2
+    diagonal blocks (as diag(Lambda^-1, 0) is) takes the closed form:
+    the largest (hypot(a + d, b - c) + hypot(a - d, b + c)) / 2 over its
+    blocks [[a, b], [c, d]], or |entry| on its diagonal (each bounds its
+    block's norm from below). Another A with
+    at least LANCZOS_MIN_ORDER rows and nonzero columns takes the Ritz
+    value of ARPACK's Lanczos (seeded start vector, so the bits repeat)
+    on A if A is exactly symmetric, else on its smaller Gram operator;
+    with relative residual at most LANCZOS_TOL it is a lower bound on
+    ||A|| up to rounding, so a tolerance decision can flip only within
+    LANCZOS_TOL of its threshold. Any other A, or ARPACK failing, takes
+    _gram_norm."""
+    n = A.shape[0]
+    if A.shape == (n, n) and (nonzero := np.count_nonzero(A)) <= 2 * n:
+        d, up, lo = np.diagonal(A), np.diagonal(A, 1), np.diagonal(A, -1)
+        coupled = (up != 0) | (lo != 0)
+        inside = sum(map(np.count_nonzero, (d, up, lo)))
+        if inside == nonzero and not (coupled[1:] & coupled[:-1]).any():
+            i = np.flatnonzero(coupled)
+            a, b, c, e = d[i], up[i], lo[i], d[i + 1]
+            pairs = 0.5 * (np.hypot(a + e, b - c) + np.hypot(a - e, b + c))
+            return float(max(np.abs(d).max(initial=0.0), pairs.max(initial=0.0)))
+    if min(A.shape) >= LANCZOS_MIN_ORDER:
+        keep = A.any(axis=0)
+        if np.count_nonzero(keep) >= LANCZOS_MIN_ORDER:
+            try:
+                return _lanczos_norm(A, keep)
+            except spla.ArpackError:
+                pass
+    return _gram_norm(A)
+
+
+def _gram_norm(A):
+    """||A||_2 as the top eigenvalue of the smaller Gram matrix of A's
+    nonzero columns (||[A, 0]|| = ||A||) scaled by 1 / max|A|, and 0.0
+    with no eigensolve for an empty or all-zero A: the reference."""
     scale = float(max(A.max(initial=0.0), -A.min(initial=0.0)))
     if scale == 0.0:
         return 0.0
     keep = A.any(axis=0)
-    if not gram and min(A.shape[0], np.count_nonzero(keep)) >= LANCZOS_MIN_ORDER:
-        try:
-            return scale * _lanczos_norm(A, keep, scale)
-        except spla.ArpackError:
-            pass
     B = A.astype(float) if keep.all() else A[:, keep].astype(float, copy=False)
     B /= scale
     G = B.T @ B if B.shape[0] >= B.shape[1] else B @ B.T
@@ -119,9 +139,10 @@ def _spec_norm(A, *, gram=False):
     return scale * float(np.sqrt(top))
 
 
-def _lanczos_norm(A, keep, scale):
-    """||A|| / scale by eigsh on the nonzero columns of A, as _spec_norm
-    describes; raises ArpackError."""
+def _lanczos_norm(A, keep):
+    """||A|| by eigsh on the nonzero columns `keep` of A scaled by
+    1 / max|A|, as _spec_norm describes; raises ArpackError."""
+    scale = float(max(A.max(), -A.min()))
     symmetric = A.shape[0] == A.shape[1] and np.array_equal(A, A.T)
     if symmetric:  # a zero column of a symmetric A is also a zero row
         op = (A if keep.all() else A[np.ix_(keep, keep)]) / scale
@@ -132,24 +153,7 @@ def _lanczos_norm(A, keep, scale):
     v0 = np.random.default_rng(0).standard_normal(op.shape[0])
     top = spla.eigsh(op, k=1, which="LM" if symmetric else "LA", v0=v0, tol=LANCZOS_TOL,
                      return_eigenvectors=False)[0]
-    return float(abs(top)) if symmetric else float(np.sqrt(top))
-
-
-def _block_diagonal_norm(L):
-    """||L||_2 of a square L that is block diagonal with blocks of order
-    1 and 2, as Lam2' = diag(Lambda^-1, 0) is, in closed form: the
-    largest (hypot(a + d, b - c) + hypot(a - d, b + c)) / 2 over its 2x2
-    blocks [[a, b], [c, d]], or |entry| on its diagonal, which bounds
-    every block's norm from below. Any other L takes _spec_norm."""
-    d, up, lo = np.diagonal(L), np.diagonal(L, 1), np.diagonal(L, -1)
-    coupled = (up != 0) | (lo != 0)
-    outside = np.count_nonzero(L) - sum(map(np.count_nonzero, (d, up, lo)))
-    if outside or (coupled[1:] & coupled[:-1]).any():
-        return _spec_norm(L)
-    i = np.flatnonzero(coupled)
-    a, b, c, e = d[i], up[i], lo[i], d[i + 1]
-    pairs = 0.5 * (np.hypot(a + e, b - c) + np.hypot(a - e, b + c))
-    return float(max(np.abs(d).max(initial=0.0), pairs.max(initial=0.0)))
+    return scale * (float(abs(top)) if symmetric else float(np.sqrt(top)))
 
 
 def _lu_rcond(A):
@@ -244,11 +248,9 @@ class StructuredPencil:
         return self._k_rcond
 
     def norms(self):
-        """Cached spectral norms (||M_u||_2, ||K||_2), by the Gram path at
-        every order: they scale the update distance and the backward-error
-        and certificate thresholds, whose bits stay fixed."""
+        """Cached spectral norms (||M_u||_2, ||K||_2)."""
         if self._norms is None:
-            self._norms = (_spec_norm(self.M_u, gram=True), _spec_norm(self.K, gram=True))
+            self._norms = (_spec_norm(self.M_u), _spec_norm(self.K))
         return self._norms
 
     def __repr__(self):
@@ -668,7 +670,7 @@ def check_jordan_pair(p, c, tol):
         Jp = sla.block_diag(np.linalg.inv(J1), np.zeros((m - q, m - q)))
         name = "infinite_relation" if q == 0 else "pencil_relation"
         relations = {name: _retained_residual(p.M_u @ X[: p.n_u], p.K, X @ Jp, norm_M,
-                                              norm_K, _block_diagonal_norm(Jp), norm_X)}
+                                              norm_K, _spec_norm(Jp), norm_X)}
 
     if m == n and p.n_phi:
         relations["block_form"] = _spec_norm(X[: p.n_u, q:]) / norm_X if norm_X else 0.0

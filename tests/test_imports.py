@@ -1,7 +1,8 @@
 """Every library module uses each name it imports at top level, and
 every module-level private function or class is read somewhere in the
 package. A deletion that leaves an import or a helper behind fails here;
-no linter is part of the test run."""
+no linter is part of the test run. The package also calls no SVD: matrix
+2-norms go through pencil._spec_norm and rank tests through a QR."""
 
 import ast
 from pathlib import Path
@@ -44,6 +45,25 @@ def dead_helpers(sources):
     return [name for name in defined if name not in read]
 
 
+# calls that take an SVD; lstsq (seed_certificate's p x p(p+1)/2 system) is allowed
+SVD_CALLS = {"svd", "svdvals", "cond", "matrix_rank", "pinv"}
+
+
+def svd_calls(source):
+    """`name:line` of each call in `source` to one of SVD_CALLS, or to
+    norm with ord 2 (its second argument or the ord keyword)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        ords = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "ord"]
+        two = any(isinstance(o, ast.Constant) and o.value == 2 for o in ords)
+        if name in SVD_CALLS or (name == "norm" and two):
+            found.append(f"{name}:{node.lineno}")
+    return found
+
+
 def test_the_guard_sees_an_unused_import():
     assert unused_imports("import numpy as np\nimport scipy.linalg as sla\nnp.eye(2)\n") == ["sla"]
     assert unused_imports("import scipy.optimize\nscipy.optimize.minimize\n") == []
@@ -63,3 +83,17 @@ def test_the_guard_sees_a_dead_helper():
 
 def test_no_dead_private_helper():
     assert dead_helpers([path.read_text() for path in sorted(SRC.glob("*.py"))]) == []
+
+
+def test_the_guard_sees_an_svd():
+    calls = ("np.linalg.svd(A)", "sla.svdvals(A)", "np.linalg.cond(A)", "matrix_rank(A)",
+             "sla.pinv(A)", "np.linalg.norm(A, 2)", "np.linalg.norm(A, ord=2)")
+    assert svd_calls("\n".join(calls)) == ["svd:1", "svdvals:2", "cond:3", "matrix_rank:4",
+                                             "pinv:5", "norm:6", "norm:7"]
+    assert svd_calls("np.linalg.norm(A)\nnp.linalg.norm(A, axis=0)\nnp.linalg.lstsq(A, b)\n"
+                     "np.linalg.norm(A, 'fro')\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_no_svd_in_the_package(path):
+    assert svd_calls(path.read_text()) == []

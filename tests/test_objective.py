@@ -128,12 +128,14 @@ def test_embed_chain_takes_no_large_svd_and_one_gram_of_order_m(monkeypatch):
     assert sum(min(shape) >= n_u for shape in grams) == 5
 
 
-def test_lanczos_norms_leave_the_pencil_norms_and_rec_mk_on_the_gram_path(monkeypatch):
+def test_reports_and_checks_equal_the_public_definitions_above_the_lanczos_crossover(
+        monkeypatch):
     # above the Lanczos crossover (residual_report's full-order operands
-    # have order at least 200 here), ||M_u|| and ||K|| keep their Gram bits: they scale
-    # Rec.MK and the solve and certificate thresholds, so run files do not
-    # move. The report's Lanczos norms agree with the Gram reference on the
-    # same operands, which ARPACK failing on every call gives.
+    # have order at least 200 here) the pencil norms are _spec_norm's like
+    # every other norm, so the report and check_jordan_pair equal the
+    # public Res1, Res2 and Rec.MK by ==. The report's Lanczos norms agree
+    # with the Gram reference on the same operands, which ARPACK failing
+    # on every call gives.
     n_u, n_phi, p = 210, 50, 6
     g = make_pencil(n_u, n_phi, seed=4, p=p, s_tilde=2)
     M_u, K = np.array(g.M_u), np.array(g.K)
@@ -150,7 +152,26 @@ def test_lanczos_norms_leave_the_pencil_norms_and_rec_mk_on_the_gram_path(monkey
     params = sf.default_gamma_tilde(sf.compute_gamma1(pencil, old.X, s=old.s), old.s, target.s)
     u = sf.embed(pencil, old, target.Lambda, params)
     rep = sf.residual_report(pencil, u, old, target.Lambda, retained)
-    rec = spilloverfree.embedding.PreparedUpdate(pencil, old, target.Lambda).rec_mk(params)
+
+    assert pencil.norms() == (_spec_norm(pencil.M_u), _spec_norm(pencil.K))
+    X2, Lam2p = spilloverfree.objective._retained_block_data(pencil, retained)
+    public = {
+        "res1_original": sf.eigen_residual(pencil.M_u, pencil.K, old.X, old.Lambda),
+        "res1_updated": sf.eigen_residual(u.M_u_tilde, u.K_tilde, u.X1_tilde, target.Lambda),
+        "res2_original": sf.retained_residual(pencil.M_u, pencil.K, X2, Lam2p),
+        "res2_updated": sf.retained_residual(u.M_u_tilde, u.K_tilde, X2, Lam2p),
+        "rec_mk": sf.rec_mk(pencil.M_u, pencil.K, u.M_u_tilde, u.K_tilde),
+    }
+    for field, value in public.items():
+        assert getattr(rep, field) == value, field
+    c = sf.assemble_jordan_pair(spectrum)
+    Jp = sla.block_diag(np.linalg.inv(c.J[:n_u, :n_u]), np.zeros((n_phi, n_phi)))
+    assert (sf.check_jordan_pair(pencil, c, 1e-8)["pencil_relation"].residual
+            == sf.retained_residual(pencil.M_u, pencil.K, c.X, Jp))
+    d = spectrum.finite
+    finite = sf.check_jordan_pair(pencil, sf.JordanPairCandidate(X=d.X, J=d.Lambda), 1e-8)
+    assert finite["finite_relation"].residual == sf.eigen_residual(pencil.M_u, pencil.K, d.X,
+                                                                   d.Lambda)
 
     calls = []
 
@@ -159,17 +180,34 @@ def test_lanczos_norms_leave_the_pencil_norms_and_rec_mk_on_the_gram_path(monkey
         raise spla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
 
     monkeypatch.setattr(spla, "eigsh", no_convergence)
-    fresh = sf.validate_pencil(M_u, K, n_u, n_phi)
-    assert fresh.norms() == pencil.norms() == (_spec_norm(fresh.M_u, gram=True),
-                                               _spec_norm(fresh.K, gram=True))
-    assert spilloverfree.embedding.PreparedUpdate(fresh, old, target.Lambda).rec_mk(params) == rec
-    assert calls == []
-    gram = sf.residual_report(fresh, u, old, target.Lambda, retained)
-    assert len(calls) >= 5  # K~, K - K~, X2 and the two spillover numerators
-    for field in ("res1_original", "res1_updated", "res2_original", "res2_updated", "rec_mk"):
+    gram = sf.residual_report(sf.validate_pencil(M_u, K, n_u, n_phi), u, old, target.Lambda,
+                              retained)
+    assert len(calls) >= 7  # M_u, K, K~, K - K~, X2 and the two spillover numerators
+    for field in public:
         value, ref = getattr(rep, field), getattr(gram, field)
         assert type(value) is float
         assert abs(value - ref) <= 1e-12 * ref, field
+
+
+def _mismatched_operands():
+    """(public definition, operands with one shape wrong) pairs."""
+    X2 = np.random.default_rng(0).standard_normal((5, 4))
+    M_u, K, Lam = np.eye(3), np.eye(5), np.eye(4)
+    return {
+        "non_square_Lam2_prime": (sf.retained_residual, (M_u, K, X2, np.eye(4, 3))),
+        "X2_rows": (sf.retained_residual, (M_u, K, X2[:4], Lam)),
+        "Lam_order": (sf.eigen_residual, (M_u, K, X2, np.eye(3))),
+        "M_u_tilde_order": (sf.rec_mk, (M_u, K, np.eye(2), K)),
+        "K_below_M_u": (sf.eigen_residual, (np.eye(5), np.eye(3), X2[:3], Lam)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_mismatched_operands()))
+def test_public_definitions_reject_mismatched_shapes(case):
+    f, operands = _mismatched_operands()[case]
+    with pytest.raises(DimensionMismatch) as err:
+        f(*operands)
+    assert err.value.exit_code == 10
 
 
 def test_residual_report_res2_unavailable_without_retained():

@@ -592,7 +592,7 @@ def test_lanczos_norm_matches_the_gram_reference(name, scale, monkeypatch):
     eigsh = pencil.spla.eigsh
     monkeypatch.setattr(pencil.spla, "eigsh", lambda *a, **kw: calls.append(1) or eigsh(*a, **kw))
     value = _spec_norm(A)
-    ref = _spec_norm(A, gram=True)
+    ref = pencil._gram_norm(A)
     assert calls == [1]
     assert type(value) is float and type(ref) is float
     assert abs(value - ref) <= 1e-12 * ref
@@ -612,7 +612,7 @@ def test_block_diagonal_norm_is_the_svd_norm(seed, pairs, reals, zeros, scale):
     general = sla.block_diag(*[rng.standard_normal((k, k)) for k in (2, 1, 2, 2, 1)])
     for L in (scale * Lam, scale * general):
         exact = np.linalg.norm(L, 2)
-        assert abs(pencil._block_diagonal_norm(L) - exact) <= 1e-14 * exact
+        assert abs(_spec_norm(L) - exact) <= 1e-14 * exact
 
 
 def test_block_diagonal_norm_of_other_matrices_is_spec_norm(monkeypatch):
@@ -621,11 +621,17 @@ def test_block_diagonal_norm_of_other_matrices_is_spec_norm(monkeypatch):
     chained[0, 1] = chained[2, 1] = 1.0  # a 3x3 block
     far = np.diag(rng.standard_normal(5))
     far[0, 3] = 2.0  # an entry off the tridiagonal
-    for L in (chained, far, rng.standard_normal((4, 4))):
-        assert pencil._block_diagonal_norm(L) == _spec_norm(L)
+    calls = []
+    eigvalsh = sla.eigvalsh
+    monkeypatch.setattr(sla, "eigvalsh", lambda G, **kw: calls.append(1) or eigvalsh(G, **kw))
+    for i, L in enumerate((chained, far, rng.standard_normal((4, 4)))):
+        # near-block matrices take the general path: below the Lanczos
+        # crossover, the Gram reference
+        assert _spec_norm(L) == pencil._gram_norm(L)
+        assert len(calls) == 2 * (i + 1)
     monkeypatch.setattr(sla, "eigvalsh", None)
-    assert pencil._block_diagonal_norm(np.zeros((3, 3))) == 0.0
-    assert type(pencil._block_diagonal_norm(np.diag([1.0, -3.0]))) is float
+    assert _spec_norm(np.zeros((3, 3))) == 0.0
+    assert type(_spec_norm(np.diag([1.0, -3.0]))) is float
 
 
 def test_lanczos_norm_of_an_all_zero_matrix_takes_no_eigensolve(monkeypatch):
@@ -653,7 +659,7 @@ def test_lanczos_norm_falls_back_to_the_gram_path(monkeypatch):
     monkeypatch.setattr(pencil.spla, "eigsh", no_convergence)
     for A in cases.values():
         value = _spec_norm(A)
-        assert type(value) is float and value == _spec_norm(A, gram=True)
+        assert type(value) is float and value == pencil._gram_norm(A)
 
 
 @given(st.integers(0, 10**6), st.integers(1, 50), st.integers(0, 30),
