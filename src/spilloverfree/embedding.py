@@ -77,16 +77,18 @@ def _structure_deviation(G, s_tilde):
 
 def structured_gamma(values, s_tilde, p):
     """Assemble the symmetric block matrix from its p free parameters:
-    (a_j, b_j) per 2x2 block [[a, b], [b, -a]], then the scalars."""
+    (a_j, b_j) per 2x2 block [[a, b], [b, -a]], then the scalars. A stack
+    of parameter vectors (shape (k, p)) gives the stack of matrices."""
     values = np.asarray(values, dtype=float)
-    if values.shape != (p,):
+    if values.shape[-1:] != (p,) or values.ndim > 2:
         raise DimensionMismatch(
             f"expected {p} free parameters, got shape {values.shape}"
         )
-    G = np.diag(values)
+    G = np.zeros(values.shape + (p,))
+    G[..., range(p), range(p)] = values
     i = np.arange(0, 2 * s_tilde, 2)
-    G[i + 1, i + 1] = -values[i]
-    G[i, i + 1] = G[i + 1, i] = values[i + 1]
+    G[..., i + 1, i + 1] = -values[..., i]
+    G[..., i, i + 1] = G[..., i + 1, i] = values[..., i + 1]
     return G
 
 
@@ -272,7 +274,9 @@ class PreparedUpdate:
     """The parameter-independent part of one update, built once as
     PreparedUpdate(p, old, target_Lambda): W = M_u X_1u, Z = K X_1 and the
     p x p WtX = X_1u^T W, ZtX = X_1^T Z. It holds no n x n array, so a
-    search reuses it for every trial (Theta, GammaTilde1).
+    search reuses it for every trial (Theta, GammaTilde1). It keeps copies
+    of old.X, old.Lambda and the target, and the pencil's norms but not
+    the pencil, which may hold it (see prepared_update).
 
     All inverses use the same solver call shape as GammaTilde1^-1, so
     identical inputs give bitwise identical inverses (the low-rank paths
@@ -293,10 +297,11 @@ class PreparedUpdate:
             raise DimensionMismatch(
                 f"target matrix has shape {Lt.shape}, expected {(q, q)}"
             )
-        self.pencil, self.X1, self.s_tilde = p, X1, infer_pair_count(Lt)
+        self.old, self.X1, self.L1, self.Lt = old, X1.copy(), np.array(old.Lambda), Lt.copy()
+        self.s_tilde = infer_pair_count(Lt)
 
-        self.iL1 = _inverse_of(np.ascontiguousarray(old.Lambda), "Lambda_1")
-        self.iLt = _inverse_of(Lt, "the target eigenvalue matrix")
+        self.iL1 = _inverse_of(self.L1, "Lambda_1")
+        self.iLt = _inverse_of(self.Lt, "the target eigenvalue matrix")
         G1 = compute_gamma1(p, X1, s=old.s)
         self.iG1 = _inverse_of(G1, "Gamma_1")
         _check_commutes("Gamma_1", G1, self.iL1)
@@ -313,6 +318,7 @@ class PreparedUpdate:
         X1u = X1[: p.n_u]
         self.W, self.Z = p.M_u @ X1u, p.K @ X1
         self.WtX, self.ZtX = X1u.T @ self.W, X1.T @ self.Z
+        self.norms = p.norms()
         self._distance_factors = None
 
     def gamma_tilde_inverse(self, params):
@@ -344,11 +350,11 @@ class PreparedUpdate:
         return core_m, cap_m, core_k, cap_k, iGt
 
     def _factors(self):
-        """(R_w, R_z, ||M_u||, ||K||): the thin-QR R factors of W and Z and
-        the pencil norms, computed on the first call."""
+        """(R_w, R_z, ||M_u||, ||K||): the thin-QR R factors of W and Z,
+        computed on the first call, and the pencil norms."""
         if self._distance_factors is None:
             self._distance_factors = (np.linalg.qr(self.W, mode="r"), np.linalg.qr(self.Z, mode="r"),
-                                      *self.pencil.norms())
+                                      *self.norms)
         return self._distance_factors
 
     def rec_mk(self, params, tau1=1.0, tau2=1.0):
@@ -414,13 +420,12 @@ class PreparedUpdate:
 
         rows, upper = np.triu_indices(q)
         weight = np.where(rows == upper, 1.0, np.sqrt(2.0))
-        A, g = np.empty((q, rows.size)), np.empty(q)
-        for j, E in enumerate(np.eye(q)):
-            dG = -iGt @ structured_gamma(E, self.s_tilde, q) @ iGt
-            L = R_w @ (Th @ dG @ Th.T) @ R_w.T
-            A[j] = weight * (0.5 * (L + L.T))[rows, upper]
-            dC = sla.solve(cap_k.T, (lead @ (-Th @ self.iLt @ dG @ Th.T)).T).T
-            g[j] = sigma * (u @ dC @ u)
+        # every direction at once: dG[j] = -Gt^-1 E_j Gt^-1, and
+        # u^T dC_j u = u^T N_j (cap_k^-1 u) with dC_j = N_j cap_k^-1
+        dG = -iGt @ structured_gamma(np.eye(q), self.s_tilde, q) @ iGt
+        L = R_w @ (Th @ dG @ Th.T) @ R_w.T
+        A = weight * (0.5 * (L + L.transpose(0, 2, 1)))[:, rows, upper]
+        g = sigma * (u @ (lead @ (-Th @ self.iLt @ dG @ Th.T)) @ sla.solve(cap_k, u))
         y, _, _, sv = np.linalg.lstsq(A, tau2 * g / norm_k, rcond=None)
         if sv.size < q or sv[-1] <= INJECTIVE_RCOND * sv[0]:
             return None
@@ -428,6 +433,18 @@ class PreparedUpdate:
         Y[rows, upper] = y / weight
         Y = Y + np.triu(Y, 1).T
         return float(np.abs(np.linalg.eigvalsh(Y)).sum() * norm_m / tau1)
+
+
+def prepared_update(p, old, target_Lambda):
+    """The PreparedUpdate of (p, old, target_Lambda): the one p holds from
+    the last call if it was built from `old` itself and old.X, old.Lambda
+    and the target still equal its copies, else a new one, which p then
+    holds. embed, optimize_gamma_tilde and evaluate_rec_mk share it."""
+    prep = p._prepared
+    if not (prep and prep.old is old and np.array_equal(prep.X1, old.X)
+            and np.array_equal(prep.L1, old.Lambda) and np.array_equal(prep.Lt, target_Lambda)):
+        prep = p._prepared = PreparedUpdate(p, old, target_Lambda)
+    return prep
 
 
 def embed_direct(p, old, target_Lambda, params):
@@ -469,7 +486,7 @@ def embed(p, old, target_Lambda, params):
     choice the p x p cores vanish identically and the original matrices
     are returned exactly.
     """
-    prep = PreparedUpdate(p, old, target_Lambda)
+    prep = prepared_update(p, old, target_Lambda)
     core_m, cap_m, core_k, cap_k, _ = prep.woodbury_cores(params)
     Mt = p.M_u - prep.W @ core_m @ sla.solve(cap_m, prep.W.T)
     Kt = p.K - prep.Z @ core_k @ sla.solve(cap_k, prep.Z.T)

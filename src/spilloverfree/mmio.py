@@ -11,10 +11,11 @@ Array bodies and the eigenvector block of a spectral file are parsed in
 bulk when they hold one value per line, as the writers produce: one
 vectorized conversion of all lines, which gives the same bits as
 float() on each value. Any other body (a '%' comment line, a blank
-line, several values on a line, a token float() rejects, or the wrong
-number of values) goes through the line parser instead, which skips
-comments and reports a malformed body with its file, line and column.
-Coordinate bodies always go through the line parser.
+line, several values on a line, a token float() rejects, a non-finite
+value, or the wrong number of values) goes through the line parser
+instead, which skips comments and reports a malformed body with its
+file, line and column. Coordinate bodies always go through the line
+parser. Every value must be finite: inf and nan are ParseError.
 
 The spectral format is line-oriented:
 
@@ -29,6 +30,7 @@ header line carrying the timestamp (the only non-reproducible byte).
 """
 
 import hashlib
+import math
 from datetime import datetime, timezone
 
 import numpy as np
@@ -53,9 +55,12 @@ def _fail(path, line_no, column, msg):
 
 def _parse_float(tok, path, line_no, line):
     try:
-        return float(tok)
+        v = float(tok)
     except ValueError:
-        _fail(path, line_no, line.find(tok) + 1, f"expected a real number, got {tok!r}")
+        v = math.nan
+    if not math.isfinite(v):
+        _fail(path, line_no, line.find(tok) + 1, f"expected a finite real number, got {tok!r}")
+    return v
 
 
 def _parse_int(tok, path, line_no, line, what):
@@ -78,14 +83,15 @@ def _data_lines(lines, start):
 def _bulk_values(lines, start, count):
     """The values on lines[start:] from one vectorized parse, or None
     unless the body is exactly `count` lines that float() accepts whole
-    (one value per line, as the writers produce)."""
+    (one value per line, as the writers produce) as finite numbers."""
     body = lines[start:]
     if len(body) != count:
         return None
     try:
-        return np.array(body, dtype=float)
+        values = np.array(body, dtype=float)
     except ValueError:
         return None
+    return values if np.isfinite(values).all() else None
 
 
 def _line_values(path, lines, data, count, what):

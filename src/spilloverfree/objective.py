@@ -14,14 +14,13 @@ from typing import ClassVar
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.optimize
 
 from .embedding import (
     ILL_DEFINED_RCOND,
     ParameterSet,
-    PreparedUpdate,
     UpdatedSystem,
     gamma_free_params,
+    prepared_update,
     structured_gamma,
 )
 from .errors import (
@@ -32,8 +31,8 @@ from .errors import (
     RankDeficient,
     Singular,
 )
-from .pencil import (_as_matrix, _eigen_residual, _infinite_basis, _retained_residual,
-                     _spec_norm)
+from .pencil import (_as_matrix, _eigen_residual, _infinite_basis, _retained_relation,
+                     _retained_residual, _spec_norm)
 from .spectral import block_eigenvalues
 
 log = logging.getLogger(__name__)
@@ -46,12 +45,32 @@ SEED_CERTIFICATE_MAX = 0.5
 # simplex relative to the largest seed parameter (or 1).
 _FATOL = 1e-10
 _SIMPLEX_SCALE = 0.1
+# Rec.MK takes ||D|| of a difference D as ||Q^T D|| with Q = orth(D Omega),
+# Omega a seeded Gaussian of this many columns, where the remainder
+# certifies it: ||D - Q Q^T D||_F <= SKETCH_TOL ||Q^T D|| bounds the
+# relative error by SKETCH_TOL^2 / 2 in exact arithmetic. An update is a
+# rank-p congruence, so its differences have rank at most p.
+SKETCH_WIDTH = 16
+SKETCH_TOL = 1e-13
+
+
+def _distance(A, A_tilde):
+    """||A - A_tilde||_2 by the certified sketch, else _spec_norm."""
+    D = np.subtract(A, A_tilde, dtype=float, order="C")
+    if not D.any():
+        return 0.0
+    Q = np.linalg.qr(D @ np.random.default_rng(0).standard_normal((D.shape[1], SKETCH_WIDTH)))[0]
+    B = Q.T @ D
+    # D - Q B in place: D.T is D's Fortran view, and D.T - B^T Q^T its remainder
+    sla.blas.dgemm(-1.0, B.T, Q.T, 1.0, D.T, overwrite_c=True)
+    norm = _spec_norm(B)
+    if sla.blas.dnrm2(D.ravel()) <= SKETCH_TOL * norm:
+        return norm
+    return _spec_norm(np.subtract(A, A_tilde, dtype=float))
 
 
 def _rec_mk(M_u, K, M_u_tilde, K_tilde, norm_m, norm_k, tau1, tau2):
-    dm = _spec_norm(np.asarray(M_u) - np.asarray(M_u_tilde)) / norm_m
-    dk = _spec_norm(np.asarray(K) - np.asarray(K_tilde)) / norm_k
-    return tau1 * dm + tau2 * dk
+    return tau1 * _distance(M_u, M_u_tilde) / norm_m + tau2 * _distance(K, K_tilde) / norm_k
 
 
 def _check_operands(M_u, K, X, Lam, names=("X", "Lam")):
@@ -92,8 +111,8 @@ def retained_residual(M_u, K, X2, Lam2_prime):
     in the inverse-eigenvalue form, which covers the infinite block
     (zero columns of Lam2') with no special casing."""
     _check_operands(M_u, K, X2, Lam2_prime, ("X2", "Lam2_prime"))
-    return _retained_residual(M_u @ X2[: len(M_u)], K, X2 @ Lam2_prime, _spec_norm(M_u),
-                              _spec_norm(K), _spec_norm(Lam2_prime), _spec_norm(X2))
+    return _retained_relation(M_u, K, X2, Lam2_prime, _spec_norm(M_u), _spec_norm(K),
+                              _spec_norm(X2))
 
 
 @dataclass(frozen=True)
@@ -114,14 +133,12 @@ class ResidualReport:
 
 
 def _retained_block_data(p, retained):
-    """The spillover residual's operands (X2, Lam2_prime): the retained
-    finite eigendata followed by the infinite basis, with
-    Lam2_prime = diag(Lambda^{-1}, 0)."""
+    """The spillover residual's operands (X2, Lambda^{-1}): the retained
+    finite eigendata followed by the infinite basis, and the finite block
+    of Lam2_prime = diag(Lambda^{-1}, 0), which is never formed."""
     if retained.X.shape[0] != p.n:
-        raise DimensionMismatch(
-            f"retained eigendata has {retained.X.shape[0]} rows, "
-            f"pencil order is {p.n}"
-        )
+        raise DimensionMismatch(f"retained eigendata has {retained.X.shape[0]} rows, "
+                                f"pencil order is {p.n}")
     # each block of Lambda is |lam| times a rotation, so its singular
     # values are the moduli of its eigenvalues
     moduli = np.abs(block_eigenvalues(retained.Lambda, retained.s))
@@ -132,19 +149,10 @@ def _retained_block_data(p, retained):
             f"(rcond {r:.3e}); its inverse enters the spillover residual"
         )
     L3_inv = sla.solve(retained.Lambda, np.eye(retained.p))
-    X2 = np.hstack([retained.X, _infinite_basis(p)])
-    return X2, sla.block_diag(L3_inv, np.zeros((p.n_phi, p.n_phi)))
+    return np.hstack([retained.X, _infinite_basis(p)]), L3_inv
 
 
-def residual_report(
-    p,
-    u,
-    old,
-    target_Lambda,
-    retained=None,
-    tau1=1.0,
-    tau2=1.0,
-):
+def residual_report(p, u, old, target_Lambda, retained=None, tau1=1.0, tau2=1.0):
     """Full residual accounting for one embedding run.
 
     `old` is the replaced eigendata of the original pencil, `u` the
@@ -158,16 +166,12 @@ def residual_report(
         raise DimensionMismatch("u must be an UpdatedSystem")
     target_Lambda = np.asarray(target_Lambda, dtype=float)
     if old.X.shape[0] != p.n:
-        raise DimensionMismatch(
-            f"eigendata has {old.X.shape[0]} rows, pencil order is {p.n}"
-        )
+        raise DimensionMismatch(f"eigendata has {old.X.shape[0]} rows, pencil order is {p.n}")
     if u.n_u != p.n_u or u.n != p.n:
         raise DimensionMismatch("updated system dimensions do not match the pencil")
     if target_Lambda.shape != (old.p, old.p):
-        raise DimensionMismatch(
-            f"target matrix has shape {target_Lambda.shape}, expected "
-            f"({old.p}, {old.p})"
-        )
+        raise DimensionMismatch(f"target matrix has shape {target_Lambda.shape}, expected "
+                                f"({old.p}, {old.p})")
     _check_weights(tau1, tau2)
 
     # each pencil norm once: the residuals and Rec.MK share them; Rec.MK first caps peak memory
@@ -184,24 +188,19 @@ def residual_report(
     if retained is None:
         res2_o = res2_u = None
     else:
-        X2, Lam2p = _retained_block_data(p, retained)
-        norm_lam, norm_x = _spec_norm(Lam2p), _spec_norm(X2)
-        X2Lam, MX2 = X2 @ Lam2p, p.M_u @ X2[: p.n_u]
-        MX2t = MX2 if same_m else u.M_u_tilde @ X2[: p.n_u]
-        res2_o = _retained_residual(MX2, p.K, X2Lam, norm_m, norm_k, norm_lam, norm_x)
-        res2_u = _retained_residual(MX2t, u.K_tilde, X2Lam, norm_mt, norm_kt, norm_lam, norm_x)
+        # on the q3 finite columns of Lam2_prime: its other columns, and M X2's, are zero
+        X2, L3_inv = _retained_block_data(p, retained)
+        X2f, X2u = X2[:, : retained.p], X2[: p.n_u, : retained.p]
+        # the closed form over L3_inv's blocks is ||diag(L3_inv, 0)||'s
+        norm_lam, norm_x = _spec_norm(L3_inv), _spec_norm(X2)
+        X2L, MX2 = X2f @ L3_inv, p.M_u @ X2u
+        MX2t = MX2 if same_m else u.M_u_tilde @ X2u
+        res2_o = _retained_residual(MX2, p.K, X2L, norm_m, norm_k, norm_lam, norm_x)
+        res2_u = _retained_residual(MX2t, u.K_tilde, X2L, norm_mt, norm_kt, norm_lam, norm_x)
 
-    return ResidualReport(
-        res1_original=res1_o,
-        res1_updated=res1_u,
-        res2_original=res2_o,
-        res2_updated=res2_u,
-        rec_mk=rec,
-        tau1=tau1,
-        tau2=tau2,
-        method=u.method,
-        params_mode=u.params.mode,
-    )
+    return ResidualReport(res1_original=res1_o, res1_updated=res1_u, res2_original=res2_o,
+                          res2_updated=res2_u, rec_mk=rec, tau1=tau1, tau2=tau2,
+                          method=u.method, params_mode=u.params.mode)
 
 
 @dataclass(frozen=True)
@@ -237,14 +236,11 @@ class OptimizationResult:
     certificate: float = None
 
 
-def evaluate_rec_mk(p, old, target_Lambda, params, tau1=1.0, tau2=1.0, *, prepared=None):
-    """Rec.MK of one parameter set via PreparedUpdate.rec_mk, without
-    forming the updated coefficients; raises whatever embed would raise.
-    `prepared`, a PreparedUpdate(p, old, target_Lambda), saves
-    rebuilding it."""
-    if prepared is None:
-        prepared = PreparedUpdate(p, old, target_Lambda)
-    return prepared.rec_mk(params, tau1, tau2)
+def evaluate_rec_mk(p, old, target_Lambda, params, tau1=1.0, tau2=1.0):
+    """Rec.MK of one parameter set via PreparedUpdate.rec_mk on
+    prepared_update's, without forming the updated coefficients; raises
+    whatever embed would raise."""
+    return prepared_update(p, old, target_Lambda).rec_mk(params, tau1, tau2)
 
 
 def _restart_points(x0, s_tilde):
@@ -273,8 +269,9 @@ def optimize_gamma_tilde(p, old, target_Lambda, Theta, seed, config=None):
     (singular GammaTilde1, ill-defined update) score
     OptimizeConfig.penalty, so the search is effectively unconstrained.
     Evaluation of the seed itself is not shielded: a seed that cannot be
-    embedded raises immediately. The update is prepared once, so each
-    evaluation costs O(p^3) whatever the pencil order.
+    embedded raises immediately. The update is prepared once
+    (prepared_update), so each evaluation costs O(p^3), plus the O(n p)
+    comparison that finds the prepared update again.
 
     Where the seed scores below the penalty, its first-order certificate
     (PreparedUpdate.seed_certificate) is taken, in O(p^3). It yields a
@@ -293,34 +290,26 @@ def optimize_gamma_tilde(p, old, target_Lambda, Theta, seed, config=None):
     s_tilde = seed.s_tilde
     Theta = np.asarray(Theta, dtype=float)
     if Theta.shape != (q, q):
-        raise DimensionMismatch(
-            f"Theta has shape {Theta.shape}, expected ({q}, {q})"
-        )
+        raise DimensionMismatch(f"Theta has shape {Theta.shape}, expected ({q}, {q})")
     if not np.array_equal(Theta, seed.Theta):
         raise DimensionMismatch("Theta differs from the seed's Theta; the search "
                                 "varies GammaTilde1 only, with the seed's Theta")
     max_evals = config.max_evals or 200 * q
 
     def build(x):
-        return ParameterSet(
-            Theta=Theta,
-            GammaTilde1=structured_gamma(x, s_tilde, q),
-            s_tilde=s_tilde,
-            mode="choice_b",
-        )
-
-    prepared = PreparedUpdate(p, old, target_Lambda)
+        return ParameterSet(Theta=Theta, GammaTilde1=structured_gamma(x, s_tilde, q),
+                            s_tilde=s_tilde, mode="choice_b")
 
     def evaluate(params):
-        return evaluate_rec_mk(p, old, target_Lambda, params, config.tau1, config.tau2,
-                               prepared=prepared)
+        return evaluate_rec_mk(p, old, target_Lambda, params, config.tau1, config.tau2)
 
     x0 = gamma_free_params(seed.GammaTilde1, s_tilde)
     f0 = evaluate(seed)
     baseline = f0 if seed.mode == "choice_a" else None
     certificate = None
     if np.isfinite(f0) and f0 < config.penalty:
-        certificate = prepared.seed_certificate(seed, config.tau1, config.tau2)
+        certificate = prepared_update(p, old, target_Lambda).seed_certificate(
+            seed, config.tau1, config.tau2)
     if certificate is not None and certificate < SEED_CERTIFICATE_MAX:
         return OptimizationResult(best_params=seed, best_rec_mk=f0, baseline_rec_mk=baseline,
                                   iterations=0, converged=True, trace=(),
@@ -339,23 +328,19 @@ def optimize_gamma_tilde(p, old, target_Lambda, Theta, seed, config=None):
         points.append(np.array(x, dtype=float))
         return value
 
+    # imported here: scipy.optimize costs about 17 MB and 0.17 s to load,
+    # and a seed the certificate settles needs no search
+    import scipy.optimize
+
     total_evals = 0
     converged = False
     delta = _SIMPLEX_SCALE * max(1.0, float(np.abs(x0).max()))
     for start in _restart_points(x0, s_tilde)[: max(1, config.restarts)]:
         simplex = np.vstack([start] + [start + delta * e for e in np.eye(q)])
-        res = scipy.optimize.minimize(
-            objective,
-            start,
-            method="Nelder-Mead",
-            options={
-                "initial_simplex": simplex,
-                "fatol": _FATOL,
-                "xatol": np.inf,
-                "maxfev": max_evals,
-                "disp": False,
-            },
-        )
+        res = scipy.optimize.minimize(objective, start, method="Nelder-Mead",
+                                      options={"initial_simplex": simplex, "fatol": _FATOL,
+                                               "xatol": np.inf, "maxfev": max_evals,
+                                               "disp": False})
         total_evals += res.nfev
         converged = converged or bool(res.success)
 
@@ -373,12 +358,6 @@ def optimize_gamma_tilde(p, old, target_Lambda, Theta, seed, config=None):
             "the seed and every restart scored the infeasibility penalty"
         )
 
-    return OptimizationResult(
-        best_params=best_params,
-        best_rec_mk=best_f,
-        baseline_rec_mk=baseline,
-        iterations=total_evals,
-        converged=converged,
-        trace=tuple(trace),
-        certificate=certificate,
-    )
+    return OptimizationResult(best_params=best_params, best_rec_mk=best_f, baseline_rec_mk=baseline,
+                              iterations=total_evals, converged=converged, trace=tuple(trace),
+                              certificate=certificate)

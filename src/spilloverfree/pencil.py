@@ -222,6 +222,7 @@ class StructuredPencil:
         self.n_u = n_u
         self.n_phi = n_phi
         self._spectrum = None
+        self._prepared = None  # embedding.prepared_update's last PreparedUpdate
         self._norms = None
         self._k_rcond = None
 
@@ -604,11 +605,22 @@ def _eigen_residual(M_u, K, X, Lam, norm_m, norm_k):
     return num / den if den else 0.0
 
 
-def _retained_residual(MX2u, K, X2Lam, norm_m, norm_k, norm_lam, norm_x):
-    num = K @ X2Lam
+def _retained_residual(MX2u, K, X2L, norm_m, norm_k, norm_lam, norm_x):
+    """Res2 with Lam2' = diag(L, 0) from X2L = X2[:, :q] L on its q finite
+    columns and MX2u = M_u X2_u, on all of X2's columns or on those q."""
+    num = np.zeros((len(K), MX2u.shape[1]))
+    num[:, : X2L.shape[1]] = K @ X2L  # K X2 Lam2' vanishes on the other columns
     num[: len(MX2u)] += MX2u  # M X2 = [M_u X2_u; 0]
     den = (norm_m + norm_k * norm_lam) * norm_x
     return _spec_norm(num) / den if den else 0.0
+
+
+def _retained_relation(M_u, K, X2, Lam2_prime, norm_m, norm_k, norm_x):
+    """_retained_residual of a Lam2_prime = diag(L, 0) given whole."""
+    q, X2u = _zero_block_order(Lam2_prime), X2[: len(M_u)]
+    MX2u = np.hstack([M_u @ X2u[:, :q], M_u @ X2u[:, q:]])  # the first q as residual_report's
+    return _retained_residual(MX2u, K, X2[:, :q] @ Lam2_prime[:q, :q], norm_m, norm_k,
+                              _spec_norm(Lam2_prime), norm_x)
 
 
 def _zero_block_order(J):
@@ -669,8 +681,7 @@ def check_jordan_pair(p, c, tol):
             )
         Jp = sla.block_diag(np.linalg.inv(J1), np.zeros((m - q, m - q)))
         name = "infinite_relation" if q == 0 else "pencil_relation"
-        relations = {name: _retained_residual(p.M_u @ X[: p.n_u], p.K, X @ Jp, norm_M,
-                                              norm_K, _spec_norm(Jp), norm_X)}
+        relations = {name: _retained_relation(p.M_u, p.K, X, Jp, norm_M, norm_K, norm_X)}
 
     if m == n and p.n_phi:
         relations["block_form"] = _spec_norm(X[: p.n_u, q:]) / norm_X if norm_X else 0.0

@@ -93,12 +93,14 @@ def generate_pencil(spec):
 
 
 def _admissible(z, chosen, avoid, *, needs_imag):
-    if abs(z) < MIN_TARGET_MODULUS:
+    """Whether z keeps MIN_TARGET_MODULUS (and so does its imaginary part
+    where needs_imag) and stays _DISJOINT_TOL apart, relative, from the
+    list `chosen`, its conjugates and the complex array `avoid`."""
+    if abs(z) < MIN_TARGET_MODULUS or (needs_imag and abs(z.imag) < MIN_TARGET_MODULUS):
         return False
-    if needs_imag and abs(z.imag) < MIN_TARGET_MODULUS:
-        return False
-    others = chosen + [w.conjugate() for w in chosen] + avoid
-    return not any(abs(z - w) < _DISJOINT_TOL * max(abs(w), 1.0) for w in others)
+    chosen = np.asarray(chosen, dtype=complex)
+    others = np.concatenate([chosen, chosen.conj(), avoid])
+    return not (np.abs(z - others) < _DISJOINT_TOL * np.maximum(np.abs(others), 1.0)).any()
 
 
 def _draw(propose, taken, avoid, needs_imag, failure):
@@ -133,7 +135,7 @@ def perturb_targets(old_eigs, s_tilde, max_perturbation, seed, avoid=()):
         raise StructureInfeasible(
             f"s_tilde={s_tilde} conjugate pairs do not fit into {m} targets"
         )
-    avoid = [complex(a) for a in avoid]
+    avoid = np.array([complex(a) for a in avoid], dtype=complex)
     rng = np.random.default_rng(seed)
     taken = []  # the pairs (upper members), then the reals
 

@@ -5,8 +5,12 @@ directories, so the exit codes come back as return values and the
 artifact files can be inspected directly.
 """
 
+import io
 import os
 import shutil
+import subprocess
+import sys
+import tarfile
 
 import numpy as np
 import pytest
@@ -565,3 +569,92 @@ def test_demo_stores_its_weights_for_verify(tmp_path):
     report = read_report(out, "demo.report")
     assert (float(report["tau1"]), float(report["tau2"])) == (1.0, 2.0)
     assert run("verify", "--in", out) == 0
+
+
+def _copy_run(embed_run, tmp_path):
+    d = str(tmp_path / "run")
+    shutil.copytree(embed_run[1], d)
+    return d
+
+
+def _edit_report(directory, name, **changes):
+    path = os.path.join(directory, name)
+    entries = mmio.read_report(path)
+    entries.update(changes)
+    mmio.write_report(entries, path)
+
+
+def test_verify_accepts_residual_digits_below_the_floor(embed_run, tmp_path):
+    # a stored residual may differ from the recomputed one by rounding
+    # (another BLAS thread count, another order of operations): far
+    # beyond 1e-6 relative at 1e-16, but below the absolute floor
+    d = _copy_run(embed_run, tmp_path)
+    stored = read_report(d, "embed.report")
+    floor = sf.cli.RESIDUAL_FLOOR
+    _edit_report(d, "embed.report",
+                 **{key: repr(float(stored[key]) + 0.5 * floor)
+                    for key in ("res1_updated", "res2_updated")})
+    assert run("verify", "--in", d) == 0
+
+
+@pytest.mark.parametrize("key", ["res1_updated", "res2_updated"])
+def test_verify_rejects_a_residual_edited_above_the_floor(embed_run, tmp_path, capsys, key):
+    d = _copy_run(embed_run, tmp_path)
+    value = float(read_report(d, "embed.report")[key]) + 10 * sf.cli.RESIDUAL_FLOOR
+    _edit_report(d, "embed.report", **{key: repr(value)})
+    assert value < 1e-10  # still passes --tol-check
+    assert run("verify", "--in", d) == 28
+    assert f"{key}: stored" in capsys.readouterr().err
+
+
+def test_verify_compares_rec_mk_relative_without_the_floor(embed_run, tmp_path, capsys):
+    d = _copy_run(embed_run, tmp_path)
+    rec = float(read_report(d, "embed.report")["rec_mk"])
+    _edit_report(d, "embed.report", rec_mk=repr(rec * (1 + 1e-5)))
+    assert run("verify", "--in", d) == 28
+    assert "rec_mk: stored" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,token", [("K_tilde.mtx", "inf"), ("X1_tilde.mtx", "nan")])
+def test_verify_reports_a_non_finite_value_as_a_parse_error(embed_run, tmp_path, capsys, name,
+                                                            token):
+    d = _copy_run(embed_run, tmp_path)
+    path = os.path.join(d, name)
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    lines[3] = token
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    assert run("verify", "--in", d) == 27
+    assert f"{name}:4:1:" in capsys.readouterr().err
+
+
+# The commit before Rec.MK took its distances on a certified sketch and
+# Res2 its numerators on the finite columns of Lam2_prime.
+PARENT_COMMIT = "1ac61db36bbab2aaaf71bb45f99eb78b23cec083"
+
+
+@pytest.mark.parametrize("n_u,n_phi", [(200, 60), (400, 160)])
+def test_runs_written_before_the_sketch_distances_still_verify(tmp_path, n_u, n_phi):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    try:
+        archive = subprocess.run(["git", "-C", root, "archive", PARENT_COMMIT, "src"],
+                                 capture_output=True, check=True, timeout=120).stdout
+    except (OSError, subprocess.CalledProcessError):
+        pytest.skip(f"needs a git checkout holding commit {PARENT_COMMIT[:7]}")
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(tmp_path / "parent")
+    env = dict(os.environ, PYTHONPATH=str(tmp_path / "parent" / "src"))
+
+    def parent_cli(*argv):
+        subprocess.run([sys.executable, "-m", "spilloverfree.cli", *map(str, argv)], env=env,
+                       cwd=tmp_path, capture_output=True, check=True, timeout=600)
+
+    gen = tmp_path / "gen"
+    select = ("--p", 6, "--s", 2, "--seed", 3)
+    parent_cli("gen", "--nu", n_u, "--nphi", n_phi, "--seed", 3, "--out", gen)
+    parent_cli("embed", "--in", gen, "--out", tmp_path / "embed", "--stilde", 2, *select)
+    parent_cli("optimize", "--in", gen, "--out", tmp_path / "optimize", "--stilde", 1, *select,
+               "--restarts", 1, "--max-evals", 60)
+    for d in ("embed", "optimize"):
+        assert run("verify", "--in", tmp_path / d) == 0, d

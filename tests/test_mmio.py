@@ -375,3 +375,33 @@ def test_writers_match_a_per_value_reference(tmp_path_factory, kind, m, n, value
         columns = [A[j:, j] for j in range(n)] if symmetric else A.T
     body = "".join(path.read_text().splitlines(keepends=True)[head:])
     assert body == "".join("%.17e\n" % float(v) for col in columns for v in col)
+
+
+@pytest.mark.parametrize("token", ["inf", "-inf", "nan", "Infinity"])
+def test_read_matrix_rejects_a_non_finite_value_with_its_location(tmp_path, token):
+    for body in ("array real general\n2 2\n1.0\n2.0\n{}\n4.0\n",  # bulk parse
+                 "array real general\n2 2\n% comment\n1.0 2.0\n{}\n4.0\n",  # line parser
+                 "coordinate real general\n2 2 2\n1 1 1.0\n2 2 {}\n"):
+        f = tmp_path / "m.mtx"
+        f.write_text(("%%MatrixMarket matrix " + body).format(token))
+        with pytest.raises(ParseError, match="finite") as exc:
+            sf.read_matrix(f)
+        lines = f.read_text().splitlines()
+        assert token in lines[exc.value.line - 1]
+        assert lines[exc.value.line - 1][exc.value.column - 1:].startswith(token)
+
+
+def test_read_spectral_rejects_a_non_finite_value_with_its_location(tmp_path):
+    d = sf.RealSpectralData(Lambda=np.array([[1.0, 2.0], [-2.0, 1.0]]),
+                            X=np.arange(1.0, 7.0).reshape(3, 2), s=1)
+    f = tmp_path / "d.spectral"
+    sf.write_spectral(d, f)
+    good = f.read_text().splitlines()
+    # an eigenvector value (bulk parse), and the imaginary part of the pair
+    for line, text, column in ((4, "nan", 1), (2, "pair 1.0 inf", 10)):
+        lines = list(good)
+        lines[line - 1] = text
+        f.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="finite") as exc:
+            sf.read_spectral(f)
+        assert (exc.value.line, exc.value.column) == (line, column)

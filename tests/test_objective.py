@@ -1,5 +1,8 @@
 """Residual metrics, the update distance, and its minimization."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -60,7 +63,8 @@ def test_residual_report_fields():
 def test_residual_report_takes_each_pencil_norm_once(monkeypatch):
     # ||M_u|| and ||K|| come from the pencil's cache, ||M_u~|| is ||M_u||
     # (choice_a leaves M_u bit for bit) and M_u - M_u~ = 0 has norm 0:
-    # of the full-order matrices only K~ and K - K~ take an eigensolve.
+    # of the full-order matrices only K~ and K - K~ take an eigensolve,
+    # K - K~ on its sketch Q^T (K - K~), of order n here (n < SKETCH_WIDTH).
     # The results are the values the public metrics give.
     c = EmbeddingCase(10, 4, s_sel=1, n_real=2, s_tilde=1, seed=3)
     u = sf.embed(c.pencil, c.old, c.target.Lambda, c.params)
@@ -72,7 +76,7 @@ def test_residual_report_takes_each_pencil_norm_once(monkeypatch):
     monkeypatch.setattr(sla, "eigvalsh", lambda G, **kw: calls.append(G.shape) or eigvalsh(G, **kw))
     rep = sf.residual_report(p, u, c.old, Lt, c.retained)
     monkeypatch.undo()
-    # K~ and K - K~ (n x n), X2 (m x m Gram, m = n - p), and the small
+    # K~ and K - K~'s sketch (n x n), X2 (m x m Gram, m = n - p), and the small
     # res1 operands; the two spillover numerators drop their n_phi
     # exactly-zero infinite columns (q3 x q3 Grams, q3 = n_u - p), and
     # ||Lam2_prime|| takes no eigensolve (block-diagonal closed form)
@@ -80,7 +84,8 @@ def test_residual_report_takes_each_pencil_norm_once(monkeypatch):
     assert calls.count((p.n, p.n)) == 2
     assert sum(min(shape) >= p.n_u for shape in calls) == 3
     assert calls.count((q3, q3)) == 2
-    X2, Lam2p = spilloverfree.objective._retained_block_data(p, c.retained)
+    X2, L3_inv = spilloverfree.objective._retained_block_data(p, c.retained)
+    Lam2p = sla.block_diag(L3_inv, np.zeros((p.n_phi, p.n_phi)))
     assert rep.res1_original == sf.eigen_residual(p.M_u, p.K, c.old.X, c.old.Lambda)
     assert rep.res1_updated == sf.eigen_residual(u.M_u_tilde, u.K_tilde, u.X1_tilde, Lt)
     assert rep.res2_original == sf.retained_residual(p.M_u, p.K, X2, Lam2p)
@@ -92,7 +97,8 @@ def test_embed_chain_takes_no_large_svd_and_one_gram_of_order_m(monkeypatch):
     # validate -> solve -> select -> embed -> residual_report at n = 168:
     # eigenvector ranks come from QR, norms from Gram eigensolves, and the
     # only Gram of order m = n - p is ||X2||'s (the spillover numerators
-    # and Lam2_prime drop their infinite zero columns)
+    # and Lam2_prime drop their infinite zero columns); ||K - K~|| takes
+    # the Gram of its certified sketch, of order SKETCH_WIDTH
     n_u, n_phi, p = 120, 48, 6
     g = make_pencil(n_u, n_phi, seed=4, p=p, s_tilde=2)
     M_u, K = np.array(g.M_u), np.array(g.K)
@@ -124,8 +130,10 @@ def test_embed_chain_takes_no_large_svd_and_one_gram_of_order_m(monkeypatch):
     m = pencil.n - p
     assert [shape for shape in svds if min(shape) >= 100] == []
     assert grams.count((m, m)) == 1
-    # besides ||X2||: ||M_u||, ||K||, ||K~|| and ||K - K~||
-    assert sum(min(shape) >= n_u for shape in grams) == 5
+    width = spilloverfree.objective.SKETCH_WIDTH
+    assert grams.count((width, width)) == 1
+    # besides ||X2||: ||M_u||, ||K|| and ||K~||
+    assert sum(min(shape) >= n_u for shape in grams) == 4
 
 
 def test_reports_and_checks_equal_the_public_definitions_above_the_lanczos_crossover(
@@ -154,7 +162,8 @@ def test_reports_and_checks_equal_the_public_definitions_above_the_lanczos_cross
     rep = sf.residual_report(pencil, u, old, target.Lambda, retained)
 
     assert pencil.norms() == (_spec_norm(pencil.M_u), _spec_norm(pencil.K))
-    X2, Lam2p = spilloverfree.objective._retained_block_data(pencil, retained)
+    X2, L3_inv = spilloverfree.objective._retained_block_data(pencil, retained)
+    Lam2p = sla.block_diag(L3_inv, np.zeros((n_phi, n_phi)))
     public = {
         "res1_original": sf.eigen_residual(pencil.M_u, pencil.K, old.X, old.Lambda),
         "res1_updated": sf.eigen_residual(u.M_u_tilde, u.K_tilde, u.X1_tilde, target.Lambda),
@@ -182,7 +191,7 @@ def test_reports_and_checks_equal_the_public_definitions_above_the_lanczos_cross
     monkeypatch.setattr(spla, "eigsh", no_convergence)
     gram = sf.residual_report(sf.validate_pencil(M_u, K, n_u, n_phi), u, old, target.Lambda,
                               retained)
-    assert len(calls) >= 7  # M_u, K, K~, K - K~, X2 and the two spillover numerators
+    assert len(calls) >= 6  # M_u, K, K~, X2 and the two spillover numerators
     for field in public:
         value, ref = getattr(rep, field), getattr(gram, field)
         assert type(value) is float
@@ -552,3 +561,178 @@ def test_seed_certificate_needs_a_zero_mass_core():
     result = sf.optimize_gamma_tilde(c.pencil, c.old, c.target.Lambda, np.eye(c.old.p),
                                      c.params, sf.OptimizeConfig(max_evals=30, restarts=1))
     assert result.certificate is None and result.iterations > 0
+
+
+def _per_direction_certificate(prepared, params, tau1=1.0, tau2=1.0):
+    """seed_certificate's ratio with one p x p solve per direction E_j,
+    as its docstring states it: the reference for the stacked arrays."""
+    core_m, _, core_k, cap_k, iGt = prepared.woodbury_cores(params)
+    R_w, R_z, norm_m, norm_k = prepared._factors()
+    q, Th = params.p, params.Theta
+    C0 = sla.solve(cap_k.T, core_k.T).T
+    w, V = np.linalg.eigh(R_z @ (0.5 * (C0 + C0.T)) @ R_z.T)
+    top = np.argmax(np.abs(w))
+    sigma, u = np.sign(w[top]), R_z.T @ V[:, top]
+    rows, upper = np.triu_indices(q)
+    weight = np.where(rows == upper, 1.0, np.sqrt(2.0))
+    A, g = np.empty((q, rows.size)), np.empty(q)
+    for j, E in enumerate(np.eye(q)):
+        dG = -iGt @ sf.structured_gamma(E, params.s_tilde, q) @ iGt
+        L = R_w @ (Th @ dG @ Th.T) @ R_w.T
+        A[j] = weight * (0.5 * (L + L.T))[rows, upper]
+        dC = sla.solve(cap_k.T, ((np.eye(q) - C0 @ prepared.ZtX)
+                                 @ (-Th @ prepared.iLt @ dG @ Th.T)).T).T
+        g[j] = sigma * (u @ dC @ u)
+    y = np.linalg.lstsq(A, tau2 * g / norm_k, rcond=None)[0]
+    Y = np.zeros((q, q))
+    Y[rows, upper] = y / weight
+    Y = Y + np.triu(Y, 1).T
+    return float(np.abs(np.linalg.eigvalsh(Y)).sum() * norm_m / tau1)
+
+
+@pytest.mark.parametrize("tau1", [1.0, 0.01])
+def test_stacked_seed_certificate_matches_the_per_direction_reference(tau1):
+    for seed in range(6):
+        c = scale_case(seed)
+        prepared, rho = _certificate(c, tau1)
+        ref = _per_direction_certificate(prepared, c.params, tau1)
+        assert abs(rho - ref) <= 1e-12 * ref, (seed, rho, ref)
+
+
+# -- Rec.MK distances on a certified sketch ------------------------------------
+
+
+def _low_rank_update(n, rank, seed):
+    """A symmetric A and A~ = A - U diag(d) U^T with rank(U) = rank."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    U = rng.standard_normal((n, rank))
+    d = rng.uniform(0.5, 2.0, rank) * rng.choice([-1.0, 1.0], rank)
+    return A + A.T, A + A.T - (U * d) @ U.T
+
+
+def _counted_spec_norm(monkeypatch):
+    shapes = []
+    norm = spilloverfree.objective._spec_norm
+    monkeypatch.setattr(spilloverfree.objective, "_spec_norm",
+                        lambda B: shapes.append(B.shape) or norm(B))
+    return shapes
+
+
+@pytest.mark.parametrize("n", [12, 140, 260])
+def test_sketch_distance_matches_the_gram_reference(monkeypatch, n):
+    shapes = _counted_spec_norm(monkeypatch)
+    width = min(n, spilloverfree.objective.SKETCH_WIDTH)
+    for rank in range(1, 13):
+        A, A_tilde = _low_rank_update(n, rank, seed=rank)
+        shapes.clear()
+        value = spilloverfree.objective._distance(A, A_tilde)
+        ref = spilloverfree.pencil._gram_norm(A - A_tilde)
+        assert shapes == [(width, n)], rank  # the sketch's norm, no fallback
+        assert type(value) is float and abs(value - ref) <= 1e-13 * ref, (rank, value, ref)
+
+
+@pytest.mark.parametrize("rank", [17, 40, 140])
+def test_sketch_distance_falls_back_above_the_sketch_width(monkeypatch, rank):
+    n = 140
+    A, A_tilde = _low_rank_update(n, rank, seed=rank)
+    shapes = _counted_spec_norm(monkeypatch)
+    value = spilloverfree.objective._distance(A, A_tilde)
+    assert shapes == [(spilloverfree.objective.SKETCH_WIDTH, n), (n, n)]
+    monkeypatch.undo()
+    assert value == _spec_norm(A - A_tilde)
+
+
+def test_sketch_distance_of_equal_matrices_is_zero(monkeypatch):
+    A = _low_rank_update(30, 1, seed=0)[0]
+    shapes = _counted_spec_norm(monkeypatch)
+    assert spilloverfree.objective._distance(A, A.copy()) == 0.0
+    assert shapes == []
+
+
+def test_rec_mk_of_an_optimized_update_matches_the_gram_reference():
+    # after a structure change both M_u - M_u~ and K - K~ are nonzero
+    c = EmbeddingCase(100, 40, s_sel=1, n_real=2, s_tilde=0, seed=3)
+    result = sf.optimize_gamma_tilde(c.pencil, c.old, c.target.Lambda, np.eye(c.old.p),
+                                     c.params, sf.OptimizeConfig(max_evals=60, restarts=1))
+    u = sf.embed(c.pencil, c.old, c.target.Lambda, result.best_params)
+    p, gram = c.pencil, spilloverfree.pencil._gram_norm
+    dm, dk = gram(p.M_u - u.M_u_tilde), gram(p.K - u.K_tilde)
+    assert dm > 0 and dk > 0
+    ref = dm / gram(p.M_u) + dk / gram(p.K)
+    value = sf.rec_mk(p.M_u, p.K, u.M_u_tilde, u.K_tilde)
+    assert abs(value - ref) <= 1e-13 * ref
+    rep = sf.residual_report(p, u, c.old, c.target.Lambda, c.retained)
+    assert rep.rec_mk == value
+    X2, L3_inv = spilloverfree.objective._retained_block_data(p, c.retained)
+    Lam2p = sla.block_diag(L3_inv, np.zeros((p.n_phi, p.n_phi)))
+    assert rep.res2_updated == sf.retained_residual(u.M_u_tilde, u.K_tilde, X2, Lam2p)
+    assert rep.res1_updated == sf.eigen_residual(u.M_u_tilde, u.K_tilde, u.X1_tilde,
+                                                 c.target.Lambda)
+
+
+# -- one PreparedUpdate per optimize -> embed pass -----------------------------
+
+
+def _counted_preparations(monkeypatch):
+    built = []
+    init = spilloverfree.embedding.PreparedUpdate.__init__
+    monkeypatch.setattr(spilloverfree.embedding.PreparedUpdate, "__init__",
+                        lambda self, *a: built.append(a) or init(self, *a))
+    return built
+
+
+def test_embed_after_the_search_prepares_the_update_once(monkeypatch):
+    c = EmbeddingCase(10, 4, s_sel=1, n_real=2, s_tilde=1, seed=3)
+    built = _counted_preparations(monkeypatch)
+    result = sf.optimize_gamma_tilde(c.pencil, c.old, c.target.Lambda, np.eye(c.old.p),
+                                     c.params, sf.OptimizeConfig(restarts=1, tau1=0.01))
+    assert result.iterations > 0
+    sf.evaluate_rec_mk(c.pencil, c.old, c.target.Lambda, result.best_params)
+    u = sf.embed(c.pencil, c.old, c.target.Lambda, result.best_params)
+    assert len(built) == 1
+    monkeypatch.undo()
+    c.pencil._prepared = None
+    fresh = sf.embed(c.pencil, c.old, c.target.Lambda, result.best_params)
+    assert np.array_equal(u.K_tilde, fresh.K_tilde) and np.array_equal(u.M_u_tilde, fresh.M_u_tilde)
+
+
+@pytest.mark.parametrize("edit", ["X", "Lambda", "target"])
+def test_an_in_place_edit_prepares_the_update_again(monkeypatch, edit):
+    c = EmbeddingCase(10, 4, s_sel=1, n_real=2, s_tilde=1, seed=3)
+    Lt = np.array(c.target.Lambda)
+    sf.embed(c.pencil, c.old, Lt, c.params)
+    built = _counted_preparations(monkeypatch)
+    # a scaling keeps eigendata valid and every block layout in place
+    {"X": c.old.X, "Lambda": c.old.Lambda, "target": Lt}[edit][...] *= 1.5
+    params = sf.default_gamma_tilde(sf.compute_gamma1(c.pencil, c.old.X, s=c.old.s),
+                                    c.old.s, c.target.s)
+    u = sf.embed(c.pencil, c.old, Lt, params)
+    assert len(built) == 1
+    monkeypatch.undo()
+    c.pencil._prepared = None
+    fresh = sf.embed(c.pencil, c.old, Lt, params)
+    assert np.array_equal(u.K_tilde, fresh.K_tilde) and np.array_equal(u.X1_tilde, fresh.X1_tilde)
+
+
+def test_a_dropped_pencil_is_freed_without_a_collection():
+    g = make_pencil(10, 4, seed=3)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        pencil = sf.validate_pencil(np.array(g.M_u), np.array(g.K), 10, 4)
+        spectrum = sf.solve_spectrum(pencil)
+        vals = spectrum.eigenvalues
+        old, kept = sf.select_eigendata(spectrum, [vals[0], vals[1], vals[-1]])
+        retained = sf.retained_eigendata(spectrum, kept)
+        seed = sf.default_gamma_tilde(sf.compute_gamma1(pencil, old.X, s=old.s), old.s, old.s)
+        result = sf.optimize_gamma_tilde(pencil, old, old.Lambda, np.eye(old.p), seed)
+        u = sf.embed(pencil, old, old.Lambda, result.best_params)
+        sf.residual_report(pencil, u, old, old.Lambda, retained)
+        assert pencil._prepared is not None
+        ref = weakref.ref(pencil)
+        del pencil
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()

@@ -167,3 +167,35 @@ def test_perturb_targets_are_pinned():
     # both branches (perturbed, and fresh draws after a structure
     # change) keep their exact values, draw order included
     assert _target_grid_digest() == _TARGET_GRID_SHA256
+
+
+def _scalar_admissible(z, chosen, avoid, needs_imag):
+    """The admissibility rule one other value at a time."""
+    if abs(z) < sf.probgen.MIN_TARGET_MODULUS:
+        return False
+    if needs_imag and abs(z.imag) < sf.probgen.MIN_TARGET_MODULUS:
+        return False
+    others = list(chosen) + [w.conjugate() for w in chosen] + list(avoid)
+    tol = spilloverfree.probgen._DISJOINT_TOL
+    return not any(abs(z - w) < tol * max(abs(w), 1.0) for w in others)
+
+
+def test_admissible_agrees_with_the_scalar_rule():
+    rng = np.random.default_rng(0)
+    tol = spilloverfree.probgen._DISJOINT_TOL
+    decisions = []
+    for _ in range(3000):
+        scale = 10.0 ** rng.uniform(-4, 3)
+        values = scale * (rng.standard_normal(9) + 1j * rng.standard_normal(9))
+        k = int(rng.integers(0, 5))
+        chosen, avoid = [complex(v) for v in values[:k]], values[k:]
+        others = np.concatenate([values[:k], np.conj(values[:k]), avoid])
+        w = others[rng.integers(others.size)] if rng.random() < 0.8 else 0.0
+        # near the disjointness threshold of w, or near the modulus floor
+        z = complex(w + tol * max(abs(w), 1.0) * rng.uniform(0.5, 1.5)
+                    * np.exp(2j * np.pi * rng.random()))
+        for needs_imag in (False, True):
+            got = spilloverfree.probgen._admissible(z, chosen, avoid, needs_imag=needs_imag)
+            assert got == _scalar_admissible(z, chosen, avoid, needs_imag), (z, needs_imag)
+            decisions.append(got)
+    assert 0.2 < np.mean(decisions) < 0.8
