@@ -357,6 +357,17 @@ def _cmd_optimize(args):
     return _cmd_embed(args, optimize=True)
 
 
+def _stored_number(report, key, default=None):
+    """report[key] (default when absent) as a finite float, else VerificationFailed."""
+    text = report.get(key, default)
+    try:
+        if np.isfinite(value := float(text)):
+            return value
+    except ValueError:
+        pass
+    raise VerificationFailed(f"{key}: stored value {text!r} is not a finite number")
+
+
 def _cmd_verify(args):
     report = None
     for name in ("embed.report", "optimize.report", "demo.report"):
@@ -418,7 +429,7 @@ def _cmd_verify(args):
 
     # the run's own weights, unless overridden on the command line
     tau1, tau2 = (
-        float(report.get(key, 1.0)) if flag is None else flag
+        _stored_number(report, key, 1.0) if flag is None else flag
         for key, flag in (("tau1", args.tau1), ("tau2", args.tau2))
     )
     recomputed = residual_report(pencil, updated, old, target.Lambda, retained, tau1, tau2)
@@ -429,10 +440,9 @@ def _cmd_verify(args):
             failures.append(f"{key} = {value:.3e} exceeds tolerance {args.tol_check:.1e}")
     for key in ("res1_updated", "res2_updated", "rec_mk"):
         value = getattr(recomputed, key)
-        stored = report.get(prefix + key, "unavailable")
-        if value is None or stored == "unavailable":
+        if value is None or report.get(prefix + key, "unavailable") == "unavailable":
             continue
-        stored = float(stored)
+        stored = _stored_number(report, prefix + key)
         floor = 0.0 if key == "rec_mk" else RESIDUAL_FLOOR
         if abs(stored - value) > max(1e-6 * max(abs(stored), abs(value), 1e-30), floor):
             failures.append(
@@ -493,6 +503,8 @@ def _add_update_flags(sub, default=1.0):
 
 
 def _add_common_embed_flags(sub):
+    sub.add_argument("--in", required=True, dest="in_dir")
+    sub.add_argument("--out", required=True, dest="out_dir")
     sub.add_argument("--p", type=int, default=None, help="number of eigenvalues to replace")
     sub.add_argument("--s", type=int, default=None,
                      help="conjugate pairs in the selection (default: --stilde)")
@@ -531,14 +543,10 @@ def build_parser():
     sub.set_defaults(func=_cmd_solve)
 
     sub = subs.add_parser("embed", help="replace selected eigenvalues")
-    sub.add_argument("--in", required=True, dest="in_dir")
-    sub.add_argument("--out", required=True, dest="out_dir")
     _add_common_embed_flags(sub)
     sub.set_defaults(func=_cmd_embed)
 
     sub = subs.add_parser("optimize", help="embed, minimizing the update distance")
-    sub.add_argument("--in", required=True, dest="in_dir")
-    sub.add_argument("--out", required=True, dest="out_dir")
     _add_common_embed_flags(sub)
     sub.add_argument("--restarts", type=int, default=3)
     sub.add_argument("--max-evals", type=int, default=0, dest="max_evals")

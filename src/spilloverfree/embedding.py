@@ -447,6 +447,12 @@ def prepared_update(p, old, target_Lambda):
     return prep
 
 
+def _updated_system(Mt, Kt, params, method, X1):
+    return UpdatedSystem(M_u_tilde=_symmetrized(Mt, "M_u_tilde"),
+                         K_tilde=_symmetrized(Kt, "K_tilde"), params=params, method=method,
+                         X1_tilde=X1 @ params.Theta)
+
+
 def embed_direct(p, old, target_Lambda, params):
     """Reference update: form and invert the corrected full-size matrices.
 
@@ -468,14 +474,7 @@ def embed_direct(p, old, target_Lambda, params):
     inner_k = iK + X1 @ iL1 @ iG1 @ X1.T - X1 @ Th @ iLt @ iGt @ Th.T @ X1.T
     inner_k = _symmetrized(inner_k, "the inverse-form stiffness update")
     Kt = _inverse_of(inner_k, "the updated stiffness matrix inverse")
-
-    return UpdatedSystem(
-        M_u_tilde=_symmetrized(Mt, "M_u_tilde"),
-        K_tilde=_symmetrized(Kt, "K_tilde"),
-        params=params,
-        method="direct",
-        X1_tilde=X1 @ Th,
-    )
+    return _updated_system(Mt, Kt, params, "direct", X1)
 
 
 def embed(p, old, target_Lambda, params):
@@ -490,14 +489,7 @@ def embed(p, old, target_Lambda, params):
     core_m, cap_m, core_k, cap_k, _ = prep.woodbury_cores(params)
     Mt = p.M_u - prep.W @ core_m @ sla.solve(cap_m, prep.W.T)
     Kt = p.K - prep.Z @ core_k @ sla.solve(cap_k, prep.Z.T)
-
-    return UpdatedSystem(
-        M_u_tilde=_symmetrized(Mt, "M_u_tilde"),
-        K_tilde=_symmetrized(Kt, "K_tilde"),
-        params=params,
-        method="smw",
-        X1_tilde=prep.X1 @ params.Theta,
-    )
+    return _updated_system(Mt, Kt, params, "smw", prep.X1)
 
 
 embed_smw = embed
@@ -524,10 +516,7 @@ def verify_theorem1(X, J1, Gamma11, Phi, tol):
 def _theorem1(X, J1, Gamma11, Phi, tol):
     """(verify_theorem1's report, the normalization matrix T it solved
     for), so that reconstruct_theorem1 forms and solves T^-1 once."""
-    X = np.asarray(X, dtype=float)
-    J1 = np.asarray(J1, dtype=float)
-    Gamma11 = np.asarray(Gamma11, dtype=float)
-    Phi = np.asarray(Phi, dtype=float)
+    X, J1, Gamma11, Phi = (np.asarray(A, dtype=float) for A in (X, J1, Gamma11, Phi))
     n = X.shape[0]
     if X.ndim != 2 or X.shape != (n, n):
         raise DimensionMismatch(f"X must be square, got {X.shape}")
@@ -600,10 +589,7 @@ def reconstruct_theorem1(X, J1, Gamma11, Phi, K22prime=None, *, tol=RECONSTRUCT_
     matrix, identity when omitted) parameterizes the genuine freedom in
     the electric stiffness block.
     """
-    X = np.asarray(X, dtype=float)
-    J1 = np.asarray(J1, dtype=float)
-    Gamma11 = np.asarray(Gamma11, dtype=float)
-
+    X, J1, Gamma11 = (np.asarray(A, dtype=float) for A in (X, J1, Gamma11))
     report, T = _theorem1(X, J1, Gamma11, Phi, tol)
     if not report.passed:
         raise IllDefined(

@@ -31,8 +31,8 @@ from .errors import (
     RankDeficient,
     Singular,
 )
-from .pencil import (_as_matrix, _eigen_residual, _infinite_basis, _retained_relation,
-                     _retained_residual, _spec_norm)
+from .pencil import (_as_matrix, _eigen_residual, _infinite_basis, _retained_residuals,
+                     _spec_norm, _zero_block_order)
 from .spectral import block_eigenvalues
 
 log = logging.getLogger(__name__)
@@ -109,10 +109,13 @@ def eigen_residual(M_u, K, X, Lam):
 def retained_residual(M_u, K, X2, Lam2_prime):
     """Relative residual ||M X2 + K X2 Lam2'|| / ((||M|| + ||K|| ||Lam2'||) ||X2||)
     in the inverse-eigenvalue form, which covers the infinite block
-    (zero columns of Lam2') with no special casing."""
+    (zero columns of Lam2') with no special casing. Lam2' = diag(L, 0)
+    is split once; pencil._retained_residuals, which residual_report and
+    check_jordan_pair call too, takes L, so they all agree by ==."""
     _check_operands(M_u, K, X2, Lam2_prime, ("X2", "Lam2_prime"))
-    return _retained_relation(M_u, K, X2, Lam2_prime, _spec_norm(M_u), _spec_norm(K),
-                              _spec_norm(X2))
+    q = _zero_block_order(Lam2_prime)
+    L = np.ascontiguousarray(Lam2_prime[:q, :q], dtype=float)
+    return _retained_residuals(X2, L, _spec_norm(X2), (M_u, K, _spec_norm(M_u), _spec_norm(K)))[0]
 
 
 @dataclass(frozen=True)
@@ -188,15 +191,11 @@ def residual_report(p, u, old, target_Lambda, retained=None, tau1=1.0, tau2=1.0)
     if retained is None:
         res2_o = res2_u = None
     else:
-        # on the q3 finite columns of Lam2_prime: its other columns, and M X2's, are zero
         X2, L3_inv = _retained_block_data(p, retained)
-        X2f, X2u = X2[:, : retained.p], X2[: p.n_u, : retained.p]
-        # the closed form over L3_inv's blocks is ||diag(L3_inv, 0)||'s
-        norm_lam, norm_x = _spec_norm(L3_inv), _spec_norm(X2)
-        X2L, MX2 = X2f @ L3_inv, p.M_u @ X2u
-        MX2t = MX2 if same_m else u.M_u_tilde @ X2u
-        res2_o = _retained_residual(MX2, p.K, X2L, norm_m, norm_k, norm_lam, norm_x)
-        res2_u = _retained_residual(MX2t, u.K_tilde, X2L, norm_mt, norm_kt, norm_lam, norm_x)
+        # M_u itself for an equal M_u~, so that M_u X2_u is formed once
+        updated = (p.M_u if same_m else u.M_u_tilde, u.K_tilde, norm_mt, norm_kt)
+        res2_o, res2_u = _retained_residuals(X2, L3_inv, _spec_norm(X2),
+                                             (p.M_u, p.K, norm_m, norm_k), updated)
 
     return ResidualReport(res1_original=res1_o, res1_updated=res1_u, res2_original=res2_o,
                           res2_updated=res2_u, rec_mk=rec, tau1=tau1, tau2=tau2,

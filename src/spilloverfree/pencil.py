@@ -102,7 +102,8 @@ def _spec_norm(A):
     with relative residual at most LANCZOS_TOL it is a lower bound on
     ||A|| up to rounding, so a tolerance decision can flip only within
     LANCZOS_TOL of its threshold. Any other A, or ARPACK failing, takes
-    _gram_norm."""
+    _gram_norm. Both eigensolvers see _scaled_nonzero(A), so a C-ordered
+    A padded with zero columns has A's norm bit for bit at every order."""
     n = A.shape[0]
     if A.shape == (n, n) and (nonzero := np.count_nonzero(A)) <= 2 * n:
         d, up, lo = np.diagonal(A), np.diagonal(A, 1), np.diagonal(A, -1)
@@ -123,16 +124,25 @@ def _spec_norm(A):
     return _gram_norm(A)
 
 
-def _gram_norm(A):
-    """||A||_2 as the top eigenvalue of the smaller Gram matrix of A's
-    nonzero columns (||[A, 0]|| = ||A||) scaled by 1 / max|A|, and 0.0
-    with no eigensolve for an empty or all-zero A: the reference."""
+def _scaled_nonzero(A, keep, rows=False):
+    """(A / max|A|, max|A|) on A's nonzero columns `keep`, and on those
+    rows too when `rows` (as a symmetric A's zero columns are). A column
+    drop copies in C order, so a C-ordered A padded with zero columns
+    anywhere gives A's operand and A's norm, bit for bit."""
     scale = float(max(A.max(initial=0.0), -A.min(initial=0.0)))
-    if scale == 0.0:
-        return 0.0
+    if not keep.all():
+        A = A[np.ix_(keep, keep)] if rows else A.compress(keep, axis=1)
+    return A / scale, scale
+
+
+def _gram_norm(A):
+    """||A||_2 as the top eigenvalue of the smaller Gram matrix of
+    _scaled_nonzero(A), and 0.0 with no eigensolve for an empty or
+    all-zero A: the reference."""
     keep = A.any(axis=0)
-    B = A.astype(float) if keep.all() else A[:, keep].astype(float, copy=False)
-    B /= scale
+    if not keep.any():
+        return 0.0
+    B, scale = _scaled_nonzero(A, keep)
     G = B.T @ B if B.shape[0] >= B.shape[1] else B @ B.T
     # G is exactly symmetric, so G.T is G in the Fortran order LAPACK takes, uncopied
     top = sla.eigvalsh(G.T, overwrite_a=True, subset_by_index=[len(G) - 1] * 2)[0]
@@ -140,15 +150,12 @@ def _gram_norm(A):
 
 
 def _lanczos_norm(A, keep):
-    """||A|| by eigsh on the nonzero columns `keep` of A scaled by
-    1 / max|A|, as _spec_norm describes; raises ArpackError."""
-    scale = float(max(A.max(), -A.min()))
+    """||A|| by eigsh on _scaled_nonzero(A), as _spec_norm describes;
+    raises ArpackError."""
     symmetric = A.shape[0] == A.shape[1] and np.array_equal(A, A.T)
-    if symmetric:  # a zero column of a symmetric A is also a zero row
-        op = (A if keep.all() else A[np.ix_(keep, keep)]) / scale
-    else:
-        B = (A if keep.all() else A[:, keep]) / scale
-        B = B if B.shape[0] >= B.shape[1] else B.T
+    op, scale = _scaled_nonzero(A, keep, rows=symmetric)
+    if not symmetric:
+        B = op if op.shape[0] >= op.shape[1] else op.T
         op = spla.LinearOperator((B.shape[1],) * 2, matvec=lambda x: B.T @ (B @ x), dtype=float)
     v0 = np.random.default_rng(0).standard_normal(op.shape[0])
     top = spla.eigsh(op, k=1, which="LM" if symmetric else "LA", v0=v0, tol=LANCZOS_TOL,
@@ -605,31 +612,32 @@ def _eigen_residual(M_u, K, X, Lam, norm_m, norm_k):
     return num / den if den else 0.0
 
 
-def _retained_residual(MX2u, K, X2L, norm_m, norm_k, norm_lam, norm_x):
-    """Res2 with Lam2' = diag(L, 0) from X2L = X2[:, :q] L on its q finite
-    columns and MX2u = M_u X2_u, on all of X2's columns or on those q."""
-    num = np.zeros((len(K), MX2u.shape[1]))
-    num[:, : X2L.shape[1]] = K @ X2L  # K X2 Lam2' vanishes on the other columns
-    num[: len(MX2u)] += MX2u  # M X2 = [M_u X2_u; 0]
-    den = (norm_m + norm_k * norm_lam) * norm_x
-    return _spec_norm(num) / den if den else 0.0
-
-
-def _retained_relation(M_u, K, X2, Lam2_prime, norm_m, norm_k, norm_x):
-    """_retained_residual of a Lam2_prime = diag(L, 0) given whole."""
-    q, X2u = _zero_block_order(Lam2_prime), X2[: len(M_u)]
-    MX2u = np.hstack([M_u @ X2u[:, :q], M_u @ X2u[:, q:]])  # the first q as residual_report's
-    return _retained_residual(MX2u, K, X2[:, :q] @ Lam2_prime[:q, :q], norm_m, norm_k,
-                              _spec_norm(Lam2_prime), norm_x)
+def _retained_residuals(X2, L, norm_x, *systems):
+    """Res2 = ||M X2 + K X2 Lam2'|| / ((||M|| + ||K|| ||Lam2'||) ||X2||),
+    Lam2' = diag(L, 0), for each system (M_u, K, ||M_u||, ||K||): the one
+    spillover residual. X2 L is formed once, M_u X2_u once per M_u object,
+    and the numerator on L's q columns plus each later column with a
+    nonzero X2_u (only a wrong candidate has one): on the others M X2 and
+    X2 Lam2' vanish."""
+    q, n_u = len(L), len(systems[0][0])
+    extra = q + np.flatnonzero(X2[:n_u, q:].any(axis=0))
+    X2u = X2[:n_u, np.r_[:q, extra]] if extra.size else X2[:n_u, :q]
+    X2L, norm_lam = X2[:, :q] @ L, _spec_norm(L)
+    residuals, shared = [], None
+    for M_u, K, norm_m, norm_k in systems:
+        if M_u is not shared:
+            MX2u, shared = M_u @ X2u, M_u
+        num = np.zeros((len(K), X2u.shape[1]))
+        num[:, :q] = K @ X2L
+        num[:n_u] += MX2u  # M X2 = [M_u X2_u; 0]
+        den = (norm_m + norm_k * norm_lam) * norm_x
+        residuals.append(_spec_norm(num) / den if den else 0.0)
+    return residuals
 
 
 def _zero_block_order(J):
     """Trailing zero-block size of a block-diagonal J = diag(J1, 0)."""
-    m = J.shape[0]
-    q = m
-    while q > 0 and not J[q - 1, :].any() and not J[:, q - 1].any():
-        q -= 1
-    return q
+    return int(np.flatnonzero(J.any(axis=0) | J.any(axis=1)).max(initial=-1)) + 1
 
 
 def check_jordan_pair(p, c, tol):
@@ -642,8 +650,9 @@ def check_jordan_pair(p, c, tol):
       eigen_residual measures it;
     - with a zero block (infinite directions present), the inverted
       relation M X + K X diag(J1^{-1}, 0) = 0, as retained_residual
-      measures it, which reduces to the kernel condition M X = 0 when
-      J = 0;
+      measures it: the same _retained_residuals call on J1^{-1}, with no
+      order-m diag(J1^{-1}, 0) formed. It reduces to the kernel
+      condition M X = 0 when J = 0;
     - for a full-size candidate (m = n), the block-triangular shape of
       X: its upper-right n_u x n_phi block must vanish, relative to ||X||.
 
@@ -679,9 +688,9 @@ def check_jordan_pair(p, c, tol):
                 "the nonzero block J1 of the candidate J is singular; "
                 "J must have the form diag(J1, 0) with J1 invertible"
             )
-        Jp = sla.block_diag(np.linalg.inv(J1), np.zeros((m - q, m - q)))
         name = "infinite_relation" if q == 0 else "pencil_relation"
-        relations = {name: _retained_relation(p.M_u, p.K, X, Jp, norm_M, norm_K, norm_X)}
+        relations = {name: _retained_residuals(X, np.linalg.inv(J1), norm_X,
+                                               (p.M_u, p.K, norm_M, norm_K))[0]}
 
     if m == n and p.n_phi:
         relations["block_form"] = _spec_norm(X[: p.n_u, q:]) / norm_X if norm_X else 0.0

@@ -157,12 +157,9 @@ def infer_pair_count(Lam):
     """Number s of 2x2 pair blocks in a real block-diagonal eigenvalue
     matrix, validating the layout as a side effect."""
     Lam = np.asarray(Lam, dtype=float)
-    p = Lam.shape[0]
     s = 0
-    i = 0
-    while i < p - 1 and Lam[i, i + 1] != 0.0:
+    while 2 * s < Lam.shape[0] - 1 and Lam[2 * s, 2 * s + 1] != 0.0:
         s += 1
-        i += 2
     _validate_block_structure(Lam, s)
     return s
 

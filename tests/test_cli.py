@@ -615,6 +615,33 @@ def test_verify_compares_rec_mk_relative_without_the_floor(embed_run, tmp_path, 
     assert "rec_mk: stored" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,text", [("res1_updated", "abc"), ("res2_updated", "nan"),
+                                      ("tau1", "x")])
+def test_verify_rejects_a_stored_value_that_is_not_a_number(embed_run, tmp_path, capsys, key,
+                                                            text):
+    d = _copy_run(embed_run, tmp_path)
+    _edit_report(d, "embed.report", **{key: text})
+    capsys.readouterr()
+    assert run("verify", "--in", d) == 28
+    assert f"{key}: stored value {text!r} is not a finite number" in capsys.readouterr().err
+
+
+def test_verify_skips_a_stored_value_that_is_unavailable(embed_run, tmp_path):
+    d = _copy_run(embed_run, tmp_path)
+    _edit_report(d, "embed.report", res2_updated="unavailable")
+    assert run("verify", "--in", d) == 0
+
+
+def test_verify_rejects_a_demo_distance_that_is_not_a_number(tmp_path, capsys):
+    out = str(tmp_path)
+    assert run("demo", "--example", 1, "--nu", 12, "--nphi", 5, "--seed", 5,
+               "--out", out) == 0
+    _edit_report(out, "demo.report", choice_b_rec_mk="abc")
+    capsys.readouterr()
+    assert run("verify", "--in", out) == 28
+    assert "choice_b_rec_mk: stored value 'abc' is not a finite number" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name,token", [("K_tilde.mtx", "inf"), ("X1_tilde.mtx", "nan")])
 def test_verify_reports_a_non_finite_value_as_a_parse_error(embed_run, tmp_path, capsys, name,
                                                             token):

@@ -1,6 +1,9 @@
 """Residual metrics, the update distance, and its minimization."""
 
 import gc
+import os
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -736,3 +739,27 @@ def test_a_dropped_pencil_is_freed_without_a_collection():
     finally:
         if enabled:
             gc.enable()
+
+
+# -- the == claims at one BLAS thread ------------------------------------------
+
+ONE_THREAD_TESTS = (
+    "tests/test_objective.py::test_residual_report_takes_each_pencil_norm_once",
+    "tests/test_objective.py::"
+    "test_reports_and_checks_equal_the_public_definitions_above_the_lanczos_crossover",
+    "tests/test_objective.py::test_rec_mk_of_an_optimized_update_matches_the_gram_reference",
+    "tests/test_pencil.py::test_check_jordan_pair_relations_are_the_public_residuals",
+)
+
+
+def test_reports_equal_the_public_definitions_at_one_blas_thread():
+    # the BLAS thread count moves the digits of a residual, so the report,
+    # check_jordan_pair and the public functions must agree by == at one
+    # thread as well as at the count this suite runs with
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.pathsep.join(filter(None, [os.path.join(root, "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTHONPATH=path)
+    result = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                             *ONE_THREAD_TESTS], cwd=root, env=env, capture_output=True,
+                            text=True, timeout=600)
+    assert result.returncode == 0, result.stdout[-4000:]

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
@@ -247,14 +247,24 @@ def test_check_jordan_pair_shape_errors(small_pencil):
         )
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_check_jordan_pair_relations_are_the_public_residuals(seed):
-    p = make_pencil(10, 4, seed=seed)
+@pytest.mark.parametrize("seed,n_u,n_phi", [pytest.param(seed, 10, 4, id=str(seed))
+                                             for seed in (1, 2, 3)]
+                         + [pytest.param(1, 210, 50, id="n260")])
+def test_check_jordan_pair_relations_are_the_public_residuals(seed, n_u, n_phi):
+    p = make_pencil(n_u, n_phi, seed=seed)
     s = sf.solve_spectrum(p)
     c = sf.assemble_jordan_pair(s)
     Jp = sla.block_diag(np.linalg.inv(c.J[: p.n_u, : p.n_u]), np.zeros((p.n_phi, p.n_phi)))
     assembled = sf.check_jordan_pair(p, c, 1e-8)
-    assert assembled["pencil_relation"].residual == sf.retained_residual(p.M_u, p.K, c.X, Jp)
+    relation = assembled["pencil_relation"].residual
+    assert relation == sf.retained_residual(p.M_u, p.K, c.X, Jp)
+    # a structural entry in an infinite column: M X2 is nonzero there, so
+    # the spillover numerator takes that column too
+    X = np.array(c.X)
+    X[0, -1] += 1e-6
+    wrong = sf.check_jordan_pair(p, sf.JordanPairCandidate(X=X, J=c.J), 1e-8)
+    assert wrong["pencil_relation"].residual == sf.retained_residual(p.M_u, p.K, X, Jp)
+    assert wrong["pencil_relation"].residual >= 1e6 * relation
     d = sf.to_real_representation(list(s.finite_pairs))
     finite = sf.check_jordan_pair(p, sf.JordanPairCandidate(X=d.X, J=d.Lambda), 1e-8)
     assert finite["finite_relation"].residual == sf.eigen_residual(p.M_u, p.K, d.X, d.Lambda)
@@ -529,9 +539,12 @@ def test_gram_norm_of_zero_and_empty_matrices(monkeypatch):
 
 @given(st.integers(0, 10**6), st.integers(1, 40), st.integers(1, 40),
        st.sampled_from([1e-200, 1e-150, 1.0, 1e150, 1e200]), st.booleans())
+@example(1, 260, 210, 1.0, False)  # tall, at the Lanczos crossover and above
+@example(2, 230, 240, 1e150, False)  # wide
 def test_gram_norm_drops_exactly_zero_columns(seed, rows, cols, scale, symmetric):
-    # ||[A, 0]|| = ||A||: padded copies of A give the same bits as A, and
-    # the trimmed path matches the SVD norm
+    # ||[A, 0]|| = ||A||: padded copies of A give the same bits as A, on
+    # the Gram path and on Lanczos, and the trimmed path matches the SVD
+    # norm
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((rows, cols))
     if symmetric:
