@@ -319,7 +319,7 @@ class PreparedUpdate:
         self.W, self.Z = p.M_u @ X1u, p.K @ X1
         self.WtX, self.ZtX = X1u.T @ self.W, X1.T @ self.Z
         self.norms = p.norms()
-        self._distance_factors = None
+        self._distance_factors = self._cores = None
 
     def gamma_tilde_inverse(self, params):
         """Check params against the prepared data; return GammaTilde1^-1."""
@@ -335,7 +335,12 @@ class PreparedUpdate:
     def woodbury_cores(self, params):
         """(core_m, cap_m, core_k, cap_k, iGt) of M_u~ = M_u - W core_m cap_m^-1 W^T
         and K~ = K - Z core_k cap_k^-1 Z^T, with iGt = GammaTilde1^-1;
-        trivial parameters give zero cores."""
+        trivial parameters give zero cores. The last result comes again while
+        params is the same object and equals the copies kept with it."""
+        kept = self._cores
+        if (kept and kept[0] is params and np.array_equal(kept[1], params.Theta)
+                and np.array_equal(kept[2], params.GammaTilde1)):
+            return kept[3]
         iGt = self.gamma_tilde_inverse(params)
         Th = params.Theta
         eye = np.eye(Th.shape[0])
@@ -347,7 +352,9 @@ class PreparedUpdate:
             if rcond_estimate(cap) < ILL_DEFINED_RCOND:
                 raise IllDefined(f"the p x p capacitance matrix of the {name} update is "
                                  f"singular; the update is not well defined")
-        return core_m, cap_m, core_k, cap_k, iGt
+        cores = core_m, cap_m, core_k, cap_k, iGt
+        self._cores = params, params.Theta.copy(), params.GammaTilde1.copy(), cores
+        return cores
 
     def _factors(self):
         """(R_w, R_z, ||M_u||, ||K||): the thin-QR R factors of W and Z,

@@ -31,8 +31,8 @@ from .errors import (
     RankDeficient,
     Singular,
 )
-from .pencil import (_as_matrix, _eigen_residual, _infinite_basis, _retained_residuals,
-                     _spec_norm, _zero_block_order)
+from .pencil import (_RetainedSide, _as_matrix, _eigen_residual, _infinite_basis, _spec_norm,
+                     _zero_block_order)
 from .spectral import block_eigenvalues
 
 log = logging.getLogger(__name__)
@@ -74,23 +74,25 @@ def _rec_mk(M_u, K, M_u_tilde, K_tilde, norm_m, norm_k, tau1, tau2):
 
 
 def _check_operands(M_u, K, X, Lam, names=("X", "Lam")):
-    """DimensionMismatch unless M_u, K and Lam are finite square matrices,
-    K of at least M_u's order, and X has K's order of rows and Lam's of
-    columns."""
-    n_u, n, m = (len(_as_matrix(A, name)) for A, name in ((M_u, "M_u"), (K, "K"), (Lam, names[1])))
-    if n < n_u or np.shape(X) != (n, m):
+    """(M_u, K, X, Lam) as float arrays; DimensionMismatch unless they are
+    finite matrices, all but X square, K of at least M_u's order, and X
+    has K's order of rows and Lam's of columns."""
+    M_u, K, Lam = (_as_matrix(A, name) for A, name in ((M_u, "M_u"), (K, "K"), (Lam, names[1])))
+    X, (n_u, n, m) = _as_matrix(X, names[0], square=False), (len(M_u), len(K), len(Lam))
+    if n < n_u or X.shape != (n, m):
         raise DimensionMismatch(f"M_u of order {n_u}, K of order {n} and {names[1]} of order {m} "
-                                f"need n >= n_u and {names[0]} of shape {(n, m)}, got "
-                                f"{np.shape(X)}")
+                                f"need n >= n_u and {names[0]} of shape {(n, m)}, got {X.shape}")
+    return M_u, K, X, Lam
 
 
 def rec_mk(M_u, K, M_u_tilde, K_tilde, tau1=1.0, tau2=1.0):
     """Weighted relative update distance
     tau1 * ||M_u - M_u~|| / ||M_u|| + tau2 * ||K - K~|| / ||K||."""
-    n_u, n = len(_as_matrix(M_u, "M_u")), len(_as_matrix(K, "K"))
-    if np.shape(M_u_tilde) != (n_u, n_u) or np.shape(K_tilde) != (n, n):
-        raise DimensionMismatch(f"M_u_tilde and K_tilde have shapes {np.shape(M_u_tilde)} and "
-                                f"{np.shape(K_tilde)}, expected {(n_u, n_u)} and {(n, n)}")
+    M_u, K, M_u_tilde, K_tilde = (_as_matrix(A, name) for A, name in (
+        (M_u, "M_u"), (K, "K"), (M_u_tilde, "M_u_tilde"), (K_tilde, "K_tilde")))
+    if M_u_tilde.shape != M_u.shape or K_tilde.shape != K.shape:
+        raise DimensionMismatch(f"M_u_tilde and K_tilde have shapes {M_u_tilde.shape} and "
+                                f"{K_tilde.shape}, expected {M_u.shape} and {K.shape}")
     return _rec_mk(M_u, K, M_u_tilde, K_tilde, _spec_norm(M_u), _spec_norm(K), tau1, tau2)
 
 
@@ -102,7 +104,7 @@ def _check_weights(tau1, tau2):
 def eigen_residual(M_u, K, X, Lam):
     """Relative residual ||M X Lam + K X|| / ((||M|| ||Lam|| + ||K||) ||X||)
     of eigendata (Lam, X) against the pencil with mass diag(M_u, 0)."""
-    _check_operands(M_u, K, X, Lam)
+    M_u, K, X, Lam = _check_operands(M_u, K, X, Lam)
     return _eigen_residual(M_u, K, X, Lam, _spec_norm(M_u), _spec_norm(K))
 
 
@@ -110,12 +112,12 @@ def retained_residual(M_u, K, X2, Lam2_prime):
     """Relative residual ||M X2 + K X2 Lam2'|| / ((||M|| + ||K|| ||Lam2'||) ||X2||)
     in the inverse-eigenvalue form, which covers the infinite block
     (zero columns of Lam2') with no special casing. Lam2' = diag(L, 0)
-    is split once; pencil._retained_residuals, which residual_report and
-    check_jordan_pair call too, takes L, so they all agree by ==."""
-    _check_operands(M_u, K, X2, Lam2_prime, ("X2", "Lam2_prime"))
+    is split once; pencil._RetainedSide, which residual_report and
+    check_jordan_pair use too, takes L, so they all agree by ==."""
+    M_u, K, X2, Lam2_prime = _check_operands(M_u, K, X2, Lam2_prime, ("X2", "Lam2_prime"))
     q = _zero_block_order(Lam2_prime)
-    L = np.ascontiguousarray(Lam2_prime[:q, :q], dtype=float)
-    return _retained_residuals(X2, L, _spec_norm(X2), (M_u, K, _spec_norm(M_u), _spec_norm(K)))[0]
+    side = _RetainedSide(X2, np.ascontiguousarray(Lam2_prime[:q, :q]), _spec_norm(X2), len(M_u))
+    return side.residual(M_u, K, _spec_norm(M_u), _spec_norm(K))
 
 
 @dataclass(frozen=True)
@@ -135,10 +137,18 @@ class ResidualReport:
     params_mode: str
 
 
-def _retained_block_data(p, retained):
-    """The spillover residual's operands (X2, Lambda^{-1}): the retained
-    finite eigendata followed by the infinite basis, and the finite block
-    of Lam2_prime = diag(Lambda^{-1}, 0), which is never formed."""
+def _retained_side(p, retained):
+    """(side, res2_original): the _RetainedSide of X2 = [X_ret, [0; I]] and
+    Lambda^{-1}, and Res2 of p on it. p keeps both with copies of X's rows
+    from n_u on (side.X2_u holds the others) and of Lambda's nonzeros and
+    their flat indices, and returns them while the retained eigendata, in
+    any object, equal those."""
+    memo, n_u, nz = p._retained, p.n_u, np.flatnonzero(retained.Lambda)
+    lam = np.vstack([nz, retained.Lambda.flat[nz]])  # at most 2 q for a block-diagonal Lambda
+    if (memo and memo[2] == retained.s and np.array_equal(memo[1], lam)
+            and np.array_equal(memo[0], retained.X[n_u:])
+            and np.array_equal(memo[3].X2u, retained.X[:n_u])):
+        return memo[3:]
     if retained.X.shape[0] != p.n:
         raise DimensionMismatch(f"retained eigendata has {retained.X.shape[0]} rows, "
                                 f"pencil order is {p.n}")
@@ -151,8 +161,13 @@ def _retained_block_data(p, retained):
             f"the retained eigenvalue matrix is numerically singular "
             f"(rcond {r:.3e}); its inverse enters the spillover residual"
         )
-    L3_inv = sla.solve(retained.Lambda, np.eye(retained.p))
-    return np.hstack([retained.X, _infinite_basis(p)]), L3_inv
+    # X2 lives only for its norm: the side needs X2's finite columns, C-ordered as X2's are
+    norm_x = _spec_norm(np.hstack([retained.X, _infinite_basis(p)]))
+    side = _RetainedSide(np.ascontiguousarray(retained.X),
+                         sla.solve(retained.Lambda, np.eye(retained.p)), norm_x, n_u)
+    res2 = side.residual(p.M_u, p.K, *p.norms())
+    p._retained = (retained.X[n_u:].copy(), lam, retained.s, side, res2)
+    return side, res2
 
 
 def residual_report(p, u, old, target_Lambda, retained=None, tau1=1.0, tau2=1.0):
@@ -188,14 +203,11 @@ def residual_report(p, u, old, target_Lambda, retained=None, tau1=1.0, tau2=1.0)
     res1_u = _eigen_residual(u.M_u_tilde, u.K_tilde, u.X1_tilde, target_Lambda,
                              norm_mt, norm_kt)
 
-    if retained is None:
-        res2_o = res2_u = None
-    else:
-        X2, L3_inv = _retained_block_data(p, retained)
+    res2_o = res2_u = None
+    if retained is not None:
+        side, res2_o = _retained_side(p, retained)
         # M_u itself for an equal M_u~, so that M_u X2_u is formed once
-        updated = (p.M_u if same_m else u.M_u_tilde, u.K_tilde, norm_mt, norm_kt)
-        res2_o, res2_u = _retained_residuals(X2, L3_inv, _spec_norm(X2),
-                                             (p.M_u, p.K, norm_m, norm_k), updated)
+        res2_u = side.residual(p.M_u if same_m else u.M_u_tilde, u.K_tilde, norm_mt, norm_kt)
 
     return ResidualReport(res1_original=res1_o, res1_updated=res1_u, res2_original=res2_o,
                           res2_updated=res2_u, rec_mk=rec, tau1=tau1, tau2=tau2,

@@ -57,10 +57,13 @@ LANCZOS_TOL = 1e-12
 _REAL_AXIS_TOL = 1e-10
 
 
-def _as_matrix(A, name):
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionMismatch(f"{name} must be a square matrix, got shape {A.shape}")
+def _as_matrix(A, name, square=True):
+    try:
+        A = np.asarray(A, dtype=float)
+    except (TypeError, ValueError):
+        raise DimensionMismatch(f"{name} is not a numeric array") from None
+    if A.ndim != 2 or square and A.shape[0] != A.shape[1]:
+        raise DimensionMismatch(f"{name} must be a {'square ' * square}matrix, got {A.shape}")
     if A.size and not np.all(np.isfinite(A)):
         raise DimensionMismatch(f"{name} contains non-finite entries")
     return A
@@ -230,6 +233,7 @@ class StructuredPencil:
         self.n_phi = n_phi
         self._spectrum = None
         self._prepared = None  # embedding.prepared_update's last PreparedUpdate
+        self._retained = None  # objective._retained_side's last retained side
         self._norms = None
         self._k_rcond = None
 
@@ -612,27 +616,29 @@ def _eigen_residual(M_u, K, X, Lam, norm_m, norm_k):
     return num / den if den else 0.0
 
 
-def _retained_residuals(X2, L, norm_x, *systems):
-    """Res2 = ||M X2 + K X2 Lam2'|| / ((||M|| + ||K|| ||Lam2'||) ||X2||),
-    Lam2' = diag(L, 0), for each system (M_u, K, ||M_u||, ||K||): the one
-    spillover residual. X2 L is formed once, M_u X2_u once per M_u object,
-    and the numerator on L's q columns plus each later column with a
-    nonzero X2_u (only a wrong candidate has one): on the others M X2 and
-    X2 Lam2' vanish."""
-    q, n_u = len(L), len(systems[0][0])
-    extra = q + np.flatnonzero(X2[:n_u, q:].any(axis=0))
-    X2u = X2[:n_u, np.r_[:q, extra]] if extra.size else X2[:n_u, :q]
-    X2L, norm_lam = X2[:, :q] @ L, _spec_norm(L)
-    residuals, shared = [], None
-    for M_u, K, norm_m, norm_k in systems:
-        if M_u is not shared:
-            MX2u, shared = M_u @ X2u, M_u
-        num = np.zeros((len(K), X2u.shape[1]))
-        num[:, :q] = K @ X2L
-        num[:n_u] += MX2u  # M X2 = [M_u X2_u; 0]
-        den = (norm_m + norm_k * norm_lam) * norm_x
-        residuals.append(_spec_norm(num) / den if den else 0.0)
-    return residuals
+class _RetainedSide:
+    """The one spillover residual Res2 = ||M X2 + K X2 Lam2'|| / ((||M|| +
+    ||K|| ||Lam2'||) ||X2||), Lam2' = diag(L, 0), with its retained side
+    built once from (X2, L, ||X2||): X2 L, ||L||, and X2_u on L's q columns
+    plus each later column with a nonzero X2_u (only a wrong candidate has
+    one; on the others M X2 and X2 Lam2' vanish, so X2 may come without
+    them). It keeps no view of X2, and M_u X2_u for the first M_u applied."""
+
+    def __init__(self, X2, L, norm_x, n_u):
+        q = len(L)
+        extra = q + np.flatnonzero(X2[:n_u, q:].any(axis=0))
+        self.X2u = X2[:n_u, np.r_[:q, extra]] if extra.size else X2[:n_u, :q].copy()
+        self.X2L, self.norm_lam, self.norm_x, self._mass = X2[:, :q] @ L, _spec_norm(L), norm_x, ()
+
+    def residual(self, M_u, K, norm_m, norm_k):
+        """Res2 for the system (M_u, K, ||M_u||, ||K||)."""
+        self._mass = self._mass or (M_u, M_u @ self.X2u)
+        MX2u = self._mass[1] if M_u is self._mass[0] else M_u @ self.X2u
+        num = np.zeros((len(K), self.X2u.shape[1]))
+        np.matmul(K, self.X2L, out=num[:, : self.X2L.shape[1]])
+        num[: len(M_u)] += MX2u  # M X2 = [M_u X2_u; 0]
+        den = (norm_m + norm_k * self.norm_lam) * self.norm_x
+        return _spec_norm(num) / den if den else 0.0
 
 
 def _zero_block_order(J):
@@ -650,7 +656,7 @@ def check_jordan_pair(p, c, tol):
       eigen_residual measures it;
     - with a zero block (infinite directions present), the inverted
       relation M X + K X diag(J1^{-1}, 0) = 0, as retained_residual
-      measures it: the same _retained_residuals call on J1^{-1}, with no
+      measures it: the same _RetainedSide, of J1^{-1}, with no
       order-m diag(J1^{-1}, 0) formed. It reduces to the kernel
       condition M X = 0 when J = 0;
     - for a full-size candidate (m = n), the block-triangular shape of
@@ -689,8 +695,8 @@ def check_jordan_pair(p, c, tol):
                 "J must have the form diag(J1, 0) with J1 invertible"
             )
         name = "infinite_relation" if q == 0 else "pencil_relation"
-        relations = {name: _retained_residuals(X, np.linalg.inv(J1), norm_X,
-                                               (p.M_u, p.K, norm_M, norm_K))[0]}
+        side = _RetainedSide(X, np.linalg.inv(J1), norm_X, p.n_u)
+        relations = {name: side.residual(p.M_u, p.K, norm_M, norm_K)}
 
     if m == n and p.n_phi:
         relations["block_form"] = _spec_norm(X[: p.n_u, q:]) / norm_X if norm_X else 0.0

@@ -1,5 +1,6 @@
 """Residual metrics, the update distance, and its minimization."""
 
+import dataclasses
 import gc
 import os
 import subprocess
@@ -63,6 +64,14 @@ def test_residual_report_fields():
     assert rep.tau1 == 1.0 and rep.tau2 == 1.0
 
 
+def _retained_operands(p, retained):
+    """The public spillover residual's operands: X2 = [X_ret, [0; I]] and
+    Lam2_prime = diag(Lambda^-1, 0), Lambda^-1 solved as the report does."""
+    L3_inv = sla.solve(retained.Lambda, np.eye(retained.p))
+    return (np.hstack([retained.X, spilloverfree.pencil._infinite_basis(p)]),
+            sla.block_diag(L3_inv, np.zeros((p.n_phi, p.n_phi))))
+
+
 def test_residual_report_takes_each_pencil_norm_once(monkeypatch):
     # ||M_u|| and ||K|| come from the pencil's cache, ||M_u~|| is ||M_u||
     # (choice_a leaves M_u bit for bit) and M_u - M_u~ = 0 has norm 0:
@@ -87,8 +96,7 @@ def test_residual_report_takes_each_pencil_norm_once(monkeypatch):
     assert calls.count((p.n, p.n)) == 2
     assert sum(min(shape) >= p.n_u for shape in calls) == 3
     assert calls.count((q3, q3)) == 2
-    X2, L3_inv = spilloverfree.objective._retained_block_data(p, c.retained)
-    Lam2p = sla.block_diag(L3_inv, np.zeros((p.n_phi, p.n_phi)))
+    X2, Lam2p = _retained_operands(p, c.retained)
     assert rep.res1_original == sf.eigen_residual(p.M_u, p.K, c.old.X, c.old.Lambda)
     assert rep.res1_updated == sf.eigen_residual(u.M_u_tilde, u.K_tilde, u.X1_tilde, Lt)
     assert rep.res2_original == sf.retained_residual(p.M_u, p.K, X2, Lam2p)
@@ -165,8 +173,7 @@ def test_reports_and_checks_equal_the_public_definitions_above_the_lanczos_cross
     rep = sf.residual_report(pencil, u, old, target.Lambda, retained)
 
     assert pencil.norms() == (_spec_norm(pencil.M_u), _spec_norm(pencil.K))
-    X2, L3_inv = spilloverfree.objective._retained_block_data(pencil, retained)
-    Lam2p = sla.block_diag(L3_inv, np.zeros((n_phi, n_phi)))
+    X2, Lam2p = _retained_operands(pencil, retained)
     public = {
         "res1_original": sf.eigen_residual(pencil.M_u, pencil.K, old.X, old.Lambda),
         "res1_updated": sf.eigen_residual(u.M_u_tilde, u.K_tilde, u.X1_tilde, target.Lambda),
@@ -220,6 +227,31 @@ def test_public_definitions_reject_mismatched_shapes(case):
     with pytest.raises(DimensionMismatch) as err:
         f(*operands)
     assert err.value.exit_code == 10
+
+
+def _public_operands():
+    """(public definition, C-ordered array operands) of one case."""
+    c = EmbeddingCase(10, 4, s_sel=1, n_real=2, s_tilde=1, seed=3)
+    p, u = c.pencil, sf.embed(c.pencil, c.old, c.target.Lambda, c.params)
+    X2, Lam2p = _retained_operands(p, c.retained)
+    return {
+        "eigen_residual": (sf.eigen_residual, (p.M_u, p.K, c.old.X, c.old.Lambda)),
+        "retained_residual": (sf.retained_residual, (u.M_u_tilde, u.K_tilde, X2, Lam2p)),
+        "rec_mk": (sf.rec_mk, (p.M_u, p.K, u.M_u_tilde, u.K_tilde)),
+    }
+
+
+@pytest.mark.parametrize("case", ["eigen_residual", "retained_residual", "rec_mk"])
+def test_public_definitions_take_nested_lists(case):
+    f, operands = _public_operands()[case]
+    arrays = [np.ascontiguousarray(A) for A in operands]
+    assert f(*[A.tolist() for A in arrays]) == f(*arrays)
+    for i in range(len(arrays)):
+        ragged = [A.tolist() for A in arrays]
+        ragged[i][0] = ragged[i][0][:-1]
+        with pytest.raises(DimensionMismatch) as err:
+            f(*ragged)
+        assert err.value.exit_code == 10
 
 
 def test_residual_report_res2_unavailable_without_retained():
@@ -460,7 +492,9 @@ def test_prepared_objective_warns_on_asymmetric_core(caplog):
         assert "asymmetric" not in caplog.text
         # break the symmetry of X_1u^T M_u X_1u, as severe rounding would
         prepared.WtX = prepared.WtX + np.triu(np.full_like(prepared.WtX, 1e-4), 1)
-        prepared.rec_mk(params)
+        # an equal parameter set that is another object: the cores of
+        # `params` itself are kept from the first call
+        prepared.rec_mk(dataclasses.replace(params))
     assert "the mass update core came out asymmetric" in caplog.text
 
 
@@ -667,8 +701,7 @@ def test_rec_mk_of_an_optimized_update_matches_the_gram_reference():
     assert abs(value - ref) <= 1e-13 * ref
     rep = sf.residual_report(p, u, c.old, c.target.Lambda, c.retained)
     assert rep.rec_mk == value
-    X2, L3_inv = spilloverfree.objective._retained_block_data(p, c.retained)
-    Lam2p = sla.block_diag(L3_inv, np.zeros((p.n_phi, p.n_phi)))
+    X2, Lam2p = _retained_operands(p, c.retained)
     assert rep.res2_updated == sf.retained_residual(u.M_u_tilde, u.K_tilde, X2, Lam2p)
     assert rep.res1_updated == sf.eigen_residual(u.M_u_tilde, u.K_tilde, u.X1_tilde,
                                                  c.target.Lambda)
@@ -718,6 +751,130 @@ def test_an_in_place_edit_prepares_the_update_again(monkeypatch, edit):
     assert np.array_equal(u.K_tilde, fresh.K_tilde) and np.array_equal(u.X1_tilde, fresh.X1_tilde)
 
 
+def _counted_gamma_inverses(monkeypatch):
+    calls = []
+    inverse = spilloverfree.embedding.PreparedUpdate.gamma_tilde_inverse
+    monkeypatch.setattr(spilloverfree.embedding.PreparedUpdate, "gamma_tilde_inverse",
+                        lambda self, params: calls.append(params) or inverse(self, params))
+    return calls
+
+
+def test_an_optimize_then_embed_pass_computes_the_cores_once(monkeypatch):
+    # the certified seed is scored, certified and embedded with one set of cores
+    c = scale_case(0)
+    calls = _counted_gamma_inverses(monkeypatch)
+    result = sf.optimize_gamma_tilde(c.pencil, c.old, c.target.Lambda, np.eye(c.old.p),
+                                     c.params, sf.OptimizeConfig(restarts=1))
+    assert result.iterations == 0 and result.best_params is c.params
+    u = sf.embed(c.pencil, c.old, c.target.Lambda, result.best_params)
+    assert calls == [c.params]
+    monkeypatch.undo()
+    c.pencil._prepared = None
+    fresh = sf.embed(c.pencil, c.old, c.target.Lambda, c.params)
+    assert np.array_equal(u.K_tilde, fresh.K_tilde) and np.array_equal(u.M_u_tilde, fresh.M_u_tilde)
+
+
+@pytest.mark.parametrize("edit", ["Theta", "GammaTilde1"])
+def test_an_in_place_parameter_edit_computes_the_cores_again(monkeypatch, edit):
+    c = EmbeddingCase(10, 4, s_sel=1, n_real=2, s_tilde=1, seed=3)
+    q = c.old.p
+    params = sf.ParameterSet(np.eye(q), np.array(c.params.GammaTilde1), c.params.s_tilde)
+    prepared = spilloverfree.embedding.PreparedUpdate(c.pencil, c.old, c.target.Lambda)
+    calls = _counted_gamma_inverses(monkeypatch)
+    first = prepared.woodbury_cores(params)
+    assert prepared.woodbury_cores(params) is first and len(calls) == 1
+    # a scaling keeps the block pattern of GammaTilde1 and Theta nonsingular
+    getattr(params, edit)[...] *= 1.5
+    again = prepared.woodbury_cores(params)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    edited = sf.ParameterSet(np.array(params.Theta), np.array(params.GammaTilde1), params.s_tilde)
+    ref = spilloverfree.embedding.PreparedUpdate(c.pencil, c.old, c.target.Lambda)
+    for a, b in zip(again, ref.woodbury_cores(edited)):
+        assert np.array_equal(a, b)
+    assert not np.array_equal(again[2], first[2])  # core_k
+
+
+# -- the retained side of Res2 once per pencil and selection -------------------
+
+
+def _selection(spectrum, n_pairs, n_reals, target_seed):
+    """(old, retained, target) for the first n_pairs pairs and n_reals
+    reals, with targets perturbed from target_seed."""
+    vals = [lam for lam, _ in spectrum.finite_pairs]
+    wanted = [z for v in [v for v in vals if v.imag > 0][:n_pairs] for z in (v, v.conjugate())]
+    wanted += [v for v in vals if v.imag == 0][:n_reals]
+    old, kept = sf.select_eigendata(spectrum, wanted)
+    retained = sf.retained_eigendata(spectrum, kept)
+    target = sf.real_lambda_from_eigenvalues(
+        sf.perturb_targets(wanted, n_pairs, 0.3, target_seed, avoid=[vals[i] for i in kept]))
+    return old, retained, target
+
+
+def _report(pencil, old, retained, target):
+    """(u, report) of the default parameters' update."""
+    params = sf.default_gamma_tilde(sf.compute_gamma1(pencil, old.X, s=old.s), old.s, target.s)
+    u = sf.embed(pencil, old, target.Lambda, params)
+    return u, sf.residual_report(pencil, u, old, target.Lambda, retained)
+
+
+def _fresh_report(pencil, u, old, target, retained):
+    fresh = sf.validate_pencil(np.array(pencil.M_u), np.array(pencil.K), pencil.n_u,
+                               pencil.n_phi)
+    return sf.residual_report(fresh, u, old, target.Lambda, retained)
+
+
+def test_a_second_report_on_the_selection_takes_no_eigensolve_of_x2s_order(monkeypatch):
+    n_u, n_phi, p = 120, 48, 6
+    pencil = make_pencil(n_u, n_phi, seed=4, p=p, s_tilde=2)
+    spectrum = sf.solve_spectrum(pencil)
+    old, retained, target = _selection(spectrum, 2, 2, 1)
+    first = _report(pencil, old, retained, target)[1]
+    other = _selection(spectrum, 2, 2, 2)[2]
+    assert not np.array_equal(other.Lambda, target.Lambda)
+    grams = []
+    eigvalsh = sla.eigvalsh
+    monkeypatch.setattr(sla, "eigvalsh", lambda G, **kw: grams.append(G.shape) or eigvalsh(G, **kw))
+    u, second = _report(pencil, old, retained, other)
+    monkeypatch.undo()
+    m = pencil.n - p
+    assert grams and grams.count((m, m)) == 0  # ||X2||'s Gram is not taken again
+    assert second.res2_original == first.res2_original
+    assert second == _fresh_report(pencil, u, old, other, retained)
+    # a retained eigendata object that is another object with equal values shares the memo
+    side = pencil._retained[3]
+    copy = sf.RealSpectralData(np.array(retained.Lambda), np.array(retained.X), retained.s)
+    assert sf.residual_report(pencil, u, old, other.Lambda, copy) == second
+    assert pencil._retained[3] is side
+
+
+@pytest.mark.parametrize("edit", ["X_u", "X_phi", "Lambda"])
+def test_an_in_place_edit_of_the_retained_eigendata_rebuilds_the_memo(edit):
+    c = EmbeddingCase(10, 4, s_sel=1, n_real=2, s_tilde=1, seed=3)
+    u, first = _report(c.pencil, c.old, c.retained, c.target)
+    side, n_u = c.pencil._retained[3], c.pencil.n_u
+    {"X_u": c.retained.X[:n_u], "X_phi": c.retained.X[n_u:],
+     "Lambda": c.retained.Lambda}[edit][...] *= 1.5
+    rep = sf.residual_report(c.pencil, u, c.old, c.target.Lambda, c.retained)
+    assert c.pencil._retained[3] is not side
+    assert rep == _fresh_report(c.pencil, u, c.old, c.target, c.retained)
+    assert rep.res2_original != first.res2_original
+
+
+def test_another_selection_rebuilds_the_memo():
+    pencil = make_pencil(24, 10, seed=3, p=6, s_tilde=2)
+    spectrum = sf.solve_spectrum(pencil)
+    reports, sides = [], []
+    for n_pairs, n_reals in ((2, 2), (1, 2), (2, 2)):
+        old, retained, target = _selection(spectrum, n_pairs, n_reals, 1)
+        u, rep = _report(pencil, old, retained, target)
+        assert rep == _fresh_report(pencil, u, old, target, retained)
+        reports.append(rep)
+        sides.append(pencil._retained[3])
+    assert sides[1] is not sides[0] and sides[2] is not sides[1]
+    assert reports[0] == reports[2] and reports[1].res2_original != reports[0].res2_original
+
+
 def test_a_dropped_pencil_is_freed_without_a_collection():
     g = make_pencil(10, 4, seed=3)
     enabled = gc.isenabled()
@@ -732,7 +889,7 @@ def test_a_dropped_pencil_is_freed_without_a_collection():
         result = sf.optimize_gamma_tilde(pencil, old, old.Lambda, np.eye(old.p), seed)
         u = sf.embed(pencil, old, old.Lambda, result.best_params)
         sf.residual_report(pencil, u, old, old.Lambda, retained)
-        assert pencil._prepared is not None
+        assert pencil._prepared is not None and pencil._retained is not None
         ref = weakref.ref(pencil)
         del pencil
         assert ref() is None
