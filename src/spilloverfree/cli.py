@@ -274,6 +274,7 @@ def _run_pipeline(args, pencil, spectrum, *, optimize, demo=False):
         )
         params = result.best_params
     updated = embed_and_report(params, "choice_b_" if demo else "")
+    pencil._retained = None  # the last report is made: free its retained side before writing
     entries.update(_write_run(args.out_dir, updated, old, target))
     return entries, result
 

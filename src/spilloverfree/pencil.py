@@ -48,9 +48,12 @@ SOLVE_BACKWARD_ERROR = 1e-14
 
 # _spec_norm takes Lanczos from this order on (one BLAS thread: it lost
 # to the Gram eigensolve on K at n = 140, and won on residual_report's
-# rectangular and low-rank operands from order 200), with this tol.
+# rectangular and low-rank operands from order 200), with this tol,
 LANCZOS_MIN_ORDER = 200
 LANCZOS_TOL = 1e-12
+# but not on an exactly symmetric operand below this order: one tridiagonal
+# reduction beat it on generated K up to order 1000 and lost from 1190 on.
+TRIDIAGONAL_MAX_ORDER = 1000
 
 # An eigenvalue whose imaginary part is below this (relative to the
 # spectral radius) is treated as real when classifying conjugate pairs.
@@ -69,10 +72,15 @@ def _as_matrix(A, name, square=True):
     return A
 
 
+def _absmax(A):
+    """max|A| as a float (0.0 when A is empty), with no |A| copy."""
+    return float(max(A.max(initial=0.0), -A.min(initial=0.0)))
+
+
 def _asymmetry(A):
     """Relative asymmetry max|A - A^T| / max|A| of a square A (0.0 when
     A is empty or zero)."""
-    return float(np.abs(A - A.T).max(initial=0.0) / max(np.abs(A).max(initial=0.0), 1e-300))
+    return _absmax(A - A.T) / max(_absmax(A), 1e-300)
 
 
 def _check_symmetric(A, name, tol):
@@ -98,15 +106,17 @@ def _spec_norm(A):
     diagonal blocks (as diag(Lambda^-1, 0) is) takes the closed form:
     the largest (hypot(a + d, b - c) + hypot(a - d, b + c)) / 2 over its
     blocks [[a, b], [c, d]], or |entry| on its diagonal (each bounds its
-    block's norm from below). Another A with
-    at least LANCZOS_MIN_ORDER rows and nonzero columns takes the Ritz
-    value of ARPACK's Lanczos (seeded start vector, so the bits repeat)
-    on A if A is exactly symmetric, else on its smaller Gram operator;
-    with relative residual at most LANCZOS_TOL it is a lower bound on
-    ||A|| up to rounding, so a tolerance decision can flip only within
-    LANCZOS_TOL of its threshold. Any other A, or ARPACK failing, takes
-    _gram_norm. Both eigensolvers see _scaled_nonzero(A), so a C-ordered
-    A padded with zero columns has A's norm bit for bit at every order."""
+    block's norm from below). Else B, A without its exactly zero columns
+    and rows, picks the path. From LANCZOS_MIN_ORDER rows and columns
+    on, except for an exactly symmetric B below TRIDIAGONAL_MAX_ORDER
+    (at one BLAS thread Lanczos lost on generated K of orders 400 to
+    1000 and M_u of 600 to 850, and won from 1190 and 1000), ARPACK's
+    seeded Lanczos on B if symmetric, else on its smaller Gram operator,
+    gives a Ritz value: with relative residual at most LANCZOS_TOL, a
+    lower bound on ||A|| up to rounding. Otherwise, or if ARPACK fails,
+    a symmetric B takes _tridiagonal_norm, exact to rounding, and any
+    other A _gram_norm. A C-ordered A padded with zero columns gives
+    every path A's operand, so A's norm bit for bit."""
     n = A.shape[0]
     if A.shape == (n, n) and (nonzero := np.count_nonzero(A)) <= 2 * n:
         d, up, lo = np.diagonal(A), np.diagonal(A, 1), np.diagonal(A, -1)
@@ -116,47 +126,60 @@ def _spec_norm(A):
             i = np.flatnonzero(coupled)
             a, b, c, e = d[i], up[i], lo[i], d[i + 1]
             pairs = 0.5 * (np.hypot(a + e, b - c) + np.hypot(a - e, b + c))
-            return float(max(np.abs(d).max(initial=0.0), pairs.max(initial=0.0)))
-    if min(A.shape) >= LANCZOS_MIN_ORDER:
-        keep = A.any(axis=0)
-        if np.count_nonzero(keep) >= LANCZOS_MIN_ORDER:
-            try:
-                return _lanczos_norm(A, keep)
-            except spla.ArpackError:
-                pass
-    return _gram_norm(A)
+            return max(_absmax(d), float(pairs.max(initial=0.0)))
+    keep = A.any(axis=0)
+    A = A if keep.all() else A.compress(keep, axis=1)  # a C-ordered copy, as A[rows] is
+    B = A[rows] if len(A) > A.shape[1] == np.count_nonzero(rows := A.any(axis=1)) else A
+    symmetric = B.shape[0] == B.shape[1] and np.array_equal(B, B.T)
+    if min(A.shape) >= LANCZOS_MIN_ORDER and not (symmetric and len(B) < TRIDIAGONAL_MAX_ORDER):
+        try:
+            return _lanczos_norm(B if symmetric else A, symmetric)
+        except spla.ArpackError:
+            pass
+    return _tridiagonal_norm(B) if symmetric else _gram_norm(A)
 
 
-def _scaled_nonzero(A, keep, rows=False):
-    """(A / max|A|, max|A|) on A's nonzero columns `keep`, and on those
-    rows too when `rows` (as a symmetric A's zero columns are). A column
-    drop copies in C order, so a C-ordered A padded with zero columns
-    anywhere gives A's operand and A's norm, bit for bit."""
-    scale = float(max(A.max(initial=0.0), -A.min(initial=0.0)))
-    if not keep.all():
-        A = A[np.ix_(keep, keep)] if rows else A.compress(keep, axis=1)
-    return A / scale, scale
+def _scaled(A):
+    """(A / max|A|, max|A|) of a nonzero A, the quotient a new array."""
+    return A / (scale := _absmax(A)), scale
+
+
+def _tridiagonal_norm(B):
+    """||B|| = max(-lambda_min, lambda_max) of an exactly symmetric B with
+    no zero row (|b| of a 1x1 B, 0.0 of an empty one): LAPACK dsytrd
+    reduces _scaled(B) to tridiagonal form once, and bisection (dstebz)
+    finds its two extreme eigenvalues. No convergence tolerance enters."""
+    if len(B) < 2:  # dstebz takes no 1x1 matrix
+        return _absmax(B)
+    (T, scale), n, lapack = _scaled(B), len(B), sla.lapack
+    # T is exactly symmetric, so T.T is T in the Fortran order LAPACK takes, uncopied
+    d, e = lapack.dsytrd(T.T, lower=1, lwork=int(lapack.dsytrd_lwork(n, lower=1)[0]),
+                         overwrite_a=1)[1:3]
+    low, high = (lapack.dstebz(d, e, 2, 0.0, 0.0, i, i, 0.0, "E")[1][0] for i in (1, n))
+    return scale * float(max(-low, high))
 
 
 def _gram_norm(A):
     """||A||_2 as the top eigenvalue of the smaller Gram matrix of
-    _scaled_nonzero(A), and 0.0 with no eigensolve for an empty or
-    all-zero A: the reference."""
+    _scaled(A) on A's nonzero columns (a C-ordered copy), by LAPACK dsyevr
+    called as sla.eigvalsh(G, subset_by_index=[k, k]) calls it, and 0.0
+    with no eigensolve for an empty or all-zero A: the reference."""
     keep = A.any(axis=0)
     if not keep.any():
         return 0.0
-    B, scale = _scaled_nonzero(A, keep)
+    B, scale = _scaled(A if keep.all() else A.compress(keep, axis=1))
     G = B.T @ B if B.shape[0] >= B.shape[1] else B @ B.T
+    lwork, liwork = map(int, sla.lapack.dsyevr_lwork(n := len(G), lower=1)[:2])
     # G is exactly symmetric, so G.T is G in the Fortran order LAPACK takes, uncopied
-    top = sla.eigvalsh(G.T, overwrite_a=True, subset_by_index=[len(G) - 1] * 2)[0]
+    top = sla.lapack.dsyevr(G.T, compute_v=0, range="I", lower=1, il=n, iu=n, lwork=lwork,
+                            liwork=liwork, overwrite_a=1)[0][0]
     return scale * float(np.sqrt(top))
 
 
-def _lanczos_norm(A, keep):
-    """||A|| by eigsh on _scaled_nonzero(A), as _spec_norm describes;
-    raises ArpackError."""
-    symmetric = A.shape[0] == A.shape[1] and np.array_equal(A, A.T)
-    op, scale = _scaled_nonzero(A, keep, rows=symmetric)
+def _lanczos_norm(B, symmetric):
+    """||B|| by eigsh on _scaled(B), as _spec_norm describes, for a B with
+    no zero column; raises ArpackError."""
+    op, scale = _scaled(B)
     if not symmetric:
         B = op if op.shape[0] >= op.shape[1] else op.T
         op = spla.LinearOperator((B.shape[1],) * 2, matvec=lambda x: B.T @ (B @ x), dtype=float)

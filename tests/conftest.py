@@ -28,6 +28,20 @@ def make_pencil(n_u, n_phi, seed, p=2, s_tilde=1):
     return sf.generate_pencil(spec)
 
 
+def record_norm_eigensolves(monkeypatch):
+    """{"gram": [...], "tridiagonal": [...]}: the shape of each Gram matrix
+    (LAPACK dsyevr) and of each symmetric operand (dsytrd) that a norm
+    eigensolves from now on. scipy's own wrappers do not go through these
+    names, so only pencil._spec_norm's calls are seen."""
+    calls = {"gram": [], "tridiagonal": []}
+    for name, log in (("dsyevr", calls["gram"]), ("dsytrd", calls["tridiagonal"])):
+        f = getattr(sla.lapack, name)
+        monkeypatch.setattr(sla.lapack, name,
+                            lambda a, *args, _f=f, _log=log, **kw: _log.append(a.shape)
+                            or _f(a, *args, **kw))
+    return calls
+
+
 @pytest.fixture
 def small_pencil():
     """8 structural plus 3 electric unknowns, fixed seed."""

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import spilloverfree as sf
-from spilloverfree import mmio
+from spilloverfree import cli, mmio
 from spilloverfree.cli import main
 
 from conftest import multiset_match, spectrum_values
@@ -470,6 +470,37 @@ def test_the_spectrum_is_never_paired_again(tmp_path, monkeypatch):
     assert run("embed", "--in", gen, "--out", emb, *SELECT) == 0
     assert run("verify", "--in", emb) == 0
     assert sizes and max(sizes) <= SELECT[1]
+
+
+@pytest.mark.parametrize("command", ["embed", "optimize", "demo"])
+def test_a_run_frees_the_retained_side_before_it_writes(command, gen_dir, tmp_path, monkeypatch):
+    # the retained side serves reports on the pencil; demo's second report
+    # still finds the first one's, and none is kept while the run files are
+    # written
+    pencils, kept_at_report, kept_at_write = [], [], []
+    report, write = cli.residual_report, cli._write_run
+
+    def recording_report(pencil, *args):
+        pencils.append(pencil)
+        kept_at_report.append(pencil._retained is not None)
+        return report(pencil, *args)
+
+    def recording_write(*args):
+        kept_at_write.extend(p._retained is not None for p in pencils)
+        return write(*args)
+
+    monkeypatch.setattr(cli, "residual_report", recording_report)
+    monkeypatch.setattr(cli, "_write_run", recording_write)
+    out = str(tmp_path / command)
+    if command == "demo":
+        assert run("demo", "--example", 1, "--nu", 8, "--nphi", 3, "--seed", 5, "--out", out) == 0
+        assert kept_at_report == [False, True]
+    else:
+        assert run(command, "--in", gen_dir, "--out", out, "--p", 4, "--stilde", 1, "--seed", 3,
+                   *(["--restarts", 1] if command == "optimize" else [])) == 0
+        assert kept_at_report == [False]
+    assert kept_at_write == [False] * len(pencils)
+    assert len({id(p) for p in pencils}) == 1
 
 
 def test_verify_certifies_the_stored_spectrum(run12):

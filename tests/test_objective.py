@@ -18,7 +18,7 @@ import spilloverfree.objective
 from spilloverfree.errors import DimensionMismatch, IllDefined, MalformedBlocks, NoFeasiblePoint
 from spilloverfree.pencil import _spec_norm
 
-from conftest import EmbeddingCase, make_pencil
+from conftest import EmbeddingCase, make_pencil, record_norm_eigensolves
 from test_acceptance import scale_case
 
 
@@ -76,26 +76,28 @@ def test_residual_report_takes_each_pencil_norm_once(monkeypatch):
     # ||M_u|| and ||K|| come from the pencil's cache, ||M_u~|| is ||M_u||
     # (choice_a leaves M_u bit for bit) and M_u - M_u~ = 0 has norm 0:
     # of the full-order matrices only K~ and K - K~ take an eigensolve,
-    # K - K~ on its sketch Q^T (K - K~), of order n here (n < SKETCH_WIDTH).
+    # the symmetric K~ by one tridiagonal reduction and K - K~ on the Gram
+    # of its sketch Q^T (K - K~), of order n here (n < SKETCH_WIDTH).
     # The results are the values the public metrics give.
     c = EmbeddingCase(10, 4, s_sel=1, n_real=2, s_tilde=1, seed=3)
     u = sf.embed(c.pencil, c.old, c.target.Lambda, c.params)
     p, Lt = c.pencil, c.target.Lambda
     assert c.params.mode == "choice_a" and np.array_equal(u.M_u_tilde, p.M_u)
     p.norms()
-    calls = []
-    eigvalsh = sla.eigvalsh
-    monkeypatch.setattr(sla, "eigvalsh", lambda G, **kw: calls.append(G.shape) or eigvalsh(G, **kw))
+    calls = record_norm_eigensolves(monkeypatch)
     rep = sf.residual_report(p, u, c.old, Lt, c.retained)
     monkeypatch.undo()
-    # K~ and K - K~'s sketch (n x n), X2 (m x m Gram, m = n - p), and the small
+    # Grams: K - K~'s sketch (n x n), X2 (m x m, m = n - p), and the small
     # res1 operands; the two spillover numerators drop their n_phi
     # exactly-zero infinite columns (q3 x q3 Grams, q3 = n_u - p), and
     # ||Lam2_prime|| takes no eigensolve (block-diagonal closed form)
-    q3 = c.retained.p
-    assert calls.count((p.n, p.n)) == 2
-    assert sum(min(shape) >= p.n_u for shape in calls) == 3
-    assert calls.count((q3, q3)) == 2
+    q3, grams = c.retained.p, calls["gram"]
+    assert calls["tridiagonal"] == [(p.n, p.n)]
+    assert grams.count((p.n, p.n)) == 1
+    assert sum(min(shape) >= p.n_u for shape in grams) == 2
+    assert grams.count((q3, q3)) == 2
+    assert abs(_spec_norm(u.K_tilde) - spilloverfree.pencil._gram_norm(u.K_tilde)) <= (
+        1e-13 * _spec_norm(u.K_tilde))
     X2, Lam2p = _retained_operands(p, c.retained)
     assert rep.res1_original == sf.eigen_residual(p.M_u, p.K, c.old.X, c.old.Lambda)
     assert rep.res1_updated == sf.eigen_residual(u.M_u_tilde, u.K_tilde, u.X1_tilde, Lt)
@@ -106,14 +108,15 @@ def test_residual_report_takes_each_pencil_norm_once(monkeypatch):
 
 def test_embed_chain_takes_no_large_svd_and_one_gram_of_order_m(monkeypatch):
     # validate -> solve -> select -> embed -> residual_report at n = 168:
-    # eigenvector ranks come from QR, norms from Gram eigensolves, and the
-    # only Gram of order m = n - p is ||X2||'s (the spillover numerators
-    # and Lam2_prime drop their infinite zero columns); ||K - K~|| takes
-    # the Gram of its certified sketch, of order SKETCH_WIDTH
+    # eigenvector ranks come from QR, norms from Gram eigensolves or, for
+    # M_u, K and K~, one tridiagonal reduction each, and the only Gram of
+    # order m = n - p is ||X2||'s (the spillover numerators and Lam2_prime
+    # drop their infinite zero columns); ||K - K~|| takes the Gram of its
+    # certified sketch, of order SKETCH_WIDTH
     n_u, n_phi, p = 120, 48, 6
     g = make_pencil(n_u, n_phi, seed=4, p=p, s_tilde=2)
     M_u, K = np.array(g.M_u), np.array(g.K)
-    svds, grams = [], []
+    svds = []
 
     def counted(f, log):
         return lambda A, *a, **kw: log.append(np.shape(A)) or f(A, *a, **kw)
@@ -123,7 +126,8 @@ def test_embed_chain_takes_no_large_svd_and_one_gram_of_order_m(monkeypatch):
     for module in {np.linalg, getattr(np.linalg, "_linalg", np.linalg)}:
         monkeypatch.setattr(module, "svd", counted(svd, svds))
     monkeypatch.setattr(sla, "svd", counted(sla.svd, svds))
-    monkeypatch.setattr(sla, "eigvalsh", counted(sla.eigvalsh, grams))
+    calls = record_norm_eigensolves(monkeypatch)
+    grams = calls["gram"]
     pencil = sf.validate_pencil(M_u, K, n_u, n_phi)
     spectrum = sf.solve_spectrum(pencil)
     vals = [lam for lam, _ in spectrum.finite_pairs]
@@ -143,8 +147,11 @@ def test_embed_chain_takes_no_large_svd_and_one_gram_of_order_m(monkeypatch):
     assert grams.count((m, m)) == 1
     width = spilloverfree.objective.SKETCH_WIDTH
     assert grams.count((width, width)) == 1
-    # besides ||X2||: ||M_u||, ||K|| and ||K~||
-    assert sum(min(shape) >= n_u for shape in grams) == 4
+    assert sum(min(shape) >= n_u for shape in grams) == 1  # ||X2|| only
+    assert calls["tridiagonal"] == [(n_u, n_u), (pencil.n, pencil.n), (pencil.n, pencil.n)]
+    for A in (pencil.M_u, pencil.K, u.K_tilde):
+        value = _spec_norm(A)
+        assert abs(value - spilloverfree.pencil._gram_norm(A)) <= 1e-13 * value
 
 
 def test_reports_and_checks_equal_the_public_definitions_above_the_lanczos_crossover(
@@ -152,9 +159,11 @@ def test_reports_and_checks_equal_the_public_definitions_above_the_lanczos_cross
     # above the Lanczos crossover (residual_report's full-order operands
     # have order at least 200 here) the pencil norms are _spec_norm's like
     # every other norm, so the report and check_jordan_pair equal the
-    # public Res1, Res2 and Rec.MK by ==. The report's Lanczos norms agree
-    # with the Gram reference on the same operands, which ARPACK failing
-    # on every call gives.
+    # public Res1, Res2 and Rec.MK by ==: with the symmetric M_u, K and K~
+    # on the tridiagonal reduction, as at this order, and on Lanczos, as
+    # from TRIDIAGONAL_MAX_ORDER on. The report's Lanczos norms agree with
+    # the Gram reference on the same operands, which ARPACK failing on
+    # every call gives.
     n_u, n_phi, p = 210, 50, 6
     g = make_pencil(n_u, n_phi, seed=4, p=p, s_tilde=2)
     M_u, K = np.array(g.M_u), np.array(g.K)
@@ -170,27 +179,35 @@ def test_reports_and_checks_equal_the_public_definitions_above_the_lanczos_cross
         sf.perturb_targets(wanted, 2, 0.3, 1, avoid=[vals[i] for i in kept]))
     params = sf.default_gamma_tilde(sf.compute_gamma1(pencil, old.X, s=old.s), old.s, target.s)
     u = sf.embed(pencil, old, target.Lambda, params)
-    rep = sf.residual_report(pencil, u, old, target.Lambda, retained)
-
-    assert pencil.norms() == (_spec_norm(pencil.M_u), _spec_norm(pencil.K))
     X2, Lam2p = _retained_operands(pencil, retained)
-    public = {
-        "res1_original": sf.eigen_residual(pencil.M_u, pencil.K, old.X, old.Lambda),
-        "res1_updated": sf.eigen_residual(u.M_u_tilde, u.K_tilde, u.X1_tilde, target.Lambda),
-        "res2_original": sf.retained_residual(pencil.M_u, pencil.K, X2, Lam2p),
-        "res2_updated": sf.retained_residual(u.M_u_tilde, u.K_tilde, X2, Lam2p),
-        "rec_mk": sf.rec_mk(pencil.M_u, pencil.K, u.M_u_tilde, u.K_tilde),
-    }
-    for field, value in public.items():
-        assert getattr(rep, field) == value, field
     c = sf.assemble_jordan_pair(spectrum)
     Jp = sla.block_diag(np.linalg.inv(c.J[:n_u, :n_u]), np.zeros((n_phi, n_phi)))
-    assert (sf.check_jordan_pair(pencil, c, 1e-8)["pencil_relation"].residual
-            == sf.retained_residual(pencil.M_u, pencil.K, c.X, Jp))
     d = spectrum.finite
-    finite = sf.check_jordan_pair(pencil, sf.JordanPairCandidate(X=d.X, J=d.Lambda), 1e-8)
-    assert finite["finite_relation"].residual == sf.eigen_residual(pencil.M_u, pencil.K, d.X,
-                                                                   d.Lambda)
+
+    for max_order in (spilloverfree.pencil.TRIDIAGONAL_MAX_ORDER,
+                      spilloverfree.pencil.LANCZOS_MIN_ORDER):
+        monkeypatch.setattr(spilloverfree.pencil, "TRIDIAGONAL_MAX_ORDER", max_order)
+        fresh = sf.validate_pencil(M_u, K, n_u, n_phi)
+        rep = sf.residual_report(fresh, u, old, target.Lambda, retained)
+        assert fresh.norms() == (_spec_norm(fresh.M_u), _spec_norm(fresh.K))
+        public = {
+            "res1_original": sf.eigen_residual(fresh.M_u, fresh.K, old.X, old.Lambda),
+            "res1_updated": sf.eigen_residual(u.M_u_tilde, u.K_tilde, u.X1_tilde, target.Lambda),
+            "res2_original": sf.retained_residual(fresh.M_u, fresh.K, X2, Lam2p),
+            "res2_updated": sf.retained_residual(u.M_u_tilde, u.K_tilde, X2, Lam2p),
+            "rec_mk": sf.rec_mk(fresh.M_u, fresh.K, u.M_u_tilde, u.K_tilde),
+        }
+        for field, value in public.items():
+            assert getattr(rep, field) == value, (max_order, field)
+        assert (sf.check_jordan_pair(fresh, c, 1e-8)["pencil_relation"].residual
+                == sf.retained_residual(fresh.M_u, fresh.K, c.X, Jp))
+        finite = sf.check_jordan_pair(fresh, sf.JordanPairCandidate(X=d.X, J=d.Lambda), 1e-8)
+        assert finite["finite_relation"].residual == sf.eigen_residual(fresh.M_u, fresh.K, d.X,
+                                                                       d.Lambda)
+    monkeypatch.undo()
+    for A in (M_u, K, u.K_tilde):
+        value = _spec_norm(A)
+        assert abs(value - spilloverfree.pencil._gram_norm(A)) <= 1e-13 * value
 
     calls = []
 
@@ -201,7 +218,9 @@ def test_reports_and_checks_equal_the_public_definitions_above_the_lanczos_cross
     monkeypatch.setattr(spla, "eigsh", no_convergence)
     gram = sf.residual_report(sf.validate_pencil(M_u, K, n_u, n_phi), u, old, target.Lambda,
                               retained)
-    assert len(calls) >= 6  # M_u, K, K~, X2 and the two spillover numerators
+    # X2 and the two spillover numerators; M_u, K and K~ take no Lanczos
+    # below TRIDIAGONAL_MAX_ORDER
+    assert len(calls) == 3
     for field in public:
         value, ref = getattr(rep, field), getattr(gram, field)
         assert type(value) is float
@@ -832,9 +851,7 @@ def test_a_second_report_on_the_selection_takes_no_eigensolve_of_x2s_order(monke
     first = _report(pencil, old, retained, target)[1]
     other = _selection(spectrum, 2, 2, 2)[2]
     assert not np.array_equal(other.Lambda, target.Lambda)
-    grams = []
-    eigvalsh = sla.eigvalsh
-    monkeypatch.setattr(sla, "eigvalsh", lambda G, **kw: grams.append(G.shape) or eigvalsh(G, **kw))
+    grams = record_norm_eigensolves(monkeypatch)["gram"]
     u, second = _report(pencil, old, retained, other)
     monkeypatch.undo()
     m = pencil.n - p

@@ -21,7 +21,8 @@ from spilloverfree.errors import (
 from spilloverfree.pencil import _spec_norm, rcond_estimate
 from spilloverfree.spectral import _rank_rcond
 
-from conftest import dense_finite_eigs, make_pencil, multiset_match, spectrum_values
+from conftest import (dense_finite_eigs, make_pencil, multiset_match,
+                      record_norm_eigensolves, spectrum_values)
 
 
 def test_rcond_estimate_diagonal():
@@ -532,7 +533,8 @@ def test_gram_norm_matches_the_svd_norm(seed, rows, cols, scale, symmetric):
 
 
 def test_gram_norm_of_zero_and_empty_matrices(monkeypatch):
-    monkeypatch.setattr(sla, "eigvalsh", None)  # no eigensolve is needed
+    for name in ("dsyevr", "dsytrd"):
+        monkeypatch.setattr(sla.lapack, name, None)  # no eigensolve is needed
     assert _spec_norm(np.zeros((5, 3))) == 0.0
     assert _spec_norm(np.zeros((0, 4))) == 0.0
 
@@ -564,11 +566,9 @@ def test_gram_norm_drops_exactly_zero_columns(seed, rows, cols, scale, symmetric
 
 def test_gram_norm_of_a_padded_matrix_takes_the_trimmed_gram(monkeypatch):
     A = np.random.default_rng(1).standard_normal((9, 4))
-    calls = []
-    eigvalsh = sla.eigvalsh
-    monkeypatch.setattr(sla, "eigvalsh", lambda G, **kw: calls.append(G.shape) or eigvalsh(G, **kw))
+    calls = record_norm_eigensolves(monkeypatch)
     _spec_norm(np.hstack([A, np.zeros((9, 7))]))
-    assert calls == [(4, 4)]
+    assert calls == {"gram": [(4, 4)], "tridiagonal": []}
 
 
 def _lanczos_cases():
@@ -597,6 +597,11 @@ def _lanczos_cases():
     }
 
 
+# the exactly symmetric cases: below TRIDIAGONAL_MAX_ORDER they take the
+# tridiagonal reduction, not Lanczos
+SYMMETRIC_CASES = ("clustered", "symmetric", "zero_rows_and_columns")
+
+
 @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
 @pytest.mark.parametrize("name", sorted(_lanczos_cases()))
 def test_lanczos_norm_matches_the_gram_reference(name, scale, monkeypatch):
@@ -606,9 +611,10 @@ def test_lanczos_norm_matches_the_gram_reference(name, scale, monkeypatch):
     monkeypatch.setattr(pencil.spla, "eigsh", lambda *a, **kw: calls.append(1) or eigsh(*a, **kw))
     value = _spec_norm(A)
     ref = pencil._gram_norm(A)
-    assert calls == [1]
+    symmetric = name in SYMMETRIC_CASES
+    assert calls == ([] if symmetric else [1])
     assert type(value) is float and type(ref) is float
-    assert abs(value - ref) <= 1e-12 * ref
+    assert abs(value - ref) <= (1e-13 if symmetric else 1e-12) * ref
     assert _spec_norm(A) == value  # the seeded start vector repeats the bits
 
 
@@ -634,22 +640,22 @@ def test_block_diagonal_norm_of_other_matrices_is_spec_norm(monkeypatch):
     chained[0, 1] = chained[2, 1] = 1.0  # a 3x3 block
     far = np.diag(rng.standard_normal(5))
     far[0, 3] = 2.0  # an entry off the tridiagonal
-    calls = []
-    eigvalsh = sla.eigvalsh
-    monkeypatch.setattr(sla, "eigvalsh", lambda G, **kw: calls.append(1) or eigvalsh(G, **kw))
+    calls = record_norm_eigensolves(monkeypatch)["gram"]
     for i, L in enumerate((chained, far, rng.standard_normal((4, 4)))):
         # near-block matrices take the general path: below the Lanczos
-        # crossover, the Gram reference
+        # crossover and not symmetric, the Gram reference
         assert _spec_norm(L) == pencil._gram_norm(L)
         assert len(calls) == 2 * (i + 1)
-    monkeypatch.setattr(sla, "eigvalsh", None)
+    for name in ("dsyevr", "dsytrd"):
+        monkeypatch.setattr(sla.lapack, name, None)
     assert _spec_norm(np.zeros((3, 3))) == 0.0
     assert type(_spec_norm(np.diag([1.0, -3.0]))) is float
 
 
 def test_lanczos_norm_of_an_all_zero_matrix_takes_no_eigensolve(monkeypatch):
     monkeypatch.setattr(pencil.spla, "eigsh", None)
-    monkeypatch.setattr(sla, "eigvalsh", None)
+    for name in ("dsyevr", "dsytrd"):
+        monkeypatch.setattr(sla.lapack, name, None)
     m = pencil.LANCZOS_MIN_ORDER
     assert _spec_norm(np.zeros((m + 10, m + 10))) == 0.0
 
@@ -670,9 +676,122 @@ def test_lanczos_norm_falls_back_to_the_gram_path(monkeypatch):
 
     cases = _lanczos_cases()
     monkeypatch.setattr(pencil.spla, "eigsh", no_convergence)
-    for A in cases.values():
+    for name, A in cases.items():
         value = _spec_norm(A)
-        assert type(value) is float and value == pencil._gram_norm(A)
+        if name in SYMMETRIC_CASES:  # no ARPACK below TRIDIAGONAL_MAX_ORDER
+            B = A[np.ix_(A.any(axis=0), A.any(axis=0))]
+            assert value == pencil._tridiagonal_norm(B)
+            assert abs(value - pencil._gram_norm(A)) <= 1e-13 * value
+        else:
+            assert type(value) is float and value == pencil._gram_norm(A)
+
+
+def _clustered_k(rng, n_u, n_phi):
+    """A K like the generated ones: the n_phi electric unknowns carry
+    n_u + n_phi on their diagonal, so the top eigenvalues cluster."""
+    K = rng.standard_normal((n_u + n_phi,) * 2)
+    K = K + K.T
+    K[n_u:, n_u:] += (n_u + n_phi) * np.eye(n_phi)
+    return K
+
+
+def _indefinite(rng, n):
+    """A symmetric matrix whose most negative eigenvalue is the largest in
+    modulus: eigenvalues in [-3, 1], -3 among them."""
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    A = (Q * np.r_[-3.0, rng.uniform(-2.9, 1.0, n - 1)]) @ Q.T
+    return A + A.T  # exactly symmetric
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+@pytest.mark.parametrize("family", ["clustered", "generated_K", "indefinite"])
+def test_tridiagonal_norm_matches_a_40_digit_oracle(family, scale):
+    # max(-lambda_min, lambda_max) at 40 digits, of the very doubles the
+    # path sees; measured: at most 4.4e-16 relative (2 ulps) over these 27 cases
+    worst = 0.0
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        A = scale * {"clustered": lambda: _clustered_k(rng, 24, 8),
+                     "generated_K": lambda: np.array(make_pencil(22, 8, seed=seed).K),
+                     "indefinite": lambda: _indefinite(rng, 30)}[family]()
+        assert np.array_equal(A, A.T)
+        value = pencil._tridiagonal_norm(A)
+        with mpmath.workdps(40):
+            w = mpmath.eigsy(mpmath.matrix(A.tolist()), eigvals_only=True)
+            exact = max(-min(w), max(w))
+            if family == "indefinite":
+                assert -min(w) > max(w)
+            worst = max(worst, float(abs(mpmath.mpf(value) - exact) / exact))
+        assert _spec_norm(A) == value
+    assert worst <= 1e-14
+
+
+def test_tridiagonal_norm_of_1x1_and_all_zero_operands(monkeypatch):
+    for name in ("dsyevr", "dsytrd"):
+        monkeypatch.setattr(sla.lapack, name, None)  # no eigensolve is needed
+    monkeypatch.setattr(pencil.spla, "eigsh", None)
+    assert pencil._tridiagonal_norm(np.array([[-3.0]])) == 3.0
+    assert pencil._tridiagonal_norm(np.zeros((0, 0))) == 0.0
+    # after the zero columns and rows go: a 1x1 and an empty operand
+    one = np.zeros((3, 2))
+    one[1, 1] = -5e200
+    assert _spec_norm(one) == 5e200 and _spec_norm(np.zeros((4, 3))) == 0.0
+
+
+def test_symmetric_norm_below_the_crossover_takes_no_arpack(monkeypatch):
+    def no_arpack(*args, **kwargs):
+        raise AssertionError("eigsh called")
+
+    rng = np.random.default_rng(4)
+    n = pencil.TRIDIAGONAL_MAX_ORDER - 1
+    cases = [_clustered_k(rng, n - n // 4, n // 4), _lanczos_cases()["clustered"]]
+    refs = [pencil._gram_norm(A) for A in cases]
+    monkeypatch.setattr(pencil.spla, "eigsh", no_arpack)
+    calls = record_norm_eigensolves(monkeypatch)
+    for A, ref in zip(cases, refs):
+        value = _spec_norm(A)
+        assert abs(value - ref) <= 1e-13 * ref
+    assert calls == {"gram": [], "tridiagonal": [A.shape for A in cases]}
+
+
+def test_arpack_failing_above_the_crossover_gives_the_tridiagonal_value(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        calls.append(1)
+        raise pencil.spla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+    n = pencil.TRIDIAGONAL_MAX_ORDER
+    A = _clustered_k(np.random.default_rng(5), n - n // 4, n // 4)
+    lanczos, exact = _spec_norm(A), pencil._tridiagonal_norm(A)
+    assert abs(lanczos - exact) <= 1e-12 * exact
+    calls = []
+    monkeypatch.setattr(pencil.spla, "eigsh", no_convergence)
+    assert _spec_norm(A) == exact and calls == [1]
+    assert abs(exact - pencil._gram_norm(A)) <= 1e-13 * exact
+
+
+def test_asymmetry_equals_the_two_copy_formula():
+    def two_copies(A):
+        return float(np.abs(A - A.T).max(initial=0.0) / max(np.abs(A).max(initial=0.0), 1e-300))
+
+    rng = np.random.default_rng(9)
+    S = rng.standard_normal((7, 7))
+    cases = [rng.standard_normal((n, n)) * scale for n in (1, 2, 5, 40)
+             for scale in (1e-200, 1.0, 1e200)]
+    cases += [S + S.T, S + S.T + 1e-9 * np.triu(S, 1), -np.abs(S), np.zeros((3, 3)),
+              np.zeros((0, 0))]
+    for A in cases:
+        assert pencil._asymmetry(A) == two_copies(A)
+
+
+def test_gram_norm_calls_dsyevr_as_the_eigvalsh_wrapper_does():
+    rng = np.random.default_rng(10)
+    for n in range(1, pencil.LANCZOS_MIN_ORDER):
+        for scale in (1e-200, 1.0, 1e200):
+            A = scale * rng.standard_normal((n + 2, n))
+            B = A / max(A.max(), -A.min())
+            G = B.T @ B
+            top = sla.eigvalsh(G.T, overwrite_a=True, subset_by_index=[n - 1] * 2)[0]
+            assert pencil._gram_norm(A) == max(A.max(), -A.min()) * float(np.sqrt(top))
 
 
 @given(st.integers(0, 10**6), st.integers(1, 50), st.integers(0, 30),
