@@ -20,9 +20,11 @@ environment variable sets the log level.
 """
 
 import argparse
+import hashlib
 import logging
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -77,21 +79,30 @@ _RUN_FILES = (
 )
 
 
+def _read_files(directory, names):
+    """The bytes of each of `names` that exists in `directory`, and their hashes."""
+    files = {name: Path(directory, name).read_bytes() for name in names
+             if Path(directory, name).exists()}
+    return files, {f"sha256_{n}": hashlib.sha256(data).hexdigest() for n, data in files.items()}
+
+
 def _read_pencil(directory):
-    M_u = mmio.read_matrix(os.path.join(directory, "M_u.mtx"))
-    K = mmio.read_matrix(os.path.join(directory, "K.mtx"))
+    """The pencil in `directory` and its files' hashes, from one read each."""
+    files, hashes = _read_files(directory, _PENCIL_FILES)
+    M_u, K = (mmio.read_matrix(os.path.join(directory, name), files.pop(name, None))
+              for name in _PENCIL_FILES)
     n_u = M_u.shape[0]
     n_phi = K.shape[0] - n_u
     if n_phi < 0:
         raise DimensionMismatch(
             f"K (order {K.shape[0]}) is smaller than M_u (order {n_u})"
         )
-    return validate_pencil(M_u, K, n_u, n_phi)
+    return validate_pencil(M_u, K, n_u, n_phi), hashes
 
 
 def _generate(args, p, s_tilde):
     """Generate the pencil of a ProblemSpec from args and write it to
-    args.out_dir; return the spec and the pencil."""
+    args.out_dir; return the spec, the pencil and the files' hash entries."""
     os.makedirs(args.out_dir, exist_ok=True)
     spec = ProblemSpec(
         n_u=args.nu,
@@ -102,17 +113,9 @@ def _generate(args, p, s_tilde):
         seed=args.seed,
     )
     pencil = generate_pencil(spec)
-    mmio.write_matrix(pencil.M_u, os.path.join(args.out_dir, "M_u.mtx"))
-    mmio.write_matrix(pencil.K, os.path.join(args.out_dir, "K.mtx"))
-    return spec, pencil
-
-
-def _hash_entries(directory, names):
-    return {
-        f"sha256_{name}": mmio.sha256_file(os.path.join(directory, name))
-        for name in names
-        if os.path.exists(os.path.join(directory, name))
-    }
+    hashes = {f"sha256_{name}": mmio.write_matrix(A, os.path.join(args.out_dir, name))
+              for name, A in zip(_PENCIL_FILES, (pencil.M_u, pencil.K))}
+    return spec, pencil, hashes
 
 
 def _load_spectrum(pencil, directory):
@@ -141,15 +144,14 @@ def _load_spectrum(pencil, directory):
 
 def _write_spectrum(spectrum, directory):
     """Write spectrum.spectral; return the spectrum's report entries."""
-    mmio.write_spectral(spectrum.finite, os.path.join(directory, "spectrum.spectral"))
-    entries = {
+    path = os.path.join(directory, "spectrum.spectral")
+    return {
+        "sha256_spectrum.spectral": mmio.write_spectral(spectrum.finite, path),
         "finite_count": spectrum.finite.p,
         "pair_count": spectrum.pair_count(),
         "real_count": spectrum.real_count(),
         "min_gap": float(spectrum.condition_summary.min()),
     }
-    entries.update(_hash_entries(directory, ("spectrum.spectral",)))
-    return entries
 
 
 def _write_run(directory, updated, old, target):
@@ -157,10 +159,9 @@ def _write_run(directory, updated, old, target):
     params = updated.params
     data = (updated.M_u_tilde, updated.K_tilde, updated.X1_tilde,
             params.Theta, params.GammaTilde1, old, target)
-    for name, item in zip(_RUN_FILES, data):
-        write = mmio.write_spectral if name.endswith(".spectral") else mmio.write_matrix
-        write(item, os.path.join(directory, name))
-    return _hash_entries(directory, _RUN_FILES)
+    writers = (mmio.write_matrix,) * 5 + (mmio.write_spectral,) * 2
+    return {f"sha256_{name}": write(item, os.path.join(directory, name))
+            for name, write, item in zip(_RUN_FILES, writers, data)}
 
 
 def _select_values(spectrum, p_sel, s_sel, rng):
@@ -282,7 +283,7 @@ def _run_pipeline(args, pencil, spectrum, *, optimize, demo=False):
 def _cmd_gen(args):
     p_sel = args.p if args.p is not None else min(6, args.nu)
     s_tilde = args.stilde if args.stilde is not None else min(2, p_sel // 2)
-    spec, pencil = _generate(args, p_sel, s_tilde)
+    spec, pencil, hashes = _generate(args, p_sel, s_tilde)
     spectrum = solve_spectrum(pencil)  # cached by generate_pencil
     entries = {
         "command": "gen",
@@ -294,7 +295,7 @@ def _cmd_gen(args):
         "seed": spec.seed,
     }
     entries.update(_write_spectrum(spectrum, args.out_dir))
-    entries.update(_hash_entries(args.out_dir, _PENCIL_FILES))
+    entries.update(hashes)
     mmio.write_report(entries, os.path.join(args.out_dir, "gen.report"))
     print(
         f"gen: n_u={pencil.n_u} n_phi={pencil.n_phi} "
@@ -307,7 +308,7 @@ def _cmd_gen(args):
 def _cmd_solve(args):
     out_dir = args.out_dir or args.in_dir
     os.makedirs(out_dir, exist_ok=True)
-    pencil = _read_pencil(args.in_dir)
+    pencil, hashes = _read_pencil(args.in_dir)
     spectrum = solve_spectrum(pencil)
     entries = {
         "command": "solve",
@@ -316,7 +317,7 @@ def _cmd_solve(args):
         "n_phi": pencil.n_phi,
     }
     entries.update(_write_spectrum(spectrum, out_dir))
-    entries.update(_hash_entries(args.in_dir, _PENCIL_FILES))
+    entries.update(hashes)
     mmio.write_report(entries, os.path.join(out_dir, "solve.report"))
     print(
         f"solve: {spectrum.finite.p} finite eigenvalues "
@@ -329,12 +330,12 @@ def _cmd_solve(args):
 def _cmd_embed(args, *, optimize=False):
     _check_weights(args.tau1, args.tau2)
     os.makedirs(args.out_dir, exist_ok=True)
-    pencil = _read_pencil(args.in_dir)
+    pencil, hashes = _read_pencil(args.in_dir)
     spectrum, _ = _load_spectrum(pencil, args.in_dir)
     entries, result = _run_pipeline(args, pencil, spectrum, optimize=optimize)
     command = "optimize" if optimize else "embed"
     entries.update(command=command, input_dir=args.in_dir, max_perturb=args.max_perturb)
-    entries.update(_hash_entries(args.in_dir, _PENCIL_FILES))
+    entries.update(hashes)
     if result is not None:
         entries.update(
             {
@@ -387,27 +388,24 @@ def _cmd_verify(args):
         raise VerificationFailed("report does not record input_dir; pass --pencil")
 
     failures = []
+    pencil, actual = _read_pencil(pencil_dir)
+    run_files, run_hashes = _read_files(args.in_dir, _RUN_FILES)
+    actual |= run_hashes
+    for name in _PENCIL_FILES + _RUN_FILES:
+        key = f"sha256_{name}"
+        if key not in report:
+            continue
+        if key not in actual:
+            failures.append(f"{name}: file missing")
+        elif actual[key] != report[key]:
+            failures.append(f"{name}: hash mismatch (stored {report[key][:12]}.., "
+                            f"actual {actual[key][:12]}..)")
 
-    def check_hashes(directory, names):
-        for name in names:
-            key = f"sha256_{name}"
-            if key not in report:
-                continue
-            path = os.path.join(directory, name)
-            if not os.path.exists(path):
-                failures.append(f"{name}: file missing")
-                continue
-            actual = mmio.sha256_file(path)
-            if actual != report[key]:
-                failures.append(f"{name}: hash mismatch (stored {report[key][:12]}.., actual {actual[:12]}..)")
-
-    check_hashes(pencil_dir, _PENCIL_FILES)
-    check_hashes(args.in_dir, _RUN_FILES)
-
-    pencil = _read_pencil(pencil_dir)
-    old, target = (mmio.read_spectral(os.path.join(args.in_dir, name)) for name in _RUN_FILES[5:])
+    old, target = (mmio.read_spectral(os.path.join(args.in_dir, name), run_files.pop(name, None))
+                   for name in _RUN_FILES[5:])
     M_u_t, K_t, X1_t, theta, gamma_t = (
-        mmio.read_matrix(os.path.join(args.in_dir, name)) for name in _RUN_FILES[:5]
+        mmio.read_matrix(os.path.join(args.in_dir, name), run_files.pop(name, None))
+        for name in _RUN_FILES[:5]
     )
     params = ParameterSet(
         Theta=theta,
@@ -474,7 +472,7 @@ def _cmd_verify(args):
 def _cmd_demo(args):
     _check_weights(args.tau1, args.tau2)
     args.stilde = 2 if args.example == 1 else 1
-    _, pencil = _generate(args, args.p, args.stilde)
+    _, pencil, hashes = _generate(args, args.p, args.stilde)
     entries, result = _run_pipeline(args, pencil, solve_spectrum(pencil),
                                     optimize=True, demo=True)
     entries.update(
@@ -486,7 +484,7 @@ def _cmd_demo(args):
             "choice_b_converged": result.converged,
         }
     )
-    entries.update(_hash_entries(args.out_dir, _PENCIL_FILES))
+    entries.update(hashes)
     mmio.write_report(entries, os.path.join(args.out_dir, "demo.report"))
     seed_label = "choice_a" if "choice_a_rec_mk" in entries else "seed"
     print(

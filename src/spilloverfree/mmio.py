@@ -7,15 +7,17 @@ real array and coordinate data, general or symmetric. Values are
 written with 17 significant digits, so write/read round trips are exact
 for double precision.
 
-Array bodies and the eigenvector block of a spectral file are parsed in
-bulk when they hold one value per line, as the writers produce: one
-vectorized conversion of all lines, which gives the same bits as
-float() on each value. Any other body (a '%' comment line, a blank
-line, several values on a line, a token float() rejects, a non-finite
-value, or the wrong number of values) goes through the line parser
-instead, which skips comments and reports a malformed body with its
-file, line and column. Coordinate bodies always go through the line
-parser. Every value must be finite: inf and nan are ParseError.
+Array bodies and spectral eigenvectors are written one value per line,
+`[-]d.ddddddddddddddddde±dd[d]\n`, and read in bulk in exactly that layout,
+by double-double numpy kernels (Dekker's product) that know each scaled
+value to 2**-43 of a last digit or half ulp. Inside 1e-280 <= |x| <= 1e280
+(or zero) and over _MARGIN = 2**-32 from a rounding boundary they give the
+bytes of '%.17e' and the bits of float(); any other value (a tie, subnormal,
+inf, nan) takes those one at a time. Any other body (a '%' comment, a blank
+line, several values on a line, '\r\n', a token like 1.0, the wrong count)
+and every coordinate body go through the line parser, which skips comments
+and reports a malformed body with its file, line and column. Every value
+must be finite: inf and nan are ParseError.
 
 The spectral format is line-oriented:
 
@@ -29,9 +31,11 @@ Reports are `key = value` lines, sorted by key, under a single `#`
 header line carrying the timestamp (the only non-reproducible byte).
 """
 
+import functools
 import hashlib
 import math
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 
@@ -39,14 +43,113 @@ from .errors import MalformedBlocks, ParseError
 from .spectral import RealSpectralData, block_eigenvalues, block_matrix
 
 _FLOAT = "%.17e"
+_CHUNK = 1 << 15  # values per kernel call: temporaries of a few MB
+_MARGIN = 2.0**-32  # 2**11 times the kernels' error bound
+_format_one, _parse_one = (_FLOAT + "\n").__mod__, float  # per-value fallbacks
 
 
 def sha256_file(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@functools.cache
+def _tables():
+    """Built at first use: (hi, hh, hl, lo, b), (hi + lo) * 2**b = 10**e to
+    2**-105 relative for e = -300..300 (int / int rounds correctly), hh + hl
+    = hi in [0.5, 2] split; the '%04d' of 0..9999; 'e%+03d\\n' of -300..300."""
+    rows = []
+    for e in range(-300, 301):
+        num, den = (10**e, 1) if e >= 0 else (1, 10**-e)
+        b = num.bit_length() - den.bit_length()
+        num, den = (num, den << b) if b >= 0 else (num << -b, den)
+        hi = num / den
+        a, c = hi.as_integer_ratio()
+        rows.append((hi, (num * c - a * den) / (den * c), b))
+    hi, lo, b = (np.array(col) for col in zip(*rows))
+    hh = 134217729.0 * hi - (134217729.0 * hi - hi)
+    digits = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + 48).astype(np.uint8)
+    exponents = "".join(("e%+03d\n\n" % e)[:6] for e in range(-300, 301)).encode()
+    return hi, hh, hi - hh, lo, b, digits, np.frombuffer(exponents, np.uint8).reshape(-1, 6)
+
+
+def _scaled(a, e):
+    """a * 10**e as a double-double (p, r), to 2**-103 relative: p + r is
+    a 2**b * hi exactly (Dekker's product; numpy has no FMA) + a 2**b * lo."""
+    hi, hh, hl, lo, b = (t[e + 300] for t in _tables()[:5])
+    a = np.ldexp(a, b)
+    c = 134217729.0 * a
+    ah = c - (c - a)
+    al = a - ah
+    p = a * hi
+    return p, ((ah * hh - p) + ah * hl + al * hh) + al * hl + a * lo
+
+
+def _format_rows(x):
+    """The bytes of '%.17e\\n' % v for the values v of x, as uint8."""
+    digits, exponents = _tables()[5:]
+    ax = np.abs(x)
+    zero, inside = ax == 0, (ax >= 1e-280) & (ax <= 1e280)
+    a = np.where(inside, ax, 1.0)
+    # |x| = y * 10**(k - 17) with 10**17 <= y < 10**18, decided on y
+    k = np.floor(np.log10(a)).astype(np.int64)
+    for _ in range(2):  # the second pass only confirms k
+        p, r = _scaled(a, 17 - k)
+        k += ((p - 1e18) + r >= 0).astype(np.int64) - ((p - 1e17) + r < 0)
+    frac = r - np.floor(r)
+    slow = ~(inside | zero) | (np.abs(frac - 0.5) <= _MARGIN)
+    D = p.astype(np.int64) + (r - frac).astype(np.int64) + (frac > 0.5)
+    k += D == 10**18  # rounded up to 10**18: 1.000... one decade up
+    D[D == 10**18] = 10**17
+    D[zero] = k[zero] = 0
+    top, D = np.divmod(D, 10**16)
+    high, low = np.divmod(D, 10**8)
+    rows = np.empty((len(x), 26), np.uint8)
+    rows[:, :3] = [ord("-"), 0, ord(".")]
+    rows[:, 1:4:2] = digits[top, 2:]
+    quads = np.stack([*np.divmod(high, 10**4), *np.divmod(low, 10**4)], 1)
+    rows[:, 4:20] = digits[quads].reshape(-1, 16)
+    rows[:, 20:] = exponents[k + 300]
+    keep = np.ones(rows.shape, bool)
+    keep[:, 0] = np.signbit(x)
+    keep[:, 25] = np.abs(k) >= 100
+    for i in np.flatnonzero(slow):
+        row = np.frombuffer(_format_one(x[i]).encode(), np.uint8)
+        rows[i, : len(row)] = row
+        keep[i] = np.arange(26) < len(row)
+    return rows[keep]
+
+
+def _parse_rows(c):
+    """The values of the whole uint8 rows c, or None unless all are in the writer layout."""
+    end = np.flatnonzero(c == ord("\n"))
+    start = np.concatenate(([0], end[:-1] + 1))
+    neg = c[start] == ord("-")
+    width = end - start - neg
+    if width.min() < 23 or width.max() > 24:
+        return None
+    w = np.lib.stride_tricks.sliding_window_view(c, 24)[start + neg]  # each row after its sign
+    d = w[:, [0, *range(2, 19), 21, 22, 23]] - np.uint8(48)
+    big, sign = width == 24, w[:, 20]
+    if not ((d[:, :20] < 10).all() and (d[big, 20] < 10).all() and (w[:, 1] == ord(".")).all()
+            and (w[:, 19] == ord("e")).all() and ((sign == ord("+")) | (sign == ord("-"))).all()):
+        return None
+    mantissa, powers = d[:, :18].astype(float), 10.0 ** np.arange(8, -1, -1)
+    m1, m2 = mantissa[:, :9] @ powers, mantissa[:, 9:] @ powers
+    E = d[:, 18] * 10 + d[:, 19].astype(np.int64)
+    E = np.where(big, E * 10 + d[:, 20], E) * np.where(sign == ord("-"), -1, 1)
+    q = np.clip(E, -280, 279) - 17
+    s = m1 * 1e9 + m2  # the 18-digit mantissa is s + (m2 - (s - m1 * 1e9)) exactly
+    p, r = _scaled(s, q)
+    r += _scaled(m2 - (s - m1 * 1e9), q)[0]
+    v = p + r
+    rem = (p - v) + r
+    half = np.where(rem >= 0, np.spacing(v), v - np.nextafter(v, 0)) / 2
+    fast = (np.abs(rem) <= half - half * _MARGIN) & (
+        (m1 >= 1e8) & (E >= -280) & (E <= 279) | (m1 == 0) & (m2 == 0))
+    v[neg] *= -1
+    for i in np.flatnonzero(~fast):
+        v[i] = _parse_one(c[start[i]:end[i]].tobytes())
+    return v
 
 
 def _fail(path, line_no, column, msg):
@@ -71,77 +174,85 @@ def _parse_int(tok, path, line_no, line, what):
     return v
 
 
-def _data_lines(lines, start):
-    """Yield (line_no, stripped_line) skipping comments and blanks."""
-    for i in range(start, len(lines)):
-        stripped = lines[i].strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        yield i + 1, stripped
+def _data_lines(data, start):
+    """Yield (line_no, stripped line, next line's offset) after line `start`,
+    skipping comments and blanks: str.splitlines's lines, decoded in blocks
+    that grow with the lines read, from one line up to about 1 MB."""
+    pos = line_no = 0
+    while pos < len(data):
+        stop = data.find(b"\n", pos + min(64 * line_no, 1 << 20)) + 1 or len(data)
+        for line in data[pos:stop].decode().splitlines(True):
+            line_no += 1
+            pos += len(line.encode())
+            line = line.strip()
+            if line_no > start and line and not line.startswith("%"):
+                yield line_no, line, pos
 
 
-def _bulk_values(lines, start, count):
-    """The values on lines[start:] from one vectorized parse, or None
-    unless the body is exactly `count` lines that float() accepts whole
-    (one value per line, as the writers produce) as finite numbers."""
-    body = lines[start:]
-    if len(body) != count:
-        return None
-    try:
-        values = np.array(body, dtype=float)
-    except ValueError:
-        return None
-    return values if np.isfinite(values).all() else None
+def _last_line(data):
+    return len(data.decode().splitlines()) or 1
 
 
-def _line_values(path, lines, data, count, what):
+def _bulk_values(data, start, count):
+    """The values of data[start:] from the parse kernel, about _CHUNK lines
+    at a time, or None unless those are `count` finite writer-layout lines."""
+    c, parts = np.frombuffer(data, np.uint8), [np.empty(0)]
+    while (stop := data.rfind(b"\n", start, start + 26 * _CHUNK) + 1) > start:
+        parts.append(_parse_rows(c[start:stop]))
+        if parts[-1] is None:
+            return None
+        start = stop
+    values = np.concatenate(parts)
+    ok = start == len(data) and len(values) == count and np.isfinite(values).all()
+    return values if ok else None
+
+
+def _line_values(path, data, lines, count, what):
     """The same values, one data line at a time from the iterator
-    `data`: skips comments and reports a bad file with its line and
+    `lines`: skips comments and reports a bad file with its line and
     column."""
     values = np.empty(count)
     filled = 0
-    for line_no, line in data:
+    for line_no, line, _ in lines:
         for tok in line.split():
             if filled >= count:
                 _fail(path, line_no, line.find(tok) + 1, "more values than the size line announced")
             values[filled] = _parse_float(tok, path, line_no, line)
             filled += 1
     if filled < count:
-        _fail(path, len(lines) or 1, 1, f"expected {count} {what}, found {filled}")
+        _fail(path, _last_line(data), 1, f"expected {count} {what}, found {filled}")
     return values
 
 
-def _body_values(path, lines, start, data, count, what):
-    """The `count` values on lines[start:] in file order: the bulk
-    parse, or the line parser (with `data` positioned at lines[start])
-    where the bulk parse cannot stand in for it."""
-    values = _bulk_values(lines, start, count)
-    return _line_values(path, lines, data, count, what) if values is None else values
+def _body_values(path, data, start, lines, count, what):
+    """The `count` values of data[start:]: the bulk parse, else the line parser."""
+    values = _bulk_values(data, start, count)
+    return _line_values(path, data, lines, count, what) if values is None else values
 
 
-def read_matrix(path):
+def read_matrix(path, data=None):
     """Read a real Matrix Market file (array or coordinate, general or
-    symmetric) into a dense ndarray."""
-    with open(path, "r") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+    symmetric) into a dense ndarray, from its bytes `data` if given."""
+    data = Path(path).read_bytes() if data is None else data
+    if not data:
         _fail(path, 1, 1, "empty file")
-    header = lines[0].split()
+    first = data[:data.find(b"\n") + 1 or len(data)].decode().splitlines()[0]
+    header = first.split()
     if len(header) != 5 or header[0].lower() != "%%matrixmarket" or header[1].lower() != "matrix":
         _fail(path, 1, 1, "missing '%%MatrixMarket matrix <format> <field> <symmetry>' header")
     fmt, field, symmetry = (t.lower() for t in header[2:5])
     if fmt not in ("array", "coordinate"):
-        _fail(path, 1, lines[0].lower().find(fmt) + 1, f"unsupported format {fmt!r}")
+        _fail(path, 1, first.lower().find(fmt) + 1, f"unsupported format {fmt!r}")
     if field not in ("real", "integer"):
-        _fail(path, 1, lines[0].lower().find(field) + 1, f"unsupported field {field!r}")
+        _fail(path, 1, first.lower().find(field) + 1, f"unsupported field {field!r}")
     if symmetry not in ("general", "symmetric"):
-        _fail(path, 1, lines[0].lower().find(symmetry) + 1, f"unsupported symmetry {symmetry!r}")
+        _fail(path, 1, first.lower().find(symmetry) + 1, f"unsupported symmetry {symmetry!r}")
 
-    data = _data_lines(lines, 1)
+    lines = _data_lines(data, 1)
     try:
-        line_no, size_line = next(data)
+        line_no, size_line, start = next(lines)
     except StopIteration:
-        _fail(path, len(lines), 1, "missing size line")
+        _fail(path, _last_line(data), 1, "missing size line")
     toks = size_line.split()
     count = 2 if fmt == "array" else 3
     if len(toks) != count:
@@ -154,21 +265,20 @@ def read_matrix(path):
         _fail(path, line_no, 1, f"symmetric matrix must be square, got {m}x{n}")
 
     if fmt == "array":
+        count = m * n if symmetry == "general" else n * (n + 1) // 2
+        values = _body_values(path, data, start, lines, count, "values")
         if symmetry == "general":
-            values = _body_values(path, lines, line_no, data, m * n, "values")
             return np.ascontiguousarray(values.reshape(n, m).T)
-        values = _body_values(path, lines, line_no, data, n * (n + 1) // 2, "values")
         # column-major lower triangle = row-major upper triangle of A^T
-        upper = np.triu_indices(n)
+        upper = np.tri(n, dtype=bool).T
         A = np.zeros((n, n))
-        A[upper] = values
-        A.T[upper] = values
+        A[upper] = A.T[upper] = values
         return A
 
     nnz = _parse_int(toks[2], path, line_no, size_line, "entry count")
     A = np.zeros((m, n))
     seen = 0
-    for line_no, line in data:
+    for line_no, line, _ in lines:
         toks = line.split()
         if len(toks) != 3:
             _fail(path, line_no, 1, f"coordinate entry needs 'i j value', got {line!r}")
@@ -184,46 +294,51 @@ def read_matrix(path):
             A[j - 1, i - 1] = v
         seen += 1
     if seen != nnz:
-        _fail(path, len(lines), 1, f"size line announced {nnz} entries, found {seen}")
+        _fail(path, _last_line(data), 1, f"size line announced {nnz} entries, found {seen}")
     return A
 
 
-def _write_columns(fh, columns):
-    """Write the values of each column in turn, one per line, with one
-    write per column: the body is never held in memory whole."""
-    for col in columns:
-        fh.write((_FLOAT + "\n") * len(col) % tuple(col))
+def _write(path, head, values):
+    """Write `head` and then `values`, one per line; return the file's sha256."""
+    head = head.encode()
+    h = hashlib.sha256(head)
+    with open(path, "wb") as fh:
+        fh.write(head)
+        for i in range(0, len(values), _CHUNK):
+            rows = _format_rows(values[i:i + _CHUNK])
+            fh.write(rows)
+            h.update(rows)
+    return h.hexdigest()
 
 
 def write_matrix(A, path):
     """Write a dense real matrix in Matrix Market array format, using
     the symmetric qualifier (lower triangle only) when A is exactly
-    symmetric."""
+    symmetric; return the file's sha256."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise MalformedBlocks(f"can only write 2-d matrices, got shape {A.shape}")
     m, n = A.shape
     symmetric = m == n and np.array_equal(A, A.T)
-    with open(path, "w") as fh:
-        tag = "symmetric" if symmetric else "general"
-        fh.write(f"%%MatrixMarket matrix array real {tag}\n")
-        fh.write(f"{m} {n}\n")
-        _write_columns(fh, (A[j:, j] for j in range(n)) if symmetric else A.T)
+    tag = "symmetric" if symmetric else "general"
+    head = f"%%MatrixMarket matrix array real {tag}\n{m} {n}\n"
+    # column-major: the lower triangle of A is the row-major upper one of A.T
+    return _write(path, head, A.T[np.tri(n, dtype=bool).T] if symmetric else A.ravel(order="F"))
 
 
-def read_spectral(path):
-    """Read RealSpectralData from the spectral text format."""
-    with open(path, "r") as fh:
-        lines = fh.read().splitlines()
-    data = _data_lines(lines, 0)
+def read_spectral(path, data=None):
+    """Read RealSpectralData from the spectral text format, from the
+    file's bytes `data` if given."""
+    data = Path(path).read_bytes() if data is None else data
+    lines = _data_lines(data, 0)
 
     def next_line(what):
         try:
-            return next(data)
+            return next(lines)
         except StopIteration:
-            _fail(path, len(lines) or 1, 1, f"unexpected end of file, expected {what}")
+            _fail(path, _last_line(data), 1, f"unexpected end of file, expected {what}")
 
-    line_no, header = next_line("the 'p s' header")
+    line_no, header, _ = next_line("the 'p s' header")
     toks = header.split()
     if len(toks) != 2:
         _fail(path, line_no, 1, f"header needs 'p s', got {header!r}")
@@ -237,13 +352,13 @@ def read_spectral(path):
     values = []
     for k in range(p - s):
         form = "pair alpha beta" if k < s else "real lambda"
-        line_no, line = next_line(f"a '{form}' line")
+        line_no, line, _ = next_line(f"a '{form}' line")
         toks = line.split()
         if len(toks) != len(form.split()) or toks[0] != form[:4]:
             _fail(path, line_no, 1, f"expected '{form}', got {line!r}")
         values.append(complex(*(_parse_float(t, path, line_no, line) for t in toks[1:])))
 
-    line_no, line = next_line("the 'n p' eigenvector size line")
+    line_no, line, start = next_line("the 'n p' eigenvector size line")
     toks = line.split()
     if len(toks) != 2:
         _fail(path, line_no, 1, f"expected 'n p' size line, got {line!r}")
@@ -253,22 +368,19 @@ def read_spectral(path):
         _fail(path, line_no, 1, f"eigenvector row count must be nonnegative, got {n}")
     if p2 != p:
         _fail(path, line_no, 1, f"eigenvector block has {p2} columns, header said {p}")
-    X = _body_values(path, lines, line_no, data, n * p, "eigenvector values")
+    X = _body_values(path, data, start, lines, n * p, "eigenvector values")
     X = np.ascontiguousarray(X.reshape(p, n).T)
     return RealSpectralData(Lambda=block_matrix(values, s), X=X, s=s)
 
 
 def write_spectral(d, path):
-    """Write RealSpectralData in the spectral text format."""
+    """Write RealSpectralData in the spectral text format; return the
+    file's sha256."""
     vals = block_eigenvalues(d.Lambda, d.s)
-    with open(path, "w") as fh:
-        fh.write(f"{d.p} {d.s}\n")
-        for j in range(d.s):
-            fh.write(("pair " + _FLOAT + " " + _FLOAT + "\n") % (vals[j].real, vals[j].imag))
-        for k in range(d.p - 2 * d.s):
-            fh.write(("real " + _FLOAT + "\n") % vals[d.s + k].real)
-        fh.write(f"{d.X.shape[0]} {d.p}\n")
-        _write_columns(fh, d.X.T)
+    pairs = "".join(("pair " + _FLOAT + " " + _FLOAT + "\n") % (z.real, z.imag) for z in vals[:d.s])
+    reals = "".join(("real " + _FLOAT + "\n") % z.real for z in vals[d.s:])
+    head = f"{d.p} {d.s}\n{pairs}{reals}{d.X.shape[0]} {d.p}\n"
+    return _write(path, head, d.X.ravel(order="F"))
 
 
 def _format_value(v):

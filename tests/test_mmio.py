@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import spilloverfree as sf
+from spilloverfree.cli import main
 from spilloverfree.errors import MalformedBlocks, ParseError
 
 
@@ -405,3 +406,98 @@ def test_read_spectral_rejects_a_non_finite_value_with_its_location(tmp_path):
         with pytest.raises(ParseError, match="finite") as exc:
             sf.read_spectral(f)
         assert (exc.value.line, exc.value.column) == (line, column)
+
+
+# -- the vectorized '%.17e' kernels against Python, value by value ----------
+
+def _kernel_sweep():
+    """About 10**6 values: random bit patterns over every exponent (with
+    inf and nan), random values inside the kernels' window, every power
+    of ten and of two with both neighbours (the decade of 10**k must come
+    from the exact product, not from the rounded 10**k), ties 1 + 2**-k,
+    signed zeros, subnormals and the extremes; each with both signs."""
+    rng = np.random.default_rng(20)
+    bits = rng.integers(0, 2**64, 250_000, dtype=np.uint64).view(np.float64)
+    inside = rng.standard_normal(250_000) * 10.0 ** rng.integers(-280, 280, 250_000)
+    exact = np.concatenate([[float(f"1e{k}") for k in range(-323, 309)],
+                            np.ldexp(1.0, np.arange(-1074, 1024))])
+    near = [exact, np.nextafter(exact, np.inf), np.nextafter(exact, 0)]
+    ties = 1.0 + np.ldexp(1.0, -np.arange(1, 53))
+    edges = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e-280, 1e280,
+             np.nextafter(1e-280, 0), np.nextafter(1e280, np.inf), np.inf, np.nan]
+    x = np.concatenate([bits, inside, *near, ties, edges])
+    return np.concatenate([x, -x])
+
+
+def _assert_kernels_match_python(x):
+    text = "".join("%.17e\n" % v for v in x)
+    assert sf.mmio._format_rows(x).tobytes() == text.encode()
+    tokens = [t for t, v in zip(text.split(), x) if np.isfinite(v)]
+    body = "".join(t + "\n" for t in tokens).encode()
+    parsed = sf.mmio._bulk_values(body, 0, len(tokens))
+    assert parsed is not None
+    want = np.array([float(t) for t in tokens])
+    np.testing.assert_array_equal(parsed.view(np.uint64), want.view(np.uint64))
+
+
+def test_kernels_match_python_on_a_million_values():
+    x = _kernel_sweep()
+    assert len(x) >= 10**6
+    for chunk in np.array_split(x, 8):  # bodies of many kernel chunks each
+        _assert_kernels_match_python(chunk)
+
+
+@settings(max_examples=200)
+@example(values=[1e23, 1e22, 9.999999999999999e22, 1 + 2**-26, -0.0, 5e-324])
+@given(values=st.lists(st.floats(), min_size=1, max_size=40))
+def test_kernels_match_python_on_any_float(values):
+    _assert_kernels_match_python(np.array(values))
+
+
+def test_non_finite_values_are_written_as_before_and_read_back_as_located_errors(tmp_path):
+    # '%.17e' writes inf and nan as 'inf', '-inf' and 'nan'; the reader
+    # points at the first of them, as the line parser always did
+    A = np.array([[1.0, np.inf], [np.nan, -np.inf]])
+    d = sf.RealSpectralData(Lambda=np.eye(2), X=np.array([[0.5, -np.inf]]), s=0)
+    sf.write_matrix(A, tmp_path / "a.mtx")
+    sf.write_spectral(d, tmp_path / "d.spectral")
+    for name, read, values, line in (("a.mtx", sf.read_matrix, A.T.ravel(), 4),
+                                     ("d.spectral", sf.read_spectral, d.X.T.ravel(), 6)):
+        lines = (tmp_path / name).read_text().splitlines()
+        assert lines[-len(values):] == ["%.17e" % v for v in values]
+        with pytest.raises(ParseError, match="finite") as exc:
+            read(tmp_path / name)
+        assert (exc.value.line, exc.value.column) == (line, 1)
+
+
+def test_written_files_take_the_kernels_only(tmp_path, monkeypatch):
+    # a generated n = 560 pencil, its spectrum and a run are written and
+    # read back without one value in Python and without the line parser,
+    # and verify hashes the bytes it parses instead of re-reading files
+    def refuse(*args):
+        raise AssertionError("a per-value path was taken")
+
+    for name in ("_format_one", "_parse_one", "_line_values", "sha256_file"):
+        monkeypatch.setattr(sf.mmio, name, refuse)
+    gen, run = str(tmp_path / "gen"), str(tmp_path / "run")
+    assert main(["gen", "--nu", "400", "--nphi", "160", "--seed", "7", "--out", gen]) == 0
+    assert main(["embed", "--in", gen, "--out", run, "--p", "6", "--s", "2", "--stilde", "2",
+                 "--seed", "7"]) == 0
+    assert main(["verify", "--in", run]) == 0
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r", "\x0c\n", "\u2028"])
+def test_line_ends_number_lines_as_splitlines_does(tmp_path, newline):
+    # bodies outside the writer layout are read with str.splitlines's
+    # line breaks: values parse, and a bad token is reported where
+    # splitlines puts it
+    lines = ["%%MatrixMarket matrix array real general", "% ünïcode comment", "2 2",
+             "1.0", "2.0", "3.0", "4.0"]
+    f = tmp_path / "m.mtx"
+    f.write_bytes(newline.join(lines).encode() + b"\n")
+    np.testing.assert_array_equal(sf.read_matrix(f), [[1.0, 3.0], [2.0, 4.0]])
+    f.write_bytes(newline.join(lines[:5] + ["BOOM"] + lines[6:]).encode())
+    with pytest.raises(ParseError) as exc:
+        sf.read_matrix(f)
+    text = f.read_bytes().decode().splitlines()
+    assert text[exc.value.line - 1] == "BOOM"
