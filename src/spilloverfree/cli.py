@@ -327,14 +327,16 @@ def _cmd_solve(args):
     return 0
 
 
-def _cmd_embed(args, *, optimize=False):
+def _cmd_embed(args):
     _check_weights(args.tau1, args.tau2)
     os.makedirs(args.out_dir, exist_ok=True)
     pencil, hashes = _read_pencil(args.in_dir)
     spectrum, _ = _load_spectrum(pencil, args.in_dir)
-    entries, result = _run_pipeline(args, pencil, spectrum, optimize=optimize)
-    command = "optimize" if optimize else "embed"
-    entries.update(command=command, input_dir=args.in_dir, max_perturb=args.max_perturb)
+    command = args.command  # embed, or optimize: embed and then search
+    entries, result = _run_pipeline(args, pencil, spectrum, optimize=command == "optimize")
+    # relative to the run directory, so that the two directories move together
+    entries.update(command=command, input_dir=os.path.relpath(args.in_dir, args.out_dir),
+                   max_perturb=args.max_perturb)
     entries.update(hashes)
     if result is not None:
         entries.update(
@@ -353,10 +355,6 @@ def _cmd_embed(args, *, optimize=False):
         f"-> {args.out_dir}"
     )
     return 0
-
-
-def _cmd_optimize(args):
-    return _cmd_embed(args, optimize=True)
 
 
 def _stored_number(report, key, default=None):
@@ -381,7 +379,10 @@ def _cmd_verify(args):
         raise VerificationFailed(f"no run report found in {args.in_dir}")
     # demo.report keeps the written run's residuals under choice_b_
     prefix = "choice_b_" if name == "demo.report" else ""
-    pencil_dir = args.pencil or report.get("input_dir")
+    # input_dir is relative to the run directory, or in older runs to the working one
+    stored = report.get("input_dir")
+    beside = stored and os.path.normpath(os.path.join(args.in_dir, stored))
+    pencil_dir = args.pencil or (beside if beside and os.path.isdir(beside) else stored)
     if not pencil_dir and os.path.exists(os.path.join(args.in_dir, "M_u.mtx")):
         pencil_dir = args.in_dir
     if not pencil_dir:
@@ -549,7 +550,7 @@ def build_parser():
     _add_common_embed_flags(sub)
     sub.add_argument("--restarts", type=int, default=3)
     sub.add_argument("--max-evals", type=int, default=0, dest="max_evals")
-    sub.set_defaults(func=_cmd_optimize)
+    sub.set_defaults(func=_cmd_embed)
 
     sub = subs.add_parser("verify", help="re-derive residuals and hashes of a run")
     sub.add_argument("--in", required=True, dest="in_dir")

@@ -45,6 +45,7 @@ from .pencil import (
     ConditionCheck,
     DEFAULT_RCOND,
     _asymmetry,
+    _kept,
     _spec_norm,
     rcond_estimate,
     validate_pencil,
@@ -272,11 +273,12 @@ def _check_commutes(name, G, iL):
 
 class PreparedUpdate:
     """The parameter-independent part of one update, built once as
-    PreparedUpdate(p, old, target_Lambda): W = M_u X_1u, Z = K X_1 and the
-    p x p WtX = X_1u^T W, ZtX = X_1^T Z. It holds no n x n array, so a
-    search reuses it for every trial (Theta, GammaTilde1). It keeps copies
-    of old.X, old.Lambda and the target, and the pencil's norms but not
-    the pencil, which may hold it (see prepared_update).
+    PreparedUpdate(p, old, target_Lambda): W = M_u X_1u, Z = K X_1, the
+    p x p WtX = X_1u^T W, ZtX = X_1^T Z and the thin-QR R factors R_w,
+    R_z of W and Z. It holds no n x n array, so a search reuses it for
+    every trial (Theta, GammaTilde1). It holds old.X as given, and the
+    pencil's norms but not the pencil, which may keep it (see
+    prepared_update).
 
     All inverses use the same solver call shape as GammaTilde1^-1, so
     identical inputs give bitwise identical inverses (the low-rank paths
@@ -284,24 +286,16 @@ class PreparedUpdate:
     """
 
     def __init__(self, p, old, target_Lambda):
-        if not isinstance(old, RealSpectralData):
-            raise DimensionMismatch("old eigendata must be RealSpectralData")
-        X1 = old.X
+        X1, q = old.X, old.p
         if X1.shape[0] != p.n:
-            raise DimensionMismatch(
-                f"eigendata has {X1.shape[0]} rows, pencil order is {p.n}"
-            )
-        q = old.p
+            raise DimensionMismatch(f"eigendata has {X1.shape[0]} rows, pencil order is {p.n}")
         Lt = np.ascontiguousarray(np.asarray(target_Lambda, dtype=float))
         if Lt.shape != (q, q):
-            raise DimensionMismatch(
-                f"target matrix has shape {Lt.shape}, expected {(q, q)}"
-            )
-        self.old, self.X1, self.L1, self.Lt = old, X1.copy(), np.array(old.Lambda), Lt.copy()
-        self.s_tilde = infer_pair_count(Lt)
+            raise DimensionMismatch(f"target matrix has shape {Lt.shape}, expected {(q, q)}")
+        self.X1, self.s_tilde = X1, infer_pair_count(Lt)
 
-        self.iL1 = _inverse_of(self.L1, "Lambda_1")
-        self.iLt = _inverse_of(self.Lt, "the target eigenvalue matrix")
+        self.iL1 = _inverse_of(old.Lambda, "Lambda_1")
+        self.iLt = _inverse_of(Lt, "the target eigenvalue matrix")
         G1 = compute_gamma1(p, X1, s=old.s)
         self.iG1 = _inverse_of(G1, "Gamma_1")
         _check_commutes("Gamma_1", G1, self.iL1)
@@ -318,8 +312,8 @@ class PreparedUpdate:
         X1u = X1[: p.n_u]
         self.W, self.Z = p.M_u @ X1u, p.K @ X1
         self.WtX, self.ZtX = X1u.T @ self.W, X1.T @ self.Z
+        self.R_w, self.R_z = np.linalg.qr(self.W, mode="r"), np.linalg.qr(self.Z, mode="r")
         self.norms = p.norms()
-        self._distance_factors = self._cores = None
 
     def gamma_tilde_inverse(self, params):
         """Check params against the prepared data; return GammaTilde1^-1."""
@@ -335,44 +329,33 @@ class PreparedUpdate:
     def woodbury_cores(self, params):
         """(core_m, cap_m, core_k, cap_k, iGt) of M_u~ = M_u - W core_m cap_m^-1 W^T
         and K~ = K - Z core_k cap_k^-1 Z^T, with iGt = GammaTilde1^-1;
-        trivial parameters give zero cores. The last result comes again while
-        params is the same object and equals the copies kept with it."""
-        kept = self._cores
-        if (kept and kept[0] is params and np.array_equal(kept[1], params.Theta)
-                and np.array_equal(kept[2], params.GammaTilde1)):
-            return kept[3]
-        iGt = self.gamma_tilde_inverse(params)
-        Th = params.Theta
-        eye = np.eye(Th.shape[0])
-        core_m = Th @ iGt @ Th.T - self.iG1
-        cap_m = eye + self.WtX @ core_m
-        core_k = self.iL1 @ self.iG1 - Th @ self.iLt @ iGt @ Th.T
-        cap_k = eye + self.ZtX @ core_k
-        for name, cap in (("mass", cap_m), ("stiffness", cap_k)):
-            if rcond_estimate(cap) < ILL_DEFINED_RCOND:
-                raise IllDefined(f"the p x p capacitance matrix of the {name} update is "
-                                 f"singular; the update is not well defined")
-        cores = core_m, cap_m, core_k, cap_k, iGt
-        self._cores = params, params.Theta.copy(), params.GammaTilde1.copy(), cores
-        return cores
+        trivial parameters give zero cores. Kept by value (pencil._kept) on
+        Theta, GammaTilde1 and s_tilde: any parameter set equal to the last
+        one, in any object, gets its cores again; mode does not enter them."""
 
-    def _factors(self):
-        """(R_w, R_z, ||M_u||, ||K||): the thin-QR R factors of W and Z,
-        computed on the first call, and the pencil norms."""
-        if self._distance_factors is None:
-            self._distance_factors = (np.linalg.qr(self.W, mode="r"), np.linalg.qr(self.Z, mode="r"),
-                                      *self.norms)
-        return self._distance_factors
+        def build(Th, *_):
+            iGt = self.gamma_tilde_inverse(params)
+            eye = np.eye(Th.shape[0])
+            core_m = Th @ iGt @ Th.T - self.iG1
+            cap_m = eye + self.WtX @ core_m
+            core_k = self.iL1 @ self.iG1 - Th @ self.iLt @ iGt @ Th.T
+            cap_k = eye + self.ZtX @ core_k
+            for name, cap in (("mass", cap_m), ("stiffness", cap_k)):
+                if rcond_estimate(cap) < ILL_DEFINED_RCOND:
+                    raise IllDefined(f"the p x p capacitance matrix of the {name} update is "
+                                     f"singular; the update is not well defined")
+            return core_m, cap_m, core_k, cap_k, iGt
+
+        return _kept(self, "_cores", build, params.Theta, params.GammaTilde1, params.s_tilde)
 
     def rec_mk(self, params, tau1=1.0, tau2=1.0):
         """Rec.MK of the update with these parameters in O(p^3): with
         C_m = core_m cap_m^-1 and the thin QR W = Q_w R_w, ||M_u - M_u~|| =
         ||R_w sym(C_m) R_w^T||, likewise for K with Z."""
         core_m, cap_m, core_k, cap_k, _ = self.woodbury_cores(params)
-        R_w, R_z, norm_m, norm_k = self._factors()
-        dist = []
-        for name, R, core, cap, norm in (("mass", R_w, core_m, cap_m, norm_m),
-                                         ("stiffness", R_z, core_k, cap_k, norm_k)):
+        (norm_m, norm_k), dist = self.norms, []
+        for name, R, core, cap, norm in (("mass", self.R_w, core_m, cap_m, norm_m),
+                                         ("stiffness", self.R_z, core_k, cap_k, norm_k)):
             C = sla.solve(cap.T, core.T).T
             # The asymmetry the updated matrix would carry, relative to its
             # pencil norm; the Frobenius norm bounds the 2-norm from above.
@@ -417,7 +400,7 @@ class PreparedUpdate:
         core_m, _, core_k, cap_k, iGt = self.woodbury_cores(params)
         if np.any(core_m):
             return None
-        R_w, R_z, norm_m, norm_k = self._factors()
+        R_w, R_z, (norm_m, norm_k) = self.R_w, self.R_z, self.norms
         q, Th = params.p, params.Theta
         C0 = sla.solve(cap_k.T, core_k.T).T
         w, V = np.linalg.eigh(R_z @ (0.5 * (C0 + C0.T)) @ R_z.T)
@@ -443,15 +426,18 @@ class PreparedUpdate:
 
 
 def prepared_update(p, old, target_Lambda):
-    """The PreparedUpdate of (p, old, target_Lambda): the one p holds from
-    the last call if it was built from `old` itself and old.X, old.Lambda
-    and the target still equal its copies, else a new one, which p then
-    holds. embed, optimize_gamma_tilde and evaluate_rec_mk share it."""
-    prep = p._prepared
-    if not (prep and prep.old is old and np.array_equal(prep.X1, old.X)
-            and np.array_equal(prep.L1, old.Lambda) and np.array_equal(prep.Lt, target_Lambda)):
-        prep = p._prepared = PreparedUpdate(p, old, target_Lambda)
-    return prep
+    """The PreparedUpdate of (p, old, target_Lambda), kept by value on p
+    (pencil._kept) on old.X, old.Lambda and the target: eigendata and a
+    target equal to the last call's, in any objects, get the same one,
+    built on copies of them. old.s follows from old.Lambda.
+    embed, embed_direct, optimize_gamma_tilde and evaluate_rec_mk share it."""
+    if not isinstance(old, RealSpectralData):  # before any key is read
+        raise DimensionMismatch("old eigendata must be RealSpectralData")
+
+    def build(X, L, Lt):
+        return PreparedUpdate(p, RealSpectralData(L, X, old.s, _full_rank=True), Lt)
+
+    return _kept(p, "_prepared", build, old.X, old.Lambda, target_Lambda)
 
 
 def _updated_system(Mt, Kt, params, method, X1):
@@ -467,7 +453,7 @@ def embed_direct(p, old, target_Lambda, params):
     dense inversions of orders n_u and n. embed never takes this path;
     the tests compare embed against it.
     """
-    prep = PreparedUpdate(p, old, target_Lambda)
+    prep = prepared_update(p, old, target_Lambda)
     iGt = prep.gamma_tilde_inverse(params)
     X1, iL1, iLt, iG1, Th = prep.X1, prep.iL1, prep.iLt, prep.iG1, params.Theta
     X1u = X1[: p.n_u]

@@ -31,8 +31,8 @@ from .errors import (
     RankDeficient,
     Singular,
 )
-from .pencil import (_RetainedSide, _as_matrix, _eigen_residual, _infinite_basis, _spec_norm,
-                     _zero_block_order)
+from .pencil import (_RetainedSide, _as_matrix, _eigen_residual, _infinite_basis, _kept,
+                     _spec_norm, _zero_block_order)
 from .spectral import block_eigenvalues
 
 log = logging.getLogger(__name__)
@@ -139,35 +139,31 @@ class ResidualReport:
 
 def _retained_side(p, retained):
     """(side, res2_original): the _RetainedSide of X2 = [X_ret, [0; I]] and
-    Lambda^{-1}, and Res2 of p on it. p keeps both with copies of X's rows
-    from n_u on (side.X2_u holds the others) and of Lambda's nonzeros and
-    their flat indices, and returns them while the retained eigendata, in
-    any object, equal those."""
-    memo, n_u, nz = p._retained, p.n_u, np.flatnonzero(retained.Lambda)
-    lam = np.vstack([nz, retained.Lambda.flat[nz]])  # at most 2 q for a block-diagonal Lambda
-    if (memo and memo[2] == retained.s and np.array_equal(memo[1], lam)
-            and np.array_equal(memo[0], retained.X[n_u:])
-            and np.array_equal(memo[3].X2u, retained.X[:n_u])):
-        return memo[3:]
+    Lambda^{-1}, and Res2 of p on it, kept by value on p (pencil._kept)
+    on Lambda's nonzeros with their flat positions and on X: equal
+    retained eigendata, in any object, get them again. The side's X2_u is
+    a view of the one copy of X kept with them."""
     if retained.X.shape[0] != p.n:
         raise DimensionMismatch(f"retained eigendata has {retained.X.shape[0]} rows, "
                                 f"pencil order is {p.n}")
-    # each block of Lambda is |lam| times a rotation, so its singular
-    # values are the moduli of its eigenvalues
-    moduli = np.abs(block_eigenvalues(retained.Lambda, retained.s))
-    r = moduli.min() / moduli.max()
-    if r < ILL_DEFINED_RCOND:
-        raise IllDefined(
-            f"the retained eigenvalue matrix is numerically singular "
-            f"(rcond {r:.3e}); its inverse enters the spillover residual"
-        )
-    # X2 lives only for its norm: the side needs X2's finite columns, C-ordered as X2's are
-    norm_x = _spec_norm(np.hstack([retained.X, _infinite_basis(p)]))
-    side = _RetainedSide(np.ascontiguousarray(retained.X),
-                         sla.solve(retained.Lambda, np.eye(retained.p)), norm_x, n_u)
-    res2 = side.residual(p.M_u, p.K, *p.norms())
-    p._retained = (retained.X[n_u:].copy(), lam, retained.s, side, res2)
-    return side, res2
+
+    def build(_, X):
+        # each block of Lambda is |lam| times a rotation, so its singular
+        # values are the moduli of its eigenvalues
+        moduli = np.abs(block_eigenvalues(retained.Lambda, retained.s))
+        r = moduli.min() / moduli.max()
+        if r < ILL_DEFINED_RCOND:
+            raise IllDefined(
+                f"the retained eigenvalue matrix is numerically singular "
+                f"(rcond {r:.3e}); its inverse enters the spillover residual"
+            )
+        # X2 lives only for its norm: the side needs only X2's finite columns
+        norm_x = _spec_norm(np.hstack([X, _infinite_basis(p)]))
+        side = _RetainedSide(X, sla.solve(retained.Lambda, np.eye(retained.p)), norm_x, p.n_u)
+        return side, side.residual(p.M_u, p.K, *p.norms())
+
+    nz = np.flatnonzero(retained.Lambda)  # at most 2 q for a block-diagonal Lambda
+    return _kept(p, "_retained", build, np.vstack([nz, retained.Lambda.flat[nz]]), retained.X)
 
 
 def residual_report(p, u, old, target_Lambda, retained=None, tau1=1.0, tau2=1.0):

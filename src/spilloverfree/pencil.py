@@ -199,6 +199,20 @@ def _lu_rcond(A):
     return (lu, piv), float(r) if np.isfinite(r) else 0.0
 
 
+def _kept(owner, slot, build, *key):
+    """The value kept in owner.<slot> while every array of `key` equals
+    (np.array_equal) the copy kept with it, else build(*copies) on fresh
+    C-ordered copies of `key`, which owner.<slot> (None or absent at
+    first) then keeps with them. This is the one rule for state kept
+    between calls: reuse by value."""
+    kept = getattr(owner, slot, None)
+    if kept and all(map(np.array_equal, kept[0], key)):
+        return kept[1]
+    copies = tuple(np.array(a, order="C") for a in key)
+    setattr(owner, slot, (copies, value := build(*copies)))
+    return value
+
+
 def rcond_estimate(A):
     """Reciprocal 1-norm condition number of a square matrix, estimated by
     LAPACK ?gecon from its LU factors (Hager 1984, Higham 1988): 0.0 for
@@ -255,8 +269,7 @@ class StructuredPencil:
         self.n_u = n_u
         self.n_phi = n_phi
         self._spectrum = None
-        self._prepared = None  # embedding.prepared_update's last PreparedUpdate
-        self._retained = None  # objective._retained_side's last retained side
+        # _kept adds _prepared (prepared_update) and _retained (_retained_side)
         self._norms = None
         self._k_rcond = None
 
@@ -645,12 +658,13 @@ class _RetainedSide:
     built once from (X2, L, ||X2||): X2 L, ||L||, and X2_u on L's q columns
     plus each later column with a nonzero X2_u (only a wrong candidate has
     one; on the others M X2 and X2 Lam2' vanish, so X2 may come without
-    them). It keeps no view of X2, and M_u X2_u for the first M_u applied."""
+    them). X2_u is a view of a C-ordered X2 of q columns and a copy
+    otherwise. It keeps M_u X2_u for the first M_u applied."""
 
     def __init__(self, X2, L, norm_x, n_u):
         q = len(L)
         extra = q + np.flatnonzero(X2[:n_u, q:].any(axis=0))
-        self.X2u = X2[:n_u, np.r_[:q, extra]] if extra.size else X2[:n_u, :q].copy()
+        self.X2u = X2[:n_u, np.r_[:q, extra]] if extra.size else np.ascontiguousarray(X2[:n_u, :q])
         self.X2L, self.norm_lam, self.norm_x, self._mass = X2[:, :q] @ L, _spec_norm(L), norm_x, ()
 
     def residual(self, M_u, K, norm_m, norm_k):

@@ -102,7 +102,7 @@ def test_embed_writes_artifacts_and_report(embed_run):
         assert os.path.exists(os.path.join(emb, name))
     report = read_report(emb, "embed.report")
     assert report["command"] == "embed"
-    assert report["input_dir"] == gen
+    assert report["input_dir"] == os.path.relpath(gen, emb)
     assert report["p"] == "4" and report["s"] == "1" and report["s_tilde"] == "1"
     assert float(report["res1_updated"]) < 1e-10
     assert float(report["rec_mk"]) >= 0.0
@@ -277,6 +277,23 @@ def test_runs_written_by_an_earlier_version_still_verify(tmp_path, monkeypatch, 
     monkeypatch.chdir(tmp_path)  # the reports name their pencil as "gen"
     assert run("verify", "--in", run_dir) == 0
     assert read_report(run_dir, "verify.report")["spectrum_source"] == "stored"
+
+
+def test_verify_finds_the_pencil_relative_to_the_run(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run("gen", "--nu", 8, "--nphi", 3, "--seed", 5, "--out", "runs/gen") == 0
+    for command in ("embed", "optimize"):
+        assert run(command, "--in", "runs/gen", "--out", f"runs/{command}",
+                   "--p", 4, "--stilde", 1, "--seed", 3) == 0
+        report = read_report(f"runs/{command}", f"{command}.report")
+        assert report["input_dir"] == os.path.join("..", "gen")
+    monkeypatch.chdir("runs")
+    assert run("verify", "--in", "embed") == 0
+    assert read_report("embed", "verify.report")["pencil_dir"] == "gen"
+    # the run and its pencil move together
+    shutil.move(str(tmp_path / "runs"), str(tmp_path / "moved"))
+    monkeypatch.chdir(tmp_path)
+    assert run("verify", "--in", "moved/optimize") == 0
 
 
 def test_verify_accepts_untampered_run(embed_run):
@@ -482,11 +499,11 @@ def test_a_run_frees_the_retained_side_before_it_writes(command, gen_dir, tmp_pa
 
     def recording_report(pencil, *args):
         pencils.append(pencil)
-        kept_at_report.append(pencil._retained is not None)
+        kept_at_report.append(getattr(pencil, "_retained", None) is not None)
         return report(pencil, *args)
 
     def recording_write(*args):
-        kept_at_write.extend(p._retained is not None for p in pencils)
+        kept_at_write.extend(getattr(p, "_retained", None) is not None for p in pencils)
         return write(*args)
 
     monkeypatch.setattr(cli, "residual_report", recording_report)
@@ -603,9 +620,11 @@ def test_demo_stores_its_weights_for_verify(tmp_path):
 
 
 def _copy_run(embed_run, tmp_path):
-    d = str(tmp_path / "run")
-    shutil.copytree(embed_run[1], d)
-    return d
+    """A copy of the run beside a copy of its pencil: the report names the
+    pencil relative to the run, and the fixtures make them siblings."""
+    for directory in embed_run:
+        shutil.copytree(directory, tmp_path / os.path.basename(directory))
+    return str(tmp_path / os.path.basename(embed_run[1]))
 
 
 def _edit_report(directory, name, **changes):

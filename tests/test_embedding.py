@@ -177,13 +177,14 @@ def test_embed_ill_defined_update_both_paths():
 
 def test_embed_shape_guards():
     c = EmbeddingCase(6, 2, s_sel=1, n_real=0, s_tilde=1, seed=12)
-    with pytest.raises(DimensionMismatch):
-        sf.embed(c.pencil, c.old, np.eye(3), c.params)  # target wrong order
-    with pytest.raises(DimensionMismatch):
-        sf.embed(c.pencil, "not eigendata", c.target.Lambda, c.params)
     p_other = make_pencil(7, 2, seed=1)
-    with pytest.raises(DimensionMismatch):
-        sf.embed(p_other, c.old, c.target.Lambda, c.params)  # row count differs
+    for embed in (sf.embed, sf.embed_direct):
+        with pytest.raises(DimensionMismatch):
+            embed(c.pencil, c.old, np.eye(3), c.params)  # target wrong order
+        with pytest.raises(DimensionMismatch):
+            embed(c.pencil, "not eigendata", c.target.Lambda, c.params)
+        with pytest.raises(DimensionMismatch):
+            embed(p_other, c.old, c.target.Lambda, c.params)  # row count differs
 
 
 # ------------------------------------------------- parameters and gammas

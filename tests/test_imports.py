@@ -1,6 +1,6 @@
 """Every library module uses each name it imports at top level, and
-every module-level private function or class is read somewhere in the
-package. A deletion that leaves an import or a helper behind fails here;
+every module-level private function or class, and every private method
+of a module-level class, is read somewhere in the package. A deletion that leaves an import or a helper behind fails here;
 no linter is part of the test run. The package also calls no SVD: matrix
 2-norms go through pencil._spec_norm and rank tests through a QR."""
 
@@ -29,10 +29,14 @@ def unused_imports(source):
 
 
 def dead_helpers(sources):
-    """Module-level _private functions and classes that no module among
+    """Module-level _private functions and classes, and _private (not
+    __dunder__) methods of module-level classes, that no module among
     `sources` reads: calls, refers to or imports by name."""
     trees = [ast.parse(source) for source in sources]
-    defined = [node.name for tree in trees for node in tree.body
+    tops = [node for tree in trees for node in tree.body]
+    members = [node for top in tops if isinstance(top, ast.ClassDef) for node in top.body
+               if isinstance(node, ast.FunctionDef) and not node.name.endswith("__")]
+    defined = [node.name for node in tops + members
                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")]
     read = set()
     for node in (node for tree in trees for node in ast.walk(tree)):
@@ -79,6 +83,14 @@ def test_the_guard_sees_a_dead_helper():
     # imported by name or read as an attribute counts as used
     assert dead_helpers(["def _a():\n    pass\n\nclass _B:\n    pass\n",
                          "from .m import _a\nimport m\nm._B\n"]) == []
+
+
+def test_the_guard_sees_a_dead_private_method():
+    source = ("class A:\n    def __init__(self):\n        self._used()\n\n"
+              "    def _used(self):\n        pass\n\n    def _dead(self):\n        pass\n")
+    assert dead_helpers([source]) == ["_dead"]
+    # read in another module counts as used
+    assert dead_helpers([source, "A()._dead()\n"]) == []
 
 
 def test_no_dead_private_helper():

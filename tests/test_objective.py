@@ -5,6 +5,7 @@ import gc
 import os
 import subprocess
 import sys
+import types
 import weakref
 
 import numpy as np
@@ -16,7 +17,7 @@ import spilloverfree as sf
 import spilloverfree.embedding
 import spilloverfree.objective
 from spilloverfree.errors import DimensionMismatch, IllDefined, MalformedBlocks, NoFeasiblePoint
-from spilloverfree.pencil import _spec_norm
+from spilloverfree.pencil import _kept, _spec_norm
 
 from conftest import EmbeddingCase, make_pencil, record_norm_eigensolves
 from test_acceptance import scale_case
@@ -509,11 +510,12 @@ def test_prepared_objective_warns_on_asymmetric_core(caplog):
     with caplog.at_level("WARNING", logger="spilloverfree.embedding"):
         prepared.rec_mk(params)
         assert "asymmetric" not in caplog.text
-        # break the symmetry of X_1u^T M_u X_1u, as severe rounding would
+        # break the symmetry of X_1u^T M_u X_1u, as severe rounding would,
+        # and drop the cores kept from the first call, which equal params
+        # keep in any object
         prepared.WtX = prepared.WtX + np.triu(np.full_like(prepared.WtX, 1e-4), 1)
-        # an equal parameter set that is another object: the cores of
-        # `params` itself are kept from the first call
-        prepared.rec_mk(dataclasses.replace(params))
+        prepared._cores = None
+        prepared.rec_mk(params)
     assert "the mass update core came out asymmetric" in caplog.text
 
 
@@ -623,7 +625,7 @@ def _per_direction_certificate(prepared, params, tau1=1.0, tau2=1.0):
     """seed_certificate's ratio with one p x p solve per direction E_j,
     as its docstring states it: the reference for the stacked arrays."""
     core_m, _, core_k, cap_k, iGt = prepared.woodbury_cores(params)
-    R_w, R_z, norm_m, norm_k = prepared._factors()
+    R_w, R_z, (norm_m, norm_k) = prepared.R_w, prepared.R_z, prepared.norms
     q, Th = params.p, params.Theta
     C0 = sla.solve(cap_k.T, core_k.T).T
     w, V = np.linalg.eigh(R_z @ (0.5 * (C0 + C0.T)) @ R_z.T)
@@ -726,15 +728,65 @@ def test_rec_mk_of_an_optimized_update_matches_the_gram_reference():
                                                  c.target.Lambda)
 
 
-# -- one PreparedUpdate per optimize -> embed pass -----------------------------
+# -- state kept between calls: reuse by value ----------------------------------
+
+
+def test_kept_state_is_keyed_on_copies_of_the_callers_arrays():
+    owner, built = types.SimpleNamespace(slot=None), []
+
+    def build(*copies):
+        built.append(copies)
+        return len(built)
+
+    key = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+    assert _kept(owner, "slot", build, key, 2) == 1
+    copy = built[0][0]
+    assert owner.slot == (built[0], 1)
+    assert np.array_equal(copy, key) and not np.shares_memory(copy, key)
+    assert copy.flags.c_contiguous
+    # equal values in another object reuse the value; any edit builds again
+    assert _kept(owner, "slot", build, np.array(key), 2) == 1
+    key[0, 0] = -1.0
+    assert _kept(owner, "slot", build, key, 2) == 2
+    assert _kept(owner, "slot", build, key, 3) == 3
+    assert len(built) == 3
+
+
+def _counted(monkeypatch, owner, name):
+    """The argument tuples of every call to owner.<name>, which still runs."""
+    calls, f = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a: calls.append(a) or f(*a))
+    return calls
 
 
 def _counted_preparations(monkeypatch):
-    built = []
-    init = spilloverfree.embedding.PreparedUpdate.__init__
-    monkeypatch.setattr(spilloverfree.embedding.PreparedUpdate, "__init__",
-                        lambda self, *a: built.append(a) or init(self, *a))
-    return built
+    return _counted(monkeypatch, spilloverfree.embedding.PreparedUpdate, "__init__")
+
+
+def test_equal_eigendata_in_new_objects_reuse_the_prepared_update(monkeypatch):
+    c = EmbeddingCase(10, 4, s_sel=1, n_real=2, s_tilde=1, seed=3)
+    u = sf.embed(c.pencil, c.old, c.target.Lambda, c.params)
+    built = _counted_preparations(monkeypatch)
+    # a fresh selection of the same eigenvalues, as each optimize-n140 job makes
+    old = sf.select_eigendata(c.spectrum, [lam for lam, _ in sf.from_real_representation(c.old)])[0]
+    assert old is not c.old and old.X is not c.old.X
+    again = sf.embed(c.pencil, old, np.array(c.target.Lambda), c.params)
+    assert built == []
+    assert np.array_equal(u.K_tilde, again.K_tilde) and np.array_equal(u.M_u_tilde, again.M_u_tilde)
+
+
+def test_an_equal_parameter_set_in_a_new_object_reuses_the_cores(monkeypatch):
+    c = EmbeddingCase(10, 4, s_sel=1, n_real=2, s_tilde=1, seed=3)
+    prepared = spilloverfree.embedding.PreparedUpdate(c.pencil, c.old, c.target.Lambda)
+    calls = _counted_gamma_inverses(monkeypatch)
+    first = prepared.woodbury_cores(c.params)
+    # mode does not enter the cores
+    equal = sf.ParameterSet(np.array(c.params.Theta), np.array(c.params.GammaTilde1),
+                            c.params.s_tilde, mode="custom")
+    assert prepared.woodbury_cores(equal) is first and calls == [c.params]
+
+
+# -- one PreparedUpdate per optimize -> embed pass -----------------------------
 
 
 def test_embed_after_the_search_prepares_the_update_once(monkeypatch):
@@ -859,21 +911,25 @@ def test_a_second_report_on_the_selection_takes_no_eigensolve_of_x2s_order(monke
     assert second.res2_original == first.res2_original
     assert second == _fresh_report(pencil, u, old, other, retained)
     # a retained eigendata object that is another object with equal values shares the memo
-    side = pencil._retained[3]
+    side = pencil._retained[1][0]
     copy = sf.RealSpectralData(np.array(retained.Lambda), np.array(retained.X), retained.s)
+    sides = _counted(monkeypatch, spilloverfree.objective, "_RetainedSide")
     assert sf.residual_report(pencil, u, old, other.Lambda, copy) == second
-    assert pencil._retained[3] is side
+    assert pencil._retained[1][0] is side and sides == []
+    # the memo holds one copy of the retained X, and X2_u is a view of it
+    kept_x = pencil._retained[0][1]
+    assert not np.shares_memory(kept_x, retained.X) and np.shares_memory(side.X2u, kept_x)
 
 
 @pytest.mark.parametrize("edit", ["X_u", "X_phi", "Lambda"])
 def test_an_in_place_edit_of_the_retained_eigendata_rebuilds_the_memo(edit):
     c = EmbeddingCase(10, 4, s_sel=1, n_real=2, s_tilde=1, seed=3)
     u, first = _report(c.pencil, c.old, c.retained, c.target)
-    side, n_u = c.pencil._retained[3], c.pencil.n_u
+    side, n_u = c.pencil._retained[1][0], c.pencil.n_u
     {"X_u": c.retained.X[:n_u], "X_phi": c.retained.X[n_u:],
      "Lambda": c.retained.Lambda}[edit][...] *= 1.5
     rep = sf.residual_report(c.pencil, u, c.old, c.target.Lambda, c.retained)
-    assert c.pencil._retained[3] is not side
+    assert c.pencil._retained[1][0] is not side
     assert rep == _fresh_report(c.pencil, u, c.old, c.target, c.retained)
     assert rep.res2_original != first.res2_original
 
@@ -887,7 +943,7 @@ def test_another_selection_rebuilds_the_memo():
         u, rep = _report(pencil, old, retained, target)
         assert rep == _fresh_report(pencil, u, old, target, retained)
         reports.append(rep)
-        sides.append(pencil._retained[3])
+        sides.append(pencil._retained[1][0])
     assert sides[1] is not sides[0] and sides[2] is not sides[1]
     assert reports[0] == reports[2] and reports[1].res2_original != reports[0].res2_original
 
