@@ -34,6 +34,8 @@ header line carrying the timestamp (the only non-reproducible byte).
 import functools
 import hashlib
 import math
+import concurrent.futures  # loaded with scipy; its thread pool only at the first _in_order
+import os
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -43,7 +45,7 @@ from .errors import MalformedBlocks, ParseError
 from .spectral import RealSpectralData, block_eigenvalues, block_matrix
 
 _FLOAT = "%.17e"
-_CHUNK = 1 << 15  # values per kernel call: temporaries of a few MB
+_CHUNK = 3 << 12  # values per kernel call: temporaries of about 2 MB
 _MARGIN = 2.0**-32  # 2**11 times the kernels' error bound
 _format_one, _parse_one = (_FLOAT + "\n").__mod__, float  # per-value fallbacks
 
@@ -75,13 +77,13 @@ def _tables():
 def _scaled(a, e):
     """a * 10**e as a double-double (p, r), to 2**-103 relative: p + r is
     a 2**b * hi exactly (Dekker's product; numpy has no FMA) + a 2**b * lo."""
-    hi, hh, hl, lo, b = (t[e + 300] for t in _tables()[:5])
-    a = np.ldexp(a, b)
-    c = 134217729.0 * a
-    ah = c - (c - a)
+    i, (hi, hh, hl, lo, b) = e + 300, _tables()[:5]
+    a = np.ldexp(a, b[i])
+    ah = 134217729.0 * a
+    ah -= ah - a
     al = a - ah
-    p = a * hi
-    return p, ((ah * hh - p) + ah * hl + al * hh) + al * hl + a * lo
+    p = a * hi[i]
+    return p, ((ah * hh[i] - p) + ah * hl[i] + al * hh[i]) + al * hl[i] + a * lo[i]
 
 
 def _format_rows(x):
@@ -101,6 +103,7 @@ def _format_rows(x):
     k += D == 10**18  # rounded up to 10**18: 1.000... one decade up
     D[D == 10**18] = 10**17
     D[zero] = k[zero] = 0
+    del ax, a, p, r, frac  # before the layout's temporaries
     top, D = np.divmod(D, 10**16)
     high, low = np.divmod(D, 10**8)
     rows = np.empty((len(x), 26), np.uint8)
@@ -133,11 +136,13 @@ def _parse_rows(c):
     if not ((d[:, :20] < 10).all() and (d[big, 20] < 10).all() and (w[:, 1] == ord(".")).all()
             and (w[:, 19] == ord("e")).all() and ((sign == ord("+")) | (sign == ord("-"))).all()):
         return None
-    mantissa, powers = d[:, :18].astype(float), 10.0 ** np.arange(8, -1, -1)
-    m1, m2 = mantissa[:, :9] @ powers, mantissa[:, 9:] @ powers
+    m1, m2 = d[:, 0] * 1.0, d[:, 9] * 1.0
+    for j in range(1, 9):  # each 9-digit half by exact Horner steps
+        m1, m2 = m1 * 10 + d[:, j], m2 * 10 + d[:, j + 9]
     E = d[:, 18] * 10 + d[:, 19].astype(np.int64)
     E = np.where(big, E * 10 + d[:, 20], E) * np.where(sign == ord("-"), -1, 1)
     q = np.clip(E, -280, 279) - 17
+    del w, d, width  # before the products' temporaries
     s = m1 * 1e9 + m2  # the 18-digit mantissa is s + (m2 - (s - m1 * 1e9)) exactly
     p, r = _scaled(s, q)
     r += _scaled(m2 - (s - m1 * 1e9), q)[0]
@@ -174,46 +179,66 @@ def _parse_int(tok, path, line_no, line, what):
     return v
 
 
-def _data_lines(data, start):
-    """Yield (line_no, stripped line, next line's offset) after line `start`,
+def _data_lines(data, line_no=0, pos=0, offsets=True):
+    """Yield (line_no, stripped line, next line's offset, or None unless
+    `offsets`) for the lines from byte `pos` on, numbered after `line_no`,
     skipping comments and blanks: str.splitlines's lines, decoded in blocks
     that grow with the lines read, from one line up to about 1 MB."""
-    pos = line_no = 0
     while pos < len(data):
         stop = data.find(b"\n", pos + min(64 * line_no, 1 << 20)) + 1 or len(data)
-        for line in data[pos:stop].decode().splitlines(True):
+        at, pos = pos, stop
+        for line in data[at:stop].decode().splitlines(True):
             line_no += 1
-            pos += len(line.encode())
+            at = at + len(line.encode()) if offsets else None
             line = line.strip()
-            if line_no > start and line and not line.startswith("%"):
-                yield line_no, line, pos
+            if line and not line.startswith("%"):
+                yield line_no, line, at
 
 
 def _last_line(data):
     return len(data.decode().splitlines()) or 1
 
 
+def _in_order(kernel, parts):
+    """Yield kernel(part) for each part in order, at most two in flight: the
+    calling thread takes the even parts and, given two CPUs, one worker the odd."""
+    _tables()  # built once, before two threads need them
+    two = len(getattr(os, "sched_getaffinity", lambda pid: "")(0)) > 1  # no such call: no worker
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:
+        def later(k):  # part k's result as a call: on the worker, or else on the caller
+            if k < len(parts):
+                return pool.submit(kernel, parts[k]).result if two else lambda: kernel(parts[k])
+        odd = later(1)
+        for k in range(0, len(parts), 2):
+            yield kernel(parts[k])
+            if odd:
+                done, odd = odd(), later(k + 3)
+                yield done
+
+
 def _bulk_values(data, start, count):
     """The values of data[start:] from the parse kernel, about _CHUNK lines
     at a time, or None unless those are `count` finite writer-layout lines."""
-    c, parts = np.frombuffer(data, np.uint8), [np.empty(0)]
+    c, parts = np.frombuffer(data, np.uint8), []
     while (stop := data.rfind(b"\n", start, start + 26 * _CHUNK) + 1) > start:
-        parts.append(_parse_rows(c[start:stop]))
-        if parts[-1] is None:
-            return None
+        parts.append(c[start:stop])
         start = stop
-    values = np.concatenate(parts)
-    ok = start == len(data) and len(values) == count and np.isfinite(values).all()
-    return values if ok else None
+    values, filled = np.empty(count), 0
+    for part in _in_order(_parse_rows, parts):
+        if part is None or filled + len(part) > count:
+            return None
+        values[filled:filled + len(part)] = part
+        filled += len(part)
+    return values if start == len(data) and filled == count and np.isfinite(values).all() else None
 
 
-def _line_values(path, data, lines, count, what):
-    """The same values, one data line at a time from the iterator
-    `lines`: skips comments and reports a bad file with its line and
-    column."""
+def _line_values(path, data, line_no, start, count, what):
+    """The same values, one data line at a time from byte `start`, the
+    line after line `line_no`: skips comments and reports a bad file with
+    its line and column."""
     values = np.empty(count)
     filled = 0
-    for line_no, line, _ in lines:
+    for line_no, line, _ in _data_lines(data, line_no, start, False):
         for tok in line.split():
             if filled >= count:
                 _fail(path, line_no, line.find(tok) + 1, "more values than the size line announced")
@@ -224,10 +249,11 @@ def _line_values(path, data, lines, count, what):
     return values
 
 
-def _body_values(path, data, start, lines, count, what):
-    """The `count` values of data[start:]: the bulk parse, else the line parser."""
+def _body_values(path, data, start, line_no, count, what):
+    """The `count` values of data[start:], the lines after line `line_no`:
+    the bulk parse, else the line parser."""
     values = _bulk_values(data, start, count)
-    return _line_values(path, data, lines, count, what) if values is None else values
+    return _line_values(path, data, line_no, start, count, what) if values is None else values
 
 
 def read_matrix(path, data=None):
@@ -236,7 +262,7 @@ def read_matrix(path, data=None):
     data = Path(path).read_bytes() if data is None else data
     if not data:
         _fail(path, 1, 1, "empty file")
-    first = data[:data.find(b"\n") + 1 or len(data)].decode().splitlines()[0]
+    first = data[:data.find(b"\n") + 1 or len(data)].decode().splitlines(True)[0]
     header = first.split()
     if len(header) != 5 or header[0].lower() != "%%matrixmarket" or header[1].lower() != "matrix":
         _fail(path, 1, 1, "missing '%%MatrixMarket matrix <format> <field> <symmetry>' header")
@@ -248,7 +274,7 @@ def read_matrix(path, data=None):
     if symmetry not in ("general", "symmetric"):
         _fail(path, 1, first.lower().find(symmetry) + 1, f"unsupported symmetry {symmetry!r}")
 
-    lines = _data_lines(data, 1)
+    lines = _data_lines(data, 1, len(first.encode()))
     try:
         line_no, size_line, start = next(lines)
     except StopIteration:
@@ -266,7 +292,7 @@ def read_matrix(path, data=None):
 
     if fmt == "array":
         count = m * n if symmetry == "general" else n * (n + 1) // 2
-        values = _body_values(path, data, start, lines, count, "values")
+        values = _body_values(path, data, start, line_no, count, "values")
         if symmetry == "general":
             return np.ascontiguousarray(values.reshape(n, m).T)
         # column-major lower triangle = row-major upper triangle of A^T
@@ -278,7 +304,7 @@ def read_matrix(path, data=None):
     nnz = _parse_int(toks[2], path, line_no, size_line, "entry count")
     A = np.zeros((m, n))
     seen = 0
-    for line_no, line, _ in lines:
+    for line_no, line, _ in _data_lines(data, line_no, start, False):
         toks = line.split()
         if len(toks) != 3:
             _fail(path, line_no, 1, f"coordinate entry needs 'i j value', got {line!r}")
@@ -304,8 +330,7 @@ def _write(path, head, values):
     h = hashlib.sha256(head)
     with open(path, "wb") as fh:
         fh.write(head)
-        for i in range(0, len(values), _CHUNK):
-            rows = _format_rows(values[i:i + _CHUNK])
+        for rows in _in_order(_format_rows, np.split(values, range(_CHUNK, len(values), _CHUNK))):
             fh.write(rows)
             h.update(rows)
     return h.hexdigest()
@@ -330,7 +355,7 @@ def read_spectral(path, data=None):
     """Read RealSpectralData from the spectral text format, from the
     file's bytes `data` if given."""
     data = Path(path).read_bytes() if data is None else data
-    lines = _data_lines(data, 0)
+    lines = _data_lines(data)
 
     def next_line(what):
         try:
@@ -368,7 +393,7 @@ def read_spectral(path, data=None):
         _fail(path, line_no, 1, f"eigenvector row count must be nonnegative, got {n}")
     if p2 != p:
         _fail(path, line_no, 1, f"eigenvector block has {p2} columns, header said {p}")
-    X = _body_values(path, data, start, lines, n * p, "eigenvector values")
+    X = _body_values(path, data, start, line_no, n * p, "eigenvector values")
     X = np.ascontiguousarray(X.reshape(p, n).T)
     return RealSpectralData(Lambda=block_matrix(values, s), X=X, s=s)
 

@@ -140,8 +140,8 @@ def _spec_norm(A):
 
 
 def _scaled(A):
-    """(A / max|A|, max|A|) of a nonzero A, the quotient a new array."""
-    return A / (scale := _absmax(A)), scale
+    """(A / max|A|, max|A|) of a nonzero A, the quotient a new array unless it is A / 1.0 = A."""
+    return (A if (scale := _absmax(A)) == 1.0 else A / scale), scale
 
 
 def _tridiagonal_norm(B):
@@ -152,9 +152,9 @@ def _tridiagonal_norm(B):
     if len(B) < 2:  # dstebz takes no 1x1 matrix
         return _absmax(B)
     (T, scale), n, lapack = _scaled(B), len(B), sla.lapack
-    # T is exactly symmetric, so T.T is T in the Fortran order LAPACK takes, uncopied
+    # T is exactly symmetric, so T.T is T in LAPACK's Fortran order; B stays
     d, e = lapack.dsytrd(T.T, lower=1, lwork=int(lapack.dsytrd_lwork(n, lower=1)[0]),
-                         overwrite_a=1)[1:3]
+                         overwrite_a=int(T is not B))[1:3]
     low, high = (lapack.dstebz(d, e, 2, 0.0, 0.0, i, i, 0.0, "E")[1][0] for i in (1, n))
     return scale * float(max(-low, high))
 
@@ -575,8 +575,8 @@ def certified_spectrum(p, finite):
     the pencil instead of re-solved.
 
     `finite` is RealSpectralData laid out like SpectrumResult.finite (as
-    read_spectral returns spectrum.spectral), and the result holds it.
-    The checks, on its eigenpairs as from_real_representation expands them:
+    read_spectral returns spectrum.spectral), and the result holds it. The
+    checks, on its complex eigenpairs with one member of each conjugate pair:
 
     - exactly n_u eigenpairs, with eigenvectors of length n;
     - every eigenvector normalized as solve_spectrum writes it (unit
@@ -594,7 +594,7 @@ def certified_spectrum(p, finite):
     - the degeneracy checks of solve_spectrum, last, so that they judge
       certified eigenvalues of the pencil and not a stale file.
 
-    The whole check costs one n x n_u product with K. Raises
+    The whole check costs one n x (n_u - s) complex product with K. Raises
     UncertifiedSpectrum naming the offending or worst pair when a check
     fails, and DegenerateSpectrum as solve_spectrum would.
     """
@@ -602,7 +602,8 @@ def certified_spectrum(p, finite):
         raise UncertifiedSpectrum(
             f"{finite.p} stored finite eigenpairs, the pencil has n_u = {p.n_u}"
         )
-    lam, X = _expand(finite)
+    values, (lam, X) = _expanded_values(finite.Lambda, finite.s), _expand(finite, conjugates=False)
+    cols = np.r_[0 : 2 * finite.s : 2, 2 * finite.s : finite.p]  # the layout columns of lam
     if X.shape[0] != p.n:
         raise UncertifiedSpectrum(
             f"stored eigenvectors have {X.shape[0]} rows, the pencil order is {p.n}"
@@ -615,26 +616,26 @@ def certified_spectrum(p, finite):
     if not normalized.all():
         i = int(np.argmin(normalized))
         raise UncertifiedSpectrum(
-            f"stored eigenvector {i} (lambda = {lam[i]:.8e}) is not normalized "
+            f"stored eigenvector {cols[i]} (lambda = {lam[i]:.8e}) is not normalized "
             f"as solve writes it: norm {x[i]:.17g}, first significant "
             f"component {pivot[i]:.8e}"
         )
 
-    gaps = _nearest_gaps(lam)
+    gaps = _nearest_gaps(values)
     with np.errstate(divide="ignore", invalid="ignore"):
         radius = r * x / np.abs(np.einsum("ij,ij->j", X, MX))
-        ratio = radius / (0.5 * gaps)
+        ratio = radius / (0.5 * gaps[cols])
     # NaN (a zero vector, or x^T M x = 0 with r = 0) fails too
     badness = np.nan_to_num(np.maximum(eta / CERTIFY_BACKWARD_ERROR, ratio), nan=np.inf)
     worst = int(np.argmax(badness))
     if badness[worst] >= 1.0:
         raise UncertifiedSpectrum(
-            f"stored eigenpair {worst} (lambda = {lam[worst]:.8e}) is not an "
+            f"stored eigenpair {cols[worst]} (lambda = {lam[worst]:.8e}) is not an "
             f"eigenpair of this pencil: backward error {eta[worst]:.3e} "
             f"(limit {CERTIFY_BACKWARD_ERROR:.0e}), enclosure radius "
-            f"{radius[worst]:.3e} against half gap {0.5 * gaps[worst]:.3e}"
+            f"{radius[worst]:.3e} against half gap {0.5 * gaps[cols[worst]]:.3e}"
         )
-    _check_degeneracy(lam, gaps)
+    _check_degeneracy(values, gaps)
     return SpectrumResult(
         finite=finite,
         infinite_basis=_infinite_basis(p),

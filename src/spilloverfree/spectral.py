@@ -243,16 +243,18 @@ def to_real_representation(pairs):
     return _layout(lams[order], np.column_stack([pairs[i][1] for i in order]), s)
 
 
-def _expand(d):
+def _expand(d, conjugates=True):
     """(values, V): the complex eigenpairs of a block layout, V[:, i]
     the eigenvector of values[i]. A pair's columns [Re x, Im x] become
-    x and conj(x), bit for bit; a scalar's column becomes complex."""
-    re, im = d.X[:, 0 : 2 * d.s : 2], d.X[:, 1 : 2 * d.s : 2]
-    V = d.X.astype(complex)
-    V.real[:, 1 : 2 * d.s : 2] = re
-    V.imag[:, 0 : 2 * d.s : 2] = im
-    V.imag[:, 1 : 2 * d.s : 2] = -im
-    return _expanded_values(d.Lambda, d.s), V
+    x and conj(x), bit for bit (x alone, without `conjugates`: the upper
+    members, then the scalars); a scalar's column becomes complex."""
+    s2 = 2 * d.s
+    keep, upper = (np.s_[:], np.s_[:s2:2]) if conjugates else (np.r_[:s2:2, s2 : d.p], np.s_[: d.s])
+    V = d.X[:, keep].astype(complex)
+    V.imag[:, upper] = d.X[:, 1:s2:2]
+    if conjugates:
+        V[:, 1:s2:2] = V[:, 0:s2:2].conj()
+    return _expanded_values(d.Lambda, d.s)[keep], V
 
 
 def from_real_representation(d):

@@ -1,5 +1,7 @@
 """File formats: Matrix Market matrices, spectral data, reports."""
 
+import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -429,9 +431,22 @@ def _kernel_sweep():
     return np.concatenate([x, -x])
 
 
+def _two_cpus():
+    """Two CPUs for mmio, so that bodies of two chunks or more take the
+    worker thread on any machine."""
+    return mock.patch.object(sf.mmio.os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def _one_cpu():
+    return mock.patch.object(sf.mmio.os, "sched_getaffinity", lambda pid: {0})
+
+
 def _assert_kernels_match_python(x):
+    # formatted in _CHUNK parts as _write hands them out, parsed in bulk
     text = "".join("%.17e\n" % v for v in x)
-    assert sf.mmio._format_rows(x).tobytes() == text.encode()
+    parts = np.split(x, range(sf.mmio._CHUNK, len(x), sf.mmio._CHUNK))
+    rows = sf.mmio._in_order(sf.mmio._format_rows, parts)
+    assert b"".join(r.tobytes() for r in rows) == text.encode()
     tokens = [t for t, v in zip(text.split(), x) if np.isfinite(v)]
     body = "".join(t + "\n" for t in tokens).encode()
     parsed = sf.mmio._bulk_values(body, 0, len(tokens))
@@ -440,18 +455,122 @@ def _assert_kernels_match_python(x):
     np.testing.assert_array_equal(parsed.view(np.uint64), want.view(np.uint64))
 
 
+def _threads_of(name):
+    """Patch mmio.<name> to record the thread of each call; return the set."""
+    seen, f = set(), getattr(sf.mmio, name)
+
+    def recorded(*args):
+        seen.add(threading.get_ident())
+        return f(*args)
+
+    return mock.patch.object(sf.mmio, name, recorded), seen
+
+
 def test_kernels_match_python_on_a_million_values():
     x = _kernel_sweep()
     assert len(x) >= 10**6
-    for chunk in np.array_split(x, 8):  # bodies of many kernel chunks each
-        _assert_kernels_match_python(chunk)
+    (format_one, formatted), (parse_one, parsed) = map(_threads_of, ("_format_one", "_parse_one"))
+    with _two_cpus(), format_one, parse_one:
+        for chunk in np.array_split(x, 8):  # bodies of many kernel chunks each
+            _assert_kernels_match_python(chunk)
+    # the per-value fallbacks ran in both threads' chunks
+    assert len(formatted) == len(parsed) == 2
 
 
 @settings(max_examples=200)
 @example(values=[1e23, 1e22, 9.999999999999999e22, 1 + 2**-26, -0.0, 5e-324])
 @given(values=st.lists(st.floats(), min_size=1, max_size=40))
 def test_kernels_match_python_on_any_float(values):
-    _assert_kernels_match_python(np.array(values))
+    # parts of 3 values: a body of 4 values or more takes both threads
+    with _two_cpus(), mock.patch.object(sf.mmio, "_CHUNK", 3):
+        _assert_kernels_match_python(np.array(values))
+
+
+_CHUNK = 3 << 12
+
+
+def _column_files(tmp_path, n, name):
+    """Write an n x 1 matrix and spectral data with an n x 1 X, in bodies of
+    n values; return (values, shas, bytes of both files)."""
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    paths = tmp_path / f"{name}.mtx", tmp_path / f"{name}.spectral"
+    shas = (sf.write_matrix(x[:, None], paths[0]),
+            sf.write_spectral(sf.RealSpectralData(Lambda=np.eye(1), X=x[:, None], s=0), paths[1]))
+    return x, shas, tuple(p.read_bytes() for p in paths)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 4 * _CHUNK + 5])
+def test_bodies_around_the_chunk_size_are_the_one_thread_bytes(tmp_path, n):
+    assert sf.mmio._CHUNK == _CHUNK
+    with _two_cpus():
+        x, shas, files = _column_files(tmp_path, n, "two")
+        read = sf.read_matrix(tmp_path / "two.mtx"), sf.read_spectral(tmp_path / "two.spectral").X
+    with _one_cpu():
+        assert _column_files(tmp_path, n, "one")[1:] == (shas, files)
+    assert files[0].split(b"\n", 2)[2] == "".join("%.17e\n" % v for v in x).encode()
+    assert shas[0] == sf.sha256_file(tmp_path / "two.mtx")
+    for values in read:
+        assert values.shape == (n, 1)
+        np.testing.assert_array_equal(values.ravel().view(np.uint64), x.view(np.uint64))
+
+
+@pytest.mark.parametrize("where", [-1, 3 * _CHUNK // 2])
+def test_a_malformed_value_in_any_chunk_is_located(tmp_path, where):
+    # in the last chunk (the caller's) and the second (the worker's): a
+    # chunk holds _CHUNK to 26 / 23 _CHUNK lines
+    A = np.random.default_rng(5).standard_normal((4 * _CHUNK + 5, 1))
+    f = tmp_path / "a.mtx"
+    sf.write_matrix(A, f)
+    lines = f.read_text().splitlines()
+    line_no = (len(lines) if where < 0 else where + 3)
+    lines[line_no - 1] = "BOOM"
+    f.write_text("\n".join(lines) + "\n")
+    with _two_cpus(), pytest.raises(ParseError, match="BOOM") as exc:
+        sf.read_matrix(f)
+    assert (exc.value.line, exc.value.column) == (line_no, 1)
+
+
+@pytest.mark.parametrize("kernel", ["_parse_rows", "_format_rows"])
+def test_a_worker_exception_reaches_the_caller(tmp_path, kernel):
+    f = getattr(sf.mmio, kernel)
+
+    def fails_off_the_caller(part):
+        if threading.current_thread() is not threading.main_thread():
+            raise ArithmeticError("raised in the worker")
+        return f(part)
+
+    A, path = np.arange(3.0 * _CHUNK).reshape(-1, 3), tmp_path / "a.mtx"
+    sf.write_matrix(A, path)
+    call = sf.read_matrix if kernel == "_parse_rows" else lambda path: sf.write_matrix(A, path)
+    threads = threading.active_count()
+    with _two_cpus(), mock.patch.object(sf.mmio, kernel, fails_off_the_caller):
+        with pytest.raises(ArithmeticError, match="in the worker"):
+            call(path)
+    assert threading.active_count() == threads  # the worker has ended
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("count", [0, 1, 2, 5, 8])
+def test_parts_come_back_in_order_with_at_most_two_in_flight(cpus, count):
+    lock, running, peak, threads = threading.Lock(), [0], [0], set()
+
+    def kernel(part):
+        with lock:
+            running[0] += 1
+            peak[0] = max(peak[0], running[0])
+            threads.add(threading.get_ident())
+        time.sleep(0.002)
+        with lock:
+            running[0] -= 1
+        return part * 10
+
+    with mock.patch.object(sf.mmio.os, "sched_getaffinity", lambda pid: set(range(cpus))):
+        out = list(sf.mmio._in_order(kernel, list(range(count))))
+    assert out == [10 * k for k in range(count)]
+    assert peak[0] <= min(cpus, 2)
+    assert len(threads) == min(cpus, count, 2)
+    assert threading.get_ident() in threads or count == 0
 
 
 def test_non_finite_values_are_written_as_before_and_read_back_as_located_errors(tmp_path):
@@ -484,6 +603,25 @@ def test_written_files_take_the_kernels_only(tmp_path, monkeypatch):
     assert main(["embed", "--in", gen, "--out", run, "--p", "6", "--s", "2", "--stilde", "2",
                  "--seed", "7"]) == 0
     assert main(["verify", "--in", run]) == 0
+
+
+def test_a_comment_in_a_long_body_reads_as_the_line_parser_reads_it(tmp_path):
+    # a '%' line (with multi-byte characters) sends the body to the line
+    # parser: the values are those written, and a bad value after the
+    # comment is reported at its line and its column in the stripped line
+    A = np.random.default_rng(9).standard_normal((_CHUNK, 3))
+    f = tmp_path / "c.mtx"
+    sf.write_matrix(A, f)
+    lines = f.read_text().splitlines()
+    lines.insert(1000, "% ünïcödé comment ✓")
+    f.write_text("\n".join(lines) + "\n")
+    with _two_cpus():
+        np.testing.assert_array_equal(sf.read_matrix(f), A)
+    lines[20000] = "  " + lines[20000] + "x"
+    f.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="finite") as exc:
+        sf.read_matrix(f)
+    assert (exc.value.line, exc.value.column) == (20001, 1)
 
 
 @pytest.mark.parametrize("newline", ["\r\n", "\r", "\x0c\n", "\u2028"])

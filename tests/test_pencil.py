@@ -391,6 +391,44 @@ def test_certified_spectrum_names_the_worst_pair(tmp_path):
             sf.certified_spectrum(p, _with_column(d, 0, x))
 
 
+def test_certified_spectrum_checks_each_conjugate_pair_once(tmp_path, monkeypatch):
+    # a conjugate member's residual, backward error, norm, pivot and
+    # |x^T M x| equal its partner's bit for bit, so only the upper members
+    # and the reals are checked, with the full layout's results
+    p = make_pencil(30, 12, seed=5)
+    d = _stored(sf.solve_spectrum(p), tmp_path)
+    s2 = 2 * d.s
+    assert 2 <= d.s < d.p - d.s
+    lam, X = sf.spectral._expand(d)
+    r, eta, MX, x = pencil._pair_residuals(p, lam, X)
+    xMx, pivot = np.abs(np.einsum("ij,ij->j", X, MX)), pencil._pivots(X)
+    for a in (r, eta, x, xMx):
+        assert a[0:s2:2].tobytes() == a[1:s2:2].tobytes()
+    assert pivot[0:s2:2].tobytes() == pivot[1:s2:2].conj().tobytes()
+    checked = []
+    residuals = pencil._pair_residuals
+    monkeypatch.setattr(pencil, "_pair_residuals",
+                        lambda p, lam, X: checked.append(lam) or residuals(p, lam, X))
+    c = sf.certified_spectrum(p, d)
+    np.testing.assert_array_equal(checked[0], np.r_[lam[0:s2:2], lam[s2:]])
+    gaps = pencil._nearest_gaps(lam)
+    np.testing.assert_array_equal(c.condition_summary, gaps)
+    assert c.backward_error == eta.max()
+    assert c.enclosure_ratio == (r * x / xMx / (0.5 * gaps)).max()
+    # failures name the full layout's index: the upper member of pair 1
+    # (layout columns 2 and 3) and the first real (column 2s)
+    Lam = d.Lambda.copy()
+    Lam[2:4, 2:4] *= 1 + 1e-8
+    with pytest.raises(sf.UncertifiedSpectrum, match="eigenpair 2 "):
+        sf.certified_spectrum(p, replace(d, Lambda=Lam))
+    Lam = d.Lambda.copy()
+    Lam[s2, s2] *= 1 + 1e-8
+    with pytest.raises(sf.UncertifiedSpectrum, match=f"eigenpair {s2} "):
+        sf.certified_spectrum(p, replace(d, Lambda=Lam))
+    with pytest.raises(sf.UncertifiedSpectrum, match="eigenvector 2 "):
+        sf.certified_spectrum(p, _with_column(d, 2, 2.0 * (d.X[:, 2] + 1j * d.X[:, 3])))
+
+
 def test_certified_spectrum_checks_degeneracy_after_the_certificate(tmp_path):
     p = make_pencil(12, 5, seed=5)
     d = _stored(sf.solve_spectrum(p), tmp_path)
@@ -668,6 +706,34 @@ def test_gram_norm_below_the_lanczos_crossover(monkeypatch):
     A[:, : m - 1] = np.random.default_rng(6).standard_normal((m + 50, m - 1))
     assert type(_spec_norm(A)) is float
     assert type(_spec_norm(A[: m - 1].T)) is float
+
+
+def test_norms_of_a_unit_scaled_operand_copy_only_for_lapack(monkeypatch):
+    # max|B| = 1.0, as for the retained X2 = [X, [0; I]]: B / 1.0 is B bit
+    # for bit, so Lanczos reads B itself, while dsytrd, which overwrites
+    # its input, still gets a copy
+    rng = np.random.default_rng(12)
+    m = pencil.LANCZOS_MIN_ORDER + 20
+    tall = np.hstack([rng.uniform(-0.9, 0.9, (m, 5)), np.eye(m)[:, : m - 10]])
+    S = rng.uniform(-0.5, 0.5, (m, m))
+    S = S + S.T
+    S[3, 3] = -1.0
+    assert pencil._scaled(tall)[0] is tall and pencil._scaled(S)[0] is S
+    operands = []
+    eigsh = pencil.spla.eigsh
+    monkeypatch.setattr(pencil.spla, "eigsh", lambda op, **kw: operands.append(op) or eigsh(op, **kw))
+    kept = tall.copy(), S.copy()
+    values = (pencil._lanczos_norm(tall, False), pencil._lanczos_norm(S, True),
+              pencil._tridiagonal_norm(S))
+    assert np.shares_memory(operands[1], S)
+    assert tall.tobytes() == kept[0].tobytes() and S.tobytes() == kept[1].tobytes()
+
+    def copied(A):
+        return A / (scale := pencil._absmax(A)), scale
+
+    monkeypatch.setattr(pencil, "_scaled", copied)
+    assert values == (pencil._lanczos_norm(tall, False), pencil._lanczos_norm(S, True),
+                      pencil._tridiagonal_norm(S))
 
 
 def test_lanczos_norm_falls_back_to_the_gram_path(monkeypatch):
