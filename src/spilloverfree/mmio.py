@@ -35,13 +35,13 @@ import functools
 import hashlib
 import math
 import concurrent.futures  # loaded with scipy; its thread pool only at the first _in_order
-import os
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from .errors import MalformedBlocks, ParseError
+from .pencil import _two_cpus
 from .spectral import RealSpectralData, block_eigenvalues, block_matrix
 
 _FLOAT = "%.17e"
@@ -203,7 +203,7 @@ def _in_order(kernel, parts):
     """Yield kernel(part) for each part in order, at most two in flight: the
     calling thread takes the even parts and, given two CPUs, one worker the odd."""
     _tables()  # built once, before two threads need them
-    two = len(getattr(os, "sched_getaffinity", lambda pid: "")(0)) > 1  # no such call: no worker
+    two = _two_cpus()
     with concurrent.futures.ThreadPoolExecutor(1) as pool:
         def later(k):  # part k's result as a call: on the worker, or else on the caller
             if k < len(parts):

@@ -11,6 +11,8 @@ Nothing in this module ever materializes the n x n mass matrix; all
 products with M are evaluated block-wise.
 """
 
+import concurrent.futures
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +56,9 @@ LANCZOS_TOL = 1e-12
 # but not on an exactly symmetric operand below this order: one tridiagonal
 # reduction beat it on generated K up to order 1000 and lost from 1190 on.
 TRIDIAGONAL_MAX_ORDER = 1000
+# From this order of M_u on, given two CPUs, one worker thread takes the pencil's
+# norms and K's rcond beside the standard eigensolve (at n = 560, 15 of its 44 ms).
+OVERLAP_MIN_ORDER = 200
 
 # An eigenvalue whose imaginary part is below this (relative to the
 # spectral radius) is treated as real when classifying conjugate pairs.
@@ -101,7 +106,7 @@ def _mass_apply(M_u, X):
     return out
 
 
-def _spec_norm(A):
+def _spec_norm(A, out=None):
     """||A||_2 of a real matrix as a float. A square A of 1x1 and 2x2
     diagonal blocks (as diag(Lambda^-1, 0) is) takes the closed form:
     the largest (hypot(a + d, b - c) + hypot(a - d, b + c)) / 2 over its
@@ -116,7 +121,8 @@ def _spec_norm(A):
     lower bound on ||A|| up to rounding. Otherwise, or if ARPACK fails,
     a symmetric B takes _tridiagonal_norm, exact to rounding, and any
     other A _gram_norm. A C-ordered A padded with zero columns gives
-    every path A's operand, so A's norm bit for bit."""
+    every path A's operand, so A's norm bit for bit. With `out`, the
+    paths but _gram_norm write their scaled operand there (see _scaled)."""
     n = A.shape[0]
     if A.shape == (n, n) and (nonzero := np.count_nonzero(A)) <= 2 * n:
         d, up, lo = np.diagonal(A), np.diagonal(A, 1), np.diagonal(A, -1)
@@ -133,25 +139,28 @@ def _spec_norm(A):
     symmetric = B.shape[0] == B.shape[1] and np.array_equal(B, B.T)
     if min(A.shape) >= LANCZOS_MIN_ORDER and not (symmetric and len(B) < TRIDIAGONAL_MAX_ORDER):
         try:
-            return _lanczos_norm(B if symmetric else A, symmetric)
+            return _lanczos_norm(B if symmetric else A, symmetric, out)
         except spla.ArpackError:
             pass
-    return _tridiagonal_norm(B) if symmetric else _gram_norm(A)
+    return _tridiagonal_norm(B, out) if symmetric else _gram_norm(A)
 
 
-def _scaled(A):
-    """(A / max|A|, max|A|) of a nonzero A, the quotient a new array unless it is A / 1.0 = A."""
-    return (A if (scale := _absmax(A)) == 1.0 else A / scale), scale
+def _scaled(A, out=None):
+    """(A / max|A|, max|A|) of a nonzero A, the quotient A itself if it is A / 1.0,
+    else a new array or, given a flat float array `out` of A.size entries or more,
+    a view of its head."""
+    scale, out = _absmax(A), out if out is None else out[: A.size].reshape(A.shape)
+    return (A if scale == 1.0 else np.divide(A, scale, out=out)), scale
 
 
-def _tridiagonal_norm(B):
+def _tridiagonal_norm(B, out=None):
     """||B|| = max(-lambda_min, lambda_max) of an exactly symmetric B with
     no zero row (|b| of a 1x1 B, 0.0 of an empty one): LAPACK dsytrd
-    reduces _scaled(B) to tridiagonal form once, and bisection (dstebz)
+    reduces _scaled(B, out) to tridiagonal form once, and bisection (dstebz)
     finds its two extreme eigenvalues. No convergence tolerance enters."""
     if len(B) < 2:  # dstebz takes no 1x1 matrix
         return _absmax(B)
-    (T, scale), n, lapack = _scaled(B), len(B), sla.lapack
+    (T, scale), n, lapack = _scaled(B, out), len(B), sla.lapack
     # T is exactly symmetric, so T.T is T in LAPACK's Fortran order; B stays
     d, e = lapack.dsytrd(T.T, lower=1, lwork=int(lapack.dsytrd_lwork(n, lower=1)[0]),
                          overwrite_a=int(T is not B))[1:3]
@@ -176,10 +185,10 @@ def _gram_norm(A):
     return scale * float(np.sqrt(top))
 
 
-def _lanczos_norm(B, symmetric):
-    """||B|| by eigsh on _scaled(B), as _spec_norm describes, for a B with
-    no zero column; raises ArpackError."""
-    op, scale = _scaled(B)
+def _lanczos_norm(B, symmetric, out=None):
+    """||B|| by eigsh on _scaled(B, out), as _spec_norm describes, for a B
+    with no zero column; raises ArpackError."""
+    op, scale = _scaled(B, out)
     if not symmetric:
         B = op if op.shape[0] >= op.shape[1] else op.T
         op = spla.LinearOperator((B.shape[1],) * 2, matvec=lambda x: B.T @ (B @ x), dtype=float)
@@ -189,14 +198,23 @@ def _lanczos_norm(B, symmetric):
     return scale * (float(abs(top)) if symmetric else float(np.sqrt(top)))
 
 
-def _lu_rcond(A):
+def _lu_rcond(A, out=None):
     """LU factors (lu, piv) of a square A (None when A is empty) and the
-    rcond_estimate of A from them."""
+    rcond_estimate of A from them. |A| and then the LU are taken in a new
+    array or, given a flat float array `out` of A.size entries or more, in its head."""
     if A.size == 0:
         return None, 1.0
-    lu, piv, info = sla.lapack.dgetrf(A)
-    r = 0.0 if info > 0 else sla.lapack.dgecon(lu, np.abs(A).sum(axis=0).max(), norm="1")[0]
+    work = np.abs(A, out=out if out is None else out[: A.size].reshape(A.shape))
+    F, anorm = work.T, work.sum(axis=0).max()  # F is Fortran-ordered: LAPACK factors it in place
+    F[...] = A
+    lu, piv, info = sla.lapack.dgetrf(F, overwrite_a=1)
+    r = 0.0 if info > 0 else sla.lapack.dgecon(lu, anorm, norm="1")[0]
     return (lu, piv), float(r) if np.isfinite(r) else 0.0
+
+
+def _two_cpus():
+    """Whether this process may run on a second CPU (not where os lacks sched_getaffinity)."""
+    return len(getattr(os, "sched_getaffinity", lambda pid: "")(0)) > 1
 
 
 def _kept(owner, slot, build, *key):
@@ -300,6 +318,21 @@ class StructuredPencil:
         if self._norms is None:
             self._norms = (_spec_norm(self.M_u), _spec_norm(self.K))
         return self._norms
+
+    def _fill_call(self):
+        """The call that fills whichever of the k_rcond() and norms() caches is
+        empty (None when neither is) in one array made here, so that a worker
+        thread running it allocates little and starts with work that releases the GIL."""
+        if self._k_rcond is not None and self._norms is not None:
+            return None
+        out = np.empty(self.K.size)
+
+        def call():
+            if self._k_rcond is None:
+                self._k_rcond = _lu_rcond(self.K, out)[1]
+            if self._norms is None:
+                self._norms = (_spec_norm(self.M_u, out), _spec_norm(self.K, out))
+        return call
 
     def __repr__(self):
         return f"StructuredPencil(n_u={self.n_u}, n_phi={self.n_phi})"
@@ -488,14 +521,20 @@ def _eigenpairs(p, S, R, qz):
     QZ on (S, M_u) or else as the eigenvalues of M_u^-1 S; the indices
     of the real ones and of the upper member of each conjugate pair, a
     mask of the real ones among them, and their eigenvectors [u; R u],
-    normalized."""
-    w, V = sla.eig(S, p.M_u) if qz else sla.eig(sla.lu_solve(p._lu_mu, S))
+    normalized. The standard eigensolve runs beside p._fill_call(), on one
+    worker thread from OVERLAP_MIN_ORDER on given two CPUs, else after it."""
+    A, fill = (None, None) if qz else (sla.lu_solve(p._lu_mu, S), p._fill_call())
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:  # joined on leaving
+        if fill and len(A) >= OVERLAP_MIN_ORDER and _two_cpus():
+            fill = pool.submit(fill).result
+        w, V = sla.eig(S, p.M_u) if qz else np.linalg.eig(A)  # sla.eig's bits, GIL released
+        fill and fill()
     if not np.all(np.isfinite(w)):
         raise SingularBlock(
             "reduced eigenproblem returned non-finite eigenvalues; "
             "M_u is effectively singular"
         )
-    lam = -w
+    lam = -w.astype(complex)  # numpy's is real when every eigenvalue is
     # LAPACK returns exact conjugate partners for real data, so only the
     # counts need to agree
     is_real = np.abs(lam.imag) <= _REAL_AXIS_TOL * max(float(np.abs(lam).max()), 1.0)

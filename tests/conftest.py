@@ -6,6 +6,15 @@ generalized eigensolver with homogeneous output, so structured results
 can be checked against an independent path.
 """
 
+import contextlib
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -40,6 +49,44 @@ def record_norm_eigensolves(monkeypatch):
                             lambda a, *args, _f=f, _log=log, **kw: _log.append(a.shape)
                             or _f(a, *args, **kw))
     return calls
+
+
+@contextlib.contextmanager
+def solve_worker(on):
+    """solve_spectrum's worker thread forced on at every order, with two
+    CPUs, or off, with one (mmio then takes one thread too)."""
+    with mock.patch.object(sf.pencil, "OVERLAP_MIN_ORDER", 0), \
+            mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1} if on else {0}):
+        yield
+
+
+def rerun_at_one_blas_thread(request):
+    """False in a process with OPENBLAS_NUM_THREADS=1. Elsewhere, run the
+    calling test in a pytest subprocess that has it, assert that it passed,
+    and return True."""
+    if os.environ.get("OPENBLAS_NUM_THREADS") == "1":
+        return False
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTHONPATH=path)
+    result = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                             request.node.nodeid], cwd=root, env=env, capture_output=True,
+                            text=True, timeout=600)
+    assert result.returncode == 0, result.stdout[-4000:]
+    return True
+
+
+def record_fill_threads(monkeypatch, delay=0.0):
+    """The list of threads that each later fill of a pencil's cached norms
+    and rcond runs on; each fill first sleeps `delay` seconds."""
+    threads, fill_call = [], sf.pencil.StructuredPencil._fill_call
+
+    def recording(self):
+        call = fill_call(self)
+        return call and (lambda: threads.append(threading.current_thread())
+                         or time.sleep(delay) or call())
+    monkeypatch.setattr(sf.pencil.StructuredPencil, "_fill_call", recording)
+    return threads
 
 
 @pytest.fixture

@@ -6,13 +6,14 @@ perfbench/tracing.py from their paths and runs one tiny job in process."""
 import importlib
 import importlib.util
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 
 import spilloverfree as sf
 
-from conftest import make_pencil
+from conftest import make_pencil, record_fill_threads, solve_worker
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -81,3 +82,47 @@ def test_tracer_records_each_layer_and_restores_every_name():
     for module, names in before.items():
         for key, value in names.items():
             assert after[module][key] is value, f"{module}.{key}"
+
+
+def test_traced_calls_stay_on_the_calling_thread_beside_the_solve_worker(monkeypatch):
+    # the tracer keeps one span stack for all threads: the worker that
+    # takes the pencil's norms and rcond beside the eigensolve must call
+    # nothing it wraps (StructuredPencil.k_rcond among them)
+    tracer = _load("tracing").Tracer()
+    span, threads = tracer.span, []
+
+    def recorded(name):
+        threads.append(threading.current_thread())
+        return span(name)
+    tracer.span = recorded
+    source = make_pencil(12, 5, seed=5)
+    fills = record_fill_threads(monkeypatch)
+    with solve_worker(True), tracer.installed(_load("layers").TARGETS), tracer.job(0):
+        p = sf.validate_pencil(source.M_u, source.K, source.n_u, source.n_phi)
+        spectrum = sf.solve_spectrum(p)
+        vals = [lam for lam, _ in spectrum.finite_pairs]
+        pair = next(v for v in vals if v.imag > 0)
+        wanted = [pair, pair.conjugate(), next(v for v in vals if v.imag == 0)]
+        old, kept = sf.select_eigendata(spectrum, wanted)
+        retained = sf.retained_eigendata(spectrum, kept)
+        target = sf.real_lambda_from_eigenvalues(
+            sf.perturb_targets(wanted, 1, 0.3, 1, avoid=[vals[i] for i in kept]))
+        seed = sf.default_gamma_tilde(sf.compute_gamma1(p, old.X, s=old.s), old.s, target.s)
+        updated = sf.embed(p, old, target.Lambda, seed)
+        sf.residual_report(p, updated, old, target.Lambda, retained)
+    main = threading.main_thread()
+    assert len(fills) == 1 and fills[0] is not main
+    assert threads and all(t is main for t in threads)
+    spans = {s[0]: s for s in tracer.spans}
+    names = [s[1] for s in tracer.spans]
+    for name in ("pencil.solve_spectrum", "pencil.k_rcond", "objective.residual_report"):
+        assert name in names, name
+    for _, _, _, parent, start, end in tracer.spans:
+        if parent is not None:
+            assert spans[parent][4] <= start <= end <= spans[parent][5]
+    children = {}
+    for span_id, _, _, parent, start, end in tracer.spans:
+        children.setdefault(parent, []).append((start, end))
+    for siblings in children.values():
+        siblings.sort()
+        assert all(a[1] <= b[0] for a, b in zip(siblings, siblings[1:]))

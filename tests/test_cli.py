@@ -11,6 +11,8 @@ import shutil
 import subprocess
 import sys
 import tarfile
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ import spilloverfree as sf
 from spilloverfree import cli, mmio
 from spilloverfree.cli import main
 
-from conftest import multiset_match, spectrum_values
+from conftest import multiset_match, record_fill_threads, solve_worker, spectrum_values
 
 
 def run(*argv):
@@ -441,6 +443,39 @@ def test_demo_equals_gen_then_optimize(example, stilde, tmp_path):
     assert run("verify", "--in", demo) == 0
 
 
+def _parity_set():
+    """The CLI parity set at n = 140 in the working directory, each non-gen
+    run verified; {path: bytes} of what it wrote, reports without '#' lines."""
+    select = ("--p", 6, "--s", 2)
+    runs = {"gen": ("gen", "--nu", 100, "--nphi", 40, "--seed", 7),
+            "embed": ("embed", "--in", "gen", *select, "--stilde", 2, "--seed", 7),
+            "tau1": ("optimize", "--in", "gen", *select, "--stilde", 2, "--seed", 7,
+                     "--tau1", 0.01, "--restarts", 2),
+            "stilde1": ("optimize", "--in", "gen", *select, "--stilde", 1, "--seed", 5),
+            "demo1": ("demo", "--example", 1, "--nu", 100, "--nphi", 40, "--seed", 5),
+            "demo2": ("demo", "--example", 2, "--nu", 100, "--nphi", 40, "--seed", 5)}
+    for name, argv in runs.items():
+        assert run(*argv, "--out", name) == 0, name
+        assert name == "gen" or run("verify", "--in", name) == 0, name
+    return {str(path): b"".join(l for l in path.read_bytes().splitlines(True)
+                                if not l.startswith(b"#"))
+            for path in sorted(Path().rglob("*")) if path.is_file()}
+
+
+def test_the_solve_worker_writes_the_same_bytes(tmp_path, monkeypatch):
+    files, threads = {}, record_fill_threads(monkeypatch)
+    for on in (True, False):
+        (tmp_path / str(on)).mkdir()
+        monkeypatch.chdir(tmp_path / str(on))
+        with solve_worker(on):
+            files[on] = _parity_set()
+    assert len(files[True]) == 53 and files[True] == files[False]
+    # gen, both demos and their verify runs solve (a demo run stores no
+    # spectrum); the other commands certify the stored spectrum
+    main = threading.main_thread()
+    assert [t is main for t in threads] == [False] * 5 + [True] * 5
+
+
 # -- one spectrum per chain: stored, certified, or solved --------------------
 
 SELECT = ("--p", 6, "--s", 2, "--stilde", 2, "--seed", 3)
@@ -457,9 +492,9 @@ def run12(tmp_path_factory):
 
 def test_one_eigensolve_per_chain(tmp_path, monkeypatch):
     calls = []
-    eig = sf.pencil.sla.eig
-    monkeypatch.setattr(sf.pencil.sla, "eig",
-                        lambda *a, **k: calls.append(a[0].shape) or eig(*a, **k))
+    for module in (sf.pencil.sla, sf.pencil.np.linalg):  # the QZ and the standard solve
+        monkeypatch.setattr(module, "eig", lambda *a, _eig=module.eig, **k:
+                            calls.append(a[0].shape) or _eig(*a, **k))
     gen, emb, opt = (str(tmp_path / name) for name in ("gen", "emb", "opt"))
     assert run("gen", "--nu", 12, "--nphi", 5, "--seed", 5, "--out", gen) == 0
     assert run("embed", "--in", gen, "--out", emb, *SELECT) == 0

@@ -434,11 +434,11 @@ def _kernel_sweep():
 def _two_cpus():
     """Two CPUs for mmio, so that bodies of two chunks or more take the
     worker thread on any machine."""
-    return mock.patch.object(sf.mmio.os, "sched_getaffinity", lambda pid: {0, 1})
+    return mock.patch.object(sf.pencil.os, "sched_getaffinity", lambda pid: {0, 1})
 
 
 def _one_cpu():
-    return mock.patch.object(sf.mmio.os, "sched_getaffinity", lambda pid: {0})
+    return mock.patch.object(sf.pencil.os, "sched_getaffinity", lambda pid: {0})
 
 
 def _assert_kernels_match_python(x):
@@ -565,7 +565,7 @@ def test_parts_come_back_in_order_with_at_most_two_in_flight(cpus, count):
             running[0] -= 1
         return part * 10
 
-    with mock.patch.object(sf.mmio.os, "sched_getaffinity", lambda pid: set(range(cpus))):
+    with mock.patch.object(sf.pencil.os, "sched_getaffinity", lambda pid: set(range(cpus))):
         out = list(sf.mmio._in_order(kernel, list(range(count))))
     assert out == [10 * k for k in range(count)]
     assert peak[0] <= min(cpus, 2)

@@ -1,6 +1,9 @@
 """Structured pencil container, reduction, eigensolve, relation checks."""
 
+import threading
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -21,8 +24,9 @@ from spilloverfree.errors import (
 from spilloverfree.pencil import _spec_norm, rcond_estimate
 from spilloverfree.spectral import _rank_rcond
 
-from conftest import (dense_finite_eigs, make_pencil, multiset_match,
-                      record_norm_eigensolves, spectrum_values)
+from conftest import (dense_finite_eigs, make_pencil, multiset_match, record_fill_threads,
+                      record_norm_eigensolves, rerun_at_one_blas_thread, solve_worker,
+                      spectrum_values)
 
 
 def test_rcond_estimate_diagonal():
@@ -306,11 +310,20 @@ def test_nearest_gaps_match_the_pairwise_loop():
     assert sf.pencil._nearest_gaps(np.array([2.0 + 0j])).tolist() == [np.inf]
 
 
+def _count_eigensolves(monkeypatch):
+    """The list that each later eigensolve of solve_spectrum appends to:
+    True for QZ (sla.eig of the pencil), False for the standard solve
+    (np.linalg.eig of M_u^-1 S)."""
+    calls = []
+    for module, qz in ((sla, True), (np.linalg, False)):
+        monkeypatch.setattr(module, "eig", lambda *a, _eig=module.eig, _qz=qz, **k:
+                            calls.append(_qz) or _eig(*a, **k))
+    return calls
+
+
 def test_solve_spectrum_is_cached_and_still_checks_degeneracy(monkeypatch):
     p = make_pencil(10, 4, seed=2)
-    calls = []
-    eig = sla.eig
-    monkeypatch.setattr(sla, "eig", lambda *a, **k: calls.append(1) or eig(*a, **k))
+    calls = _count_eigensolves(monkeypatch)
     first = sf.solve_spectrum(p)
     assert sf.solve_spectrum(p) is first
     # generate_pencil already solved p
@@ -493,10 +506,7 @@ def test_standard_solve_matches_qz_and_falls_back_when_it_must(family, seed, n_u
 
 
 def test_ill_conditioned_mass_takes_the_qz_fallback(monkeypatch):
-    calls = []
-    eig = sla.eig
-    monkeypatch.setattr(sla, "eig", lambda A, B=None, **k: calls.append(B is not None)
-                        or eig(A, B, **k))
+    calls = _count_eigensolves(monkeypatch)
     well = _ill_conditioned_pencil(0)  # cond(M_u) about 1e3
     sf.solve_spectrum(well)
     assert calls == [False]
@@ -504,6 +514,141 @@ def test_ill_conditioned_mass_takes_the_qz_fallback(monkeypatch):
     s = sf.solve_spectrum(ill)
     assert calls == [False, False, True]
     assert s.backward_error <= pencil.SOLVE_BACKWARD_ERROR
+
+
+def _fresh(p):
+    """p validated again: nothing solved or cached."""
+    return sf.validate_pencil(p.M_u, p.K, p.n_u, p.n_phi)
+
+
+def _symmetric(rng, n, shift=0.0):
+    A = rng.standard_normal((n, n))
+    return 0.5 * (A + A.T) + shift * np.eye(n)
+
+
+@pytest.mark.parametrize("family", ["n140", "n560", "ill-conditioned", "definite"])
+def test_the_standard_eigensolve_is_sla_eig_bit_for_bit(family, monkeypatch, request):
+    # numpy's dgeev releases the GIL and scipy's holds it; the standard
+    # solve takes numpy's for that, and must not move a bit. Each calls its
+    # own OpenBLAS build, and those agree at one BLAS thread, not at two.
+    if rerun_at_one_blas_thread(request):
+        return
+    if family == "ill-conditioned":
+        pencils = [_ill_conditioned_pencil(seed) for seed in range(60)]
+    elif family == "definite":  # M_u positive definite: numpy's eigenvalues come back real
+        rng = np.random.default_rng(3)
+        K = _symmetric(rng, 40, 40.0)
+        pencils = [sf.validate_pencil(_symmetric(rng, 30, 30.0), K, 30, 10)]
+    else:
+        pencils = [_fresh(make_pencil(*{"n140": (100, 40), "n560": (400, 160)}[family], seed=7))]
+    for p in pencils:
+        S, R = sf.schur_reduce(p)
+        A = sla.lu_solve(p._lu_mu, S)
+        (w, V), (w_ref, V_ref) = np.linalg.eig(A), sla.eig(A)
+        assert np.array_equal(w.astype(complex), w_ref) and w_ref.dtype == complex
+        assert np.array_equal(V, V_ref) and V.dtype == V_ref.dtype
+        if family != "ill-conditioned":
+            assert (w.dtype == float) == (family == "definite")
+            ours = pencil._eigenpairs(p, S, R, qz=False)
+            monkeypatch.setattr(np.linalg, "eig", sla.eig)
+            for a, b in zip(ours, pencil._eigenpairs(p, S, R, qz=False)):
+                assert np.array_equal(a, b) and a.dtype == b.dtype
+            monkeypatch.undo()
+
+
+@pytest.mark.parametrize("case", ["tridiagonal", "lanczos", "arpack-fails", "closed-form"])
+def test_the_worker_takes_the_pencil_scalars_bit_for_bit(case, monkeypatch):
+    rng = np.random.default_rng(5)
+    n_u, n_phi = (60, 1000) if case in ("lanczos", "arpack-fails") else (60, 20)
+    M_u = np.diag(rng.uniform(1.0, 2.0, n_u)) if case == "closed-form" else _symmetric(rng, n_u, 30)
+    K = _symmetric(rng, n_u + n_phi)
+    K[n_u:, n_u:] += 3 * (n_u + n_phi) * np.eye(n_phi)
+    if case == "arpack-fails":
+        def no_convergence(*args, **kwargs):
+            raise pencil.spla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+        monkeypatch.setattr(pencil.spla, "eigsh", no_convergence)
+    threads = record_fill_threads(monkeypatch)
+    p = sf.validate_pencil(M_u, K, n_u, n_phi)
+    with solve_worker(True):
+        try:
+            sf.solve_spectrum(p)
+        except DegenerateSpectrum:
+            pass
+    assert len(threads) == 1 and threads[0] is not threading.main_thread()
+    assert p._norms == (_spec_norm(p.M_u), _spec_norm(p.K))
+    # the same dgetrf and dgecon, but dgecon's last bits follow the address
+    # of the work array that scipy's wrapper allocates, even on one thread
+    assert abs(p._k_rcond - rcond_estimate(p.K)) <= 4 * np.spacing(p._k_rcond)
+    assert all(type(v) is float for v in (*p._norms, p._k_rcond))
+
+
+@pytest.mark.parametrize("on", [True, False])
+def test_the_worker_only_fills_what_is_not_cached(on, monkeypatch):
+    source, threads = make_pencil(12, 5, seed=5), record_fill_threads(monkeypatch)
+    for cached in ((), ("norms",), ("k_rcond",), ("norms", "k_rcond")):
+        p = _fresh(source)
+        ref = {name: getattr(p, name)() for name in cached}
+        with solve_worker(on):
+            sf.solve_spectrum(p)
+        assert all(getattr(p, name)() is ref[name] for name in cached)
+        assert p.norms() == (_spec_norm(p.M_u), _spec_norm(p.K))
+        assert abs(p.k_rcond() - rcond_estimate(p.K)) <= 4 * np.spacing(p.k_rcond())
+    main = threading.main_thread()
+    assert len(threads) == 3 and all((t is not main) == on for t in threads)
+
+
+def test_no_thread_outlives_solve_spectrum(monkeypatch):
+    source = make_pencil(12, 5, seed=5)
+    # each fill sleeps first, so the caller is still waiting when it leaves
+    threads = record_fill_threads(monkeypatch, delay=0.05)
+    before = threading.enumerate()
+    with solve_worker(True):
+        sf.solve_spectrum(_fresh(source))
+        assert threading.enumerate() == before
+        degenerate = sf.validate_pencil(np.eye(2), np.diag([2.0, 2.0, 1.0]), 2, 1)
+        with pytest.raises(DegenerateSpectrum):
+            sf.solve_spectrum(degenerate)
+        assert threading.enumerate() == before
+
+        def fails(A):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr(np.linalg, "eig", fails)
+        failing = _fresh(source)
+        with pytest.raises(np.linalg.LinAlgError):
+            sf.solve_spectrum(failing)
+        assert threading.enumerate() == before
+    assert len(threads) == 3 and not any(t.is_alive() for t in threads)
+    assert threading.main_thread() not in threads
+    assert failing._norms is not None and failing._k_rcond is not None  # it ran to the end
+
+
+def test_the_fill_takes_its_large_operands_in_its_one_array():
+    # a worker thread's malloc arena keeps what that thread frees, so the
+    # fill takes |K|, K's LU and both scaled operands in the array that
+    # _fill_call makes on the calling thread
+    p = _fresh(make_pencil(200, 60, seed=5))
+    call = p._fill_call()
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p.norms() == (_spec_norm(p.M_u), _spec_norm(p.K))
+    assert peak < p.K.nbytes / 2, (peak, p.K.nbytes)
+
+
+def test_no_worker_below_the_order_gate_or_with_one_cpu(monkeypatch):
+    small, large = make_pencil(12, 5, seed=5), make_pencil(200, 20, seed=5)
+    threads = record_fill_threads(monkeypatch)
+    with mock.patch.object(pencil.os, "sched_getaffinity", lambda pid: {0, 1}):
+        sf.solve_spectrum(_fresh(small))
+        sf.solve_spectrum(_fresh(large))
+    with mock.patch.object(pencil.os, "sched_getaffinity", lambda pid: {0}):
+        sf.solve_spectrum(_fresh(large))
+    main = threading.main_thread()
+    assert pencil.OVERLAP_MIN_ORDER == 200
+    assert [t is main for t in threads] == [True, False, True]
 
 
 def _mp_finite_eigenvalues(p):
@@ -728,7 +873,7 @@ def test_norms_of_a_unit_scaled_operand_copy_only_for_lapack(monkeypatch):
     assert np.shares_memory(operands[1], S)
     assert tall.tobytes() == kept[0].tobytes() and S.tobytes() == kept[1].tobytes()
 
-    def copied(A):
+    def copied(A, out=None):
         return A / (scale := pencil._absmax(A)), scale
 
     monkeypatch.setattr(pencil, "_scaled", copied)
