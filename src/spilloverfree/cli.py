@@ -46,7 +46,7 @@ from .errors import (
     VerificationFailed,
 )
 from .objective import OptimizeConfig, _check_weights, optimize_gamma_tilde, residual_report
-from .pencil import certified_spectrum, solve_spectrum, validate_pencil
+from .pencil import _check_degeneracy, certified_spectrum, solve_spectrum, validate_pencil
 from .probgen import ProblemSpec, generate_pencil, perturb_targets
 from .spectral import (
     DEFAULT_MATCH_TOL,
@@ -155,7 +155,8 @@ def _write_spectrum(spectrum, directory):
 
 
 def _write_run(directory, updated, old, target):
-    """Write the run files; return their hash entries."""
+    """Write the run files, creating `directory`; return their hash entries."""
+    os.makedirs(directory, exist_ok=True)
     params = updated.params
     data = (updated.M_u_tilde, updated.K_tilde, updated.X1_tilde,
             params.Theta, params.GammaTilde1, old, target)
@@ -227,21 +228,17 @@ def _run_pipeline(args, pencil, spectrum, *, optimize, demo=False):
     old, retained_idx = select_eigendata(spectrum, wanted, match_tol=args.tol_match)
     retained = retained_eigendata(spectrum, retained_idx) if retained_idx else None
 
+    retained_values = spectrum.eigenvalues[list(retained_idx)]
     if args.targets is not None:
         target = mmio.read_spectral(args.targets)
         if target.p != old.p:
-            raise DimensionMismatch(
-                f"targets file has p={target.p}, selection has p={old.p}"
-            )
+            raise DimensionMismatch(f"targets file has p={target.p}, selection has p={old.p}")
     else:
-        values = perturb_targets(
-            _expanded_values(old.Lambda, old.s),
-            args.stilde,
-            args.max_perturb,
-            (args.seed, 2),
-            avoid=spectrum.eigenvalues[list(retained_idx)],
-        )
-        target = real_lambda_from_eigenvalues(values)
+        target = real_lambda_from_eigenvalues(perturb_targets(
+            _expanded_values(old.Lambda, old.s), args.stilde, args.max_perturb, (args.seed, 2),
+            avoid=retained_values))
+    # the updated pencil's finite spectrum, judged by the rule its solve applies
+    _check_degeneracy(np.concatenate([retained_values, _expanded_values(target.Lambda, target.s)]))
 
     gamma1 = compute_gamma1(pencil, old.X, s=old.s)
     seed_params = default_gamma_tilde(gamma1, old.s, target.s)
@@ -329,7 +326,6 @@ def _cmd_solve(args):
 
 def _cmd_embed(args):
     _check_weights(args.tau1, args.tau2)
-    os.makedirs(args.out_dir, exist_ok=True)
     pencil, hashes = _read_pencil(args.in_dir)
     spectrum, _ = _load_spectrum(pencil, args.in_dir)
     command = args.command  # embed, or optimize: embed and then search

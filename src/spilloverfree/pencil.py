@@ -482,17 +482,23 @@ def _pair_residuals(p, lam, X):
     return r, eta, MX, x
 
 
-def _nearest_gaps(values):
-    """Distance from each value to its nearest other value (inf for a
-    lone value)."""
-    d = np.abs(values[:, None] - values[None, :])
-    np.fill_diagonal(d, np.inf)
+def _nearest_gaps(values, new=None):
+    """Distance from each value, or from each of the last `new` values
+    only, to its nearest other value (inf for a lone value)."""
+    k = len(values) - (new or len(values))
+    d = np.abs(values[k:, None] - values[None, :])
+    d[np.arange(len(d)), np.arange(k, len(values))] = np.inf
     return d.min(axis=1)
 
 
-def _check_degeneracy(values, gaps):
-    """Raise DegenerateSpectrum when two finite eigenvalues (or one and
-    zero) are closer than DEGENERACY_TOL times the spectral radius."""
+def _check_degeneracy(values, gaps=None, new=None):
+    """The one admissibility rule for a set of finite eigenvalues: raise
+    DegenerateSpectrum unless every gap between two of `values`, and every
+    modulus, is at least DEGENERACY_TOL times the spectral radius
+    max|values|. `gaps` defaults to _nearest_gaps(values, new): with
+    `new`, only the last `new` values' gaps are judged, in O(new * n), the
+    rest taken as mutually admissible; every modulus is judged always."""
+    gaps = _nearest_gaps(values, new) if gaps is None else gaps
     scale = float(np.abs(values).max())
     worst = gaps.min()
     if worst < DEGENERACY_TOL * scale:
@@ -581,7 +587,7 @@ def solve_spectrum(p):
         eta = _pair_residuals(p, lam[keep], X)[1].max()
         if eta <= SOLVE_BACKWARD_ERROR:
             break
-    _check_degeneracy(lam, _nearest_gaps(lam))
+    _check_degeneracy(lam)
 
     kept = lam[keep]
     unrotated = real & (np.linalg.norm(X.imag, axis=0) > 1e-8)

@@ -18,14 +18,13 @@ from .errors import (
     GenerationFailed,
     StructureInfeasible,
 )
-from .pencil import solve_spectrum, validate_pencil
+from .pencil import _check_degeneracy, solve_spectrum, validate_pencil
 from .spectral import _expanded_values, _split_conjugates, real_lambda_from_eigenvalues
 
-# Targets (and their imaginary parts, for conjugate pairs) must keep at
-# least this modulus: zero and near-axis targets break the simple
-# nonzero-eigenvalue assumptions.
+# Drawn targets (and their imaginary parts, for conjugate pairs) keep at
+# least this modulus, a margin for drawing only: whether a target set is
+# admissible is pencil._check_degeneracy's to decide.
 MIN_TARGET_MODULUS = 1e-3
-_DISJOINT_TOL = 1e-6
 _RESAMPLE_BUDGET = 100
 _GENERATION_RETRIES = 5
 
@@ -92,27 +91,27 @@ def generate_pencil(spec):
     )
 
 
-def _admissible(z, chosen, avoid, *, needs_imag):
-    """Whether z keeps MIN_TARGET_MODULUS (and so does its imaginary part
-    where needs_imag) and stays _DISJOINT_TOL apart, relative, from the
-    list `chosen`, its conjugates and the complex array `avoid`."""
-    if abs(z) < MIN_TARGET_MODULUS or (needs_imag and abs(z.imag) < MIN_TARGET_MODULUS):
-        return False
-    chosen = np.asarray(chosen, dtype=complex)
-    others = np.concatenate([chosen, chosen.conj(), avoid])
-    return not (np.abs(z - others) < _DISJOINT_TOL * np.maximum(np.abs(others), 1.0)).any()
-
-
 def _draw(propose, taken, avoid, needs_imag, failure):
-    """Append to `taken` the first of _RESAMPLE_BUDGET proposals that is
-    admissible next to `taken` and `avoid`, a conjugate pair by its
-    upper member; raise StructureInfeasible(failure) when none is."""
+    """Append to `taken` the first of _RESAMPLE_BUDGET proposals, a conjugate
+    pair by its upper member, that keeps MIN_TARGET_MODULUS (and so does its
+    imaginary part where needs_imag) and that pencil._check_degeneracy admits
+    next to `taken`, their conjugates and `avoid`; raise
+    StructureInfeasible(failure) naming the last refusal when none does."""
+    refusal = None
     for _ in range(_RESAMPLE_BUDGET):
         cand = propose()
-        if _admissible(cand, taken, avoid, needs_imag=needs_imag):
-            taken.append(cand if cand.imag >= 0 else cand.conjugate())
-            return
-    raise StructureInfeasible(failure)
+        if abs(cand) < MIN_TARGET_MODULUS or (needs_imag and abs(cand.imag) < MIN_TARGET_MODULUS):
+            refusal = f"{cand:.6e} is inside the drawing margin MIN_TARGET_MODULUS"
+            continue
+        new = [cand, cand.conjugate()] if needs_imag else [cand]
+        try:
+            _check_degeneracy(np.concatenate([taken, np.conj(taken), avoid, new]), new=len(new))
+        except DegenerateSpectrum as exc:
+            refusal = exc
+            continue
+        taken.append(cand if cand.imag >= 0 else cand.conjugate())
+        return
+    raise StructureInfeasible(f"{failure} within {_RESAMPLE_BUDGET} draws; last refusal: {refusal}")
 
 
 def perturb_targets(old_eigs, s_tilde, max_perturbation, seed, avoid=()):
@@ -122,9 +121,9 @@ def perturb_targets(old_eigs, s_tilde, max_perturbation, seed, avoid=()):
     count) each target is the corresponding old eigenvalue moved by at
     most max_perturbation; max_perturbation = 0 returns the old values.
     A changed structure forces fresh draws from a unit box instead.
-    Either way targets stay nonzero, mutually distinct, and disjoint
-    from `avoid` (pass the retained spectrum there). Targets are
-    returned pairs first, conjugate partners adjacent.
+    Either way pencil._check_degeneracy admits each drawn target next to
+    the others and `avoid` (pass the retained spectrum there). Targets
+    are returned pairs first, conjugate partners adjacent.
     """
     old_eigs = [complex(v) for v in old_eigs]
     pair_idx, real_idx = _split_conjugates(old_eigs)
@@ -149,23 +148,21 @@ def perturb_targets(old_eigs, s_tilde, max_perturbation, seed, avoid=()):
 
         for z in pairs:
             _draw(lambda: perturbed(z), taken, avoid, True,
-                  f"could not place a perturbed conjugate pair near {z:.6e} "
-                  f"within {_RESAMPLE_BUDGET} draws")
+                  f"could not place a perturbed conjugate pair near {z:.6e}")
         for x in reals:
             _draw(lambda: complex(x + rng.uniform(-max_perturbation, max_perturbation)),
                   taken, avoid, False,
-                  f"could not place a perturbed real target near {x:.6e} "
-                  f"within {_RESAMPLE_BUDGET} draws")
+                  f"could not place a perturbed real target near {x:.6e}")
     else:
         # Structure change: fresh draws in a bounded box, nothing to stay
         # near. Real parts and moduli stay order-one.
         for _ in range(s_tilde):
             _draw(lambda: complex(rng.uniform(0.05, 1.0), rng.uniform(0.05, 1.0)),
                   taken, avoid, True,
-                  f"could not draw {s_tilde} fresh conjugate pairs within budget")
+                  f"could not draw {s_tilde} fresh conjugate pairs")
         for _ in range(m - 2 * s_tilde):
             _draw(lambda: complex(rng.uniform(0.05, 1.0)), taken, avoid, False,
-                  "could not draw enough fresh real targets within budget")
+                  "could not draw enough fresh real targets")
     # in the canonical order of spectral, as a block layout sorts and expands them
     values = [w for z in taken[:s_tilde] for w in (z, z.conjugate())]
     d = real_lambda_from_eigenvalues(values + [complex(x.real) for x in taken[s_tilde:]])

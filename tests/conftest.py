@@ -37,6 +37,27 @@ def make_pencil(n_u, n_phi, seed, p=2, s_tilde=1):
     return sf.generate_pencil(spec)
 
 
+# A pencil family whose spectra span up to twelve decades, with its seeds
+# fixed: ill_scaled_pencil(seed) for each seed here.
+ILL_SCALED_SEEDS = tuple(range(60))
+
+
+def ill_scaled_pencil(seed):
+    """(M_u, K) with n_u = 6, n_phi = 4: M_u = Q diag(sign * 10^u) Q^T,
+    symmetrized, for the Q factor of a normal 6 x 6 draw, u uniform in
+    [-11, 0) and random signs; K uniform symmetric in [-1, 1] with 10
+    added to the K_phi diagonal. The draws are made in that order."""
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    u = rng.uniform(-11, 0, 6)
+    sign = rng.choice([-1, 1], 6)
+    M_u = Q @ np.diag(sign * 10.0 ** u) @ Q.T
+    K = rng.uniform(-1, 1, (10, 10))
+    K = 0.5 * (K + K.T)
+    K[6:, 6:] += 10 * np.eye(4)
+    return 0.5 * (M_u + M_u.T), K
+
+
 def record_norm_eigensolves(monkeypatch):
     """{"gram": [...], "tridiagonal": [...]}: the shape of each Gram matrix
     (LAPACK dsyevr) and of each symmetric operand (dsytrd) that a norm

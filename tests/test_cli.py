@@ -21,7 +21,8 @@ import spilloverfree as sf
 from spilloverfree import cli, mmio
 from spilloverfree.cli import main
 
-from conftest import multiset_match, record_fill_threads, solve_worker, spectrum_values
+from conftest import (ILL_SCALED_SEEDS, ill_scaled_pencil, multiset_match, record_fill_threads,
+                      solve_worker, spectrum_values)
 
 
 def run(*argv):
@@ -211,6 +212,64 @@ def test_embed_rejects_a_selection_file_with_rank_deficient_vectors(gen_dir, tmp
         fh.write("2 0\nreal 1.0\nreal 2.0\n11 2\n" + "".join(column * 2))
     rc = run("embed", "--in", gen_dir, "--out", str(tmp_path / "out"), "--select", sel_path)
     assert rc == sf.MalformedBlocks.exit_code == 17
+
+
+@pytest.mark.parametrize("values", [
+    [0.6248334536243281, -0.5],  # a retained eigenvalue of gen_dir's pencil
+    [1e-9, -0.5],
+    [-0.5, -0.5 + 1e-12],
+], ids=["retained", "near_zero", "coincident"])
+def test_embed_refuses_inadmissible_target_files(gen_dir, tmp_path, values):
+    # the solve's rule on retained + targets, before any update is formed
+    sel_path, tgt_path = str(tmp_path / "sel.spectral"), str(tmp_path / "tgt.spectral")
+    mmio.write_spectral(sf.real_lambda_from_eigenvalues([-0.7409032647635984,
+                                                         -0.20700445868075643]), sel_path)
+    mmio.write_spectral(sf.real_lambda_from_eigenvalues(values), tgt_path)
+    out = tmp_path / "out"
+    rc = run("embed", "--in", gen_dir, "--out", out, "--select", sel_path, "--targets", tgt_path)
+    assert rc == sf.DegenerateSpectrum.exit_code == 13
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["embed", "optimize"])
+def test_a_refused_run_leaves_no_directory(gen_dir, tmp_path, command):
+    sel_path = str(tmp_path / "sel.spectral")
+    mmio.write_spectral(sf.real_lambda_from_eigenvalues([99.0]), sel_path)
+    out = tmp_path / "out"
+    assert run(command, "--in", gen_dir, "--out", out, "--select", sel_path) == 18
+    assert not out.exists()
+
+
+# The family's seeds whose spectral radii (5.7e7 to 1.6e10) leave no
+# admissible target in the draw's unit box: exit 25 before any update.
+_REFUSED_DRAWS = (3, 11, 14, 17, 19, 22, 24, 35, 43, 49)
+
+
+def test_no_run_that_exits_0_writes_a_pencil_solve_or_verify_refuses(tmp_path):
+    codes = {}
+    for seed in ILL_SCALED_SEEDS:
+        d = tmp_path / str(seed)
+        d.mkdir()
+        for name, A in zip(("M_u.mtx", "K.mtx"), ill_scaled_pencil(seed)):
+            mmio.write_matrix(A, str(d / name))
+        if run("solve", "--in", d) != 0:
+            continue
+        sel = str(d / "sel.spectral")
+        spectrum = mmio.read_spectral(str(d / "spectrum.spectral"))
+        mmio.write_spectral(sf.spectral._columns(spectrum, [0, 1]), sel)
+        out, updated = d / "run", d / "updated"
+        codes[seed] = run("embed", "--in", d, "--out", out, "--select", sel,
+                          "--stilde", 0, "--seed", 1)
+        if codes[seed]:
+            assert 10 <= codes[seed] <= 28 and not out.exists(), (seed, codes[seed])
+            continue
+        assert run("verify", "--in", out) == 0, seed
+        updated.mkdir()
+        shutil.copy(out / "M_u_tilde.mtx", updated / "M_u.mtx")
+        shutil.copy(out / "K_tilde.mtx", updated / "K.mtx")
+        assert run("solve", "--in", updated) == 0, seed
+    assert {s: codes[s] for s in _REFUSED_DRAWS} == dict.fromkeys(_REFUSED_DRAWS, 25)
+    assert sorted(codes.values()).count(0) == 20
 
 
 def test_optimize_never_loses_to_its_seed(gen_dir, tmp_path):

@@ -307,6 +307,7 @@ def test_nearest_gaps_match_the_pairwise_loop():
         d[i] = np.inf
         loop[i] = d.min()
     np.testing.assert_array_equal(sf.pencil._nearest_gaps(lam), loop)
+    np.testing.assert_array_equal(sf.pencil._nearest_gaps(lam, 2), loop[-2:])
     assert sf.pencil._nearest_gaps(np.array([2.0 + 0j])).tolist() == [np.inf]
 
 

@@ -123,11 +123,16 @@ def test_perturb_targets_infeasible_pair_count():
 
 
 def test_perturb_targets_budget_exhaustion():
-    # zero perturbation cannot escape an avoid set sitting on the inputs
-    with pytest.raises(StructureInfeasible):
+    # a 1e-9 perturbation cannot escape an avoid set sitting on the inputs;
+    # the error names the rule's last refusal: the gap, the threshold, the radius
+    with pytest.raises(StructureInfeasible, match=r"within 100 draws; last refusal: two finite "
+                       r"eigenvalues are only .* apart \(tolerance 1.0e-08 x spectral radius "
+                       r"2.000e\+00\)"):
         sf.perturb_targets(
             [2.0, 3.0], s_tilde=0, max_perturbation=1e-9, seed=0, avoid=[2.0]
         )
+    with pytest.raises(StructureInfeasible, match="last refusal: .* drawing margin"):
+        spilloverfree.probgen._draw(lambda: 1e-4 + 0j, [], np.array([1.0]), False, "refused")
 
 
 def test_perturb_targets_rejects_zero_input():
@@ -169,33 +174,33 @@ def test_perturb_targets_are_pinned():
     assert _target_grid_digest() == _TARGET_GRID_SHA256
 
 
-def _scalar_admissible(z, chosen, avoid, needs_imag):
-    """The admissibility rule one other value at a time."""
-    if abs(z) < sf.probgen.MIN_TARGET_MODULUS:
-        return False
-    if needs_imag and abs(z.imag) < sf.probgen.MIN_TARGET_MODULUS:
-        return False
-    others = list(chosen) + [w.conjugate() for w in chosen] + list(avoid)
-    tol = spilloverfree.probgen._DISJOINT_TOL
-    return not any(abs(z - w) < tol * max(abs(w), 1.0) for w in others)
-
-
-def test_admissible_agrees_with_the_scalar_rule():
+@pytest.mark.parametrize("radius", [1.0, 3.0e2, 1.0e6])
+def test_the_draw_and_the_rule_share_one_threshold(radius):
+    # candidates at 0.5x and 1.5x DEGENERACY_TOL * radius from a retained
+    # value, from their own conjugate or from zero: the draw takes exactly
+    # those that the solve's rule admits as part of the whole set
+    tol = sf.pencil.DEGENERACY_TOL * radius
+    avoid = np.array([radius, 0.5, -0.3 + 0.4j, -0.3 - 0.4j])
     rng = np.random.default_rng(0)
-    tol = spilloverfree.probgen._DISJOINT_TOL
-    decisions = []
-    for _ in range(3000):
-        scale = 10.0 ** rng.uniform(-4, 3)
-        values = scale * (rng.standard_normal(9) + 1j * rng.standard_normal(9))
-        k = int(rng.integers(0, 5))
-        chosen, avoid = [complex(v) for v in values[:k]], values[k:]
-        others = np.concatenate([values[:k], np.conj(values[:k]), avoid])
-        w = others[rng.integers(others.size)] if rng.random() < 0.8 else 0.0
-        # near the disjointness threshold of w, or near the modulus floor
-        z = complex(w + tol * max(abs(w), 1.0) * rng.uniform(0.5, 1.5)
-                    * np.exp(2j * np.pi * rng.random()))
-        for needs_imag in (False, True):
-            got = spilloverfree.probgen._admissible(z, chosen, avoid, needs_imag=needs_imag)
-            assert got == _scalar_admissible(z, chosen, avoid, needs_imag), (z, needs_imag)
-            decisions.append(got)
-    assert 0.2 < np.mean(decisions) < 0.8
+    cases = []
+    for factor in (0.5, 1.5):
+        sign, turn = rng.choice([-1.0, 1.0]), np.exp(2j * np.pi * rng.random())
+        cases += [(complex(0.5 + sign * factor * tol), False, factor),  # beside 0.5
+                  (-0.3 + 0.4j + factor * tol * turn, True, factor)]  # beside a retained pair
+        if tol >= 4 * sf.probgen.MIN_TARGET_MODULUS:  # outside the drawing margin
+            cases += [(complex(sign * factor * tol), False, factor),
+                      (0.25 + 0.5j * factor * tol, True, factor)]
+    assert len(cases) == (8 if radius == 1.0e6 else 4)
+    for z, pair, factor in cases:
+        try:
+            sf.pencil._check_degeneracy(np.r_[avoid, [z, z.conjugate()] if pair else [z]])
+            admitted = True
+        except DegenerateSpectrum:
+            admitted = False
+        assert admitted == (factor > 1.0), (z, radius)
+        taken = []
+        try:
+            spilloverfree.probgen._draw(lambda: z, taken, avoid, pair, "refused")
+        except StructureInfeasible as exc:
+            assert "last refusal: " in str(exc) and f"spectral radius {radius:.3e}" in str(exc)
+        assert taken == ([z if z.imag >= 0 else z.conjugate()] if admitted else [])
