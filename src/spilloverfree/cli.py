@@ -422,6 +422,12 @@ def _cmd_verify(args):
     wanted = _expanded_values(old.Lambda, old.s)
     _, retained_idx = select_eigendata(spectrum, wanted, match_tol=args.tol_match)
     retained = retained_eigendata(spectrum, retained_idx) if retained_idx else None
+    # the updated pencil's finite spectrum, judged by the rule embed and solve apply
+    try:
+        _check_degeneracy(np.concatenate([spectrum.eigenvalues[list(retained_idx)],
+                                          _expanded_values(target.Lambda, target.s)]))
+    except DegenerateSpectrum as exc:
+        failures.append(f"targets.spectral with the retained eigenvalues: {exc}")
 
     # the run's own weights, unless overridden on the command line
     tau1, tau2 = (

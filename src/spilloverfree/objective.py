@@ -31,8 +31,8 @@ from .errors import (
     RankDeficient,
     Singular,
 )
-from .pencil import (_RetainedSide, _as_matrix, _eigen_residual, _infinite_basis, _kept,
-                     _spec_norm, _zero_block_order)
+from .pencil import (_beside, _RetainedSide, _as_matrix, _eigen_residual, _infinite_basis,
+                     _kept, _spec_norm, _zero_block_order)
 from .spectral import block_eigenvalues
 
 log = logging.getLogger(__name__)
@@ -54,9 +54,11 @@ SKETCH_WIDTH = 16
 SKETCH_TOL = 1e-13
 
 
-def _distance(A, A_tilde):
-    """||A - A_tilde||_2 by the certified sketch, else _spec_norm."""
-    D = np.subtract(A, A_tilde, dtype=float, order="C")
+def _distance(A, A_tilde, out=None):
+    """||A - A_tilde||_2 by the certified sketch, else _spec_norm; the
+    difference is formed in the head of a flat float array `out` if given."""
+    D = np.subtract(A, A_tilde, out if out is None else out[: A.size].reshape(A.shape), dtype=float,
+                    order="C")
     if not D.any():
         return 0.0
     Q = np.linalg.qr(D @ np.random.default_rng(0).standard_normal((D.shape[1], SKETCH_WIDTH)))[0]
@@ -69,8 +71,9 @@ def _distance(A, A_tilde):
     return _spec_norm(np.subtract(A, A_tilde, dtype=float))
 
 
-def _rec_mk(M_u, K, M_u_tilde, K_tilde, norm_m, norm_k, tau1, tau2):
-    return tau1 * _distance(M_u, M_u_tilde) / norm_m + tau2 * _distance(K, K_tilde) / norm_k
+def _rec_mk(M_u, K, M_u_tilde, K_tilde, norm_m, norm_k, tau1, tau2, out=None):
+    return (tau1 * _distance(M_u, M_u_tilde, out) / norm_m
+            + tau2 * _distance(K, K_tilde, out) / norm_k)
 
 
 def _check_operands(M_u, K, X, Lam, names=("X", "Lam")):
@@ -193,15 +196,21 @@ def residual_report(p, u, old, target_Lambda, retained=None, tau1=1.0, tau2=1.0)
     # an updated matrix equal to the original (choice_a's M_u~) shares its norm and M X2
     same_m = np.array_equal(u.M_u_tilde, p.M_u)
     norm_mt = norm_m if same_m else _spec_norm(u.M_u_tilde)
-    norm_kt = norm_k if np.array_equal(u.K_tilde, p.K) else _spec_norm(u.K_tilde)
-    rec = _rec_mk(p.M_u, p.K, u.M_u_tilde, u.K_tilde, norm_m, norm_k, tau1, tau2)
+    out = np.empty(p.K.size)  # for the large operands of the call below, wherever it runs
+
+    def updated_k():  # (||K~||, Rec.MK)
+        norm_kt = norm_k if np.array_equal(u.K_tilde, p.K) else _spec_norm(u.K_tilde, out)
+        return norm_kt, _rec_mk(p.M_u, p.K, u.M_u_tilde, u.K_tilde, norm_m, norm_k, tau1, tau2, out)
+
+    res2_o = res2_u = None
+    with _beside(updated_k, p.n_u) as updated:
+        if retained is not None:
+            side, res2_o = _retained_side(p, retained)
+        norm_kt, rec = updated()
     res1_o = _eigen_residual(p.M_u, p.K, old.X, old.Lambda, norm_m, norm_k)
     res1_u = _eigen_residual(u.M_u_tilde, u.K_tilde, u.X1_tilde, target_Lambda,
                              norm_mt, norm_kt)
-
-    res2_o = res2_u = None
     if retained is not None:
-        side, res2_o = _retained_side(p, retained)
         # M_u itself for an equal M_u~, so that M_u X2_u is formed once
         res2_u = side.residual(p.M_u if same_m else u.M_u_tilde, u.K_tilde, norm_mt, norm_kt)
 

@@ -12,12 +12,15 @@ products with M are evaluated block-wise.
 """
 
 import concurrent.futures
+import contextlib
+import ctypes
 import os
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
+from scipy.linalg import cython_lapack
 
 from .errors import (
     AsymmetricInput,
@@ -56,8 +59,8 @@ LANCZOS_TOL = 1e-12
 # but not on an exactly symmetric operand below this order: one tridiagonal
 # reduction beat it on generated K up to order 1000 and lost from 1190 on.
 TRIDIAGONAL_MAX_ORDER = 1000
-# From this order of M_u on, given two CPUs, one worker thread takes the pencil's
-# norms and K's rcond beside the standard eigensolve (at n = 560, 15 of its 44 ms).
+# From this order of M_u on, given two CPUs, _beside runs a call on a worker thread
+# (at n = 560 the pencil's norms and K's rcond took 15 of the eigensolve's 44 ms).
 OVERLAP_MIN_ORDER = 200
 
 # An eigenvalue whose imaginary part is below this (relative to the
@@ -145,26 +148,53 @@ def _spec_norm(A, out=None):
     return _tridiagonal_norm(B, out) if symmetric else _gram_norm(A)
 
 
-def _scaled(A, out=None):
-    """(A / max|A|, max|A|) of a nonzero A, the quotient A itself if it is A / 1.0,
-    else a new array or, given a flat float array `out` of A.size entries or more,
-    a view of its head."""
+def _scaled(A, out=None, copy=False):
+    """(A / max|A|, max|A|) of a nonzero A, the quotient A itself if it is A / 1.0
+    and not `copy`, else a new contiguous array or, given a flat float array `out`
+    of A.size entries or more, a view of its head."""
     scale, out = _absmax(A), out if out is None else out[: A.size].reshape(A.shape)
-    return (A if scale == 1.0 else np.divide(A, scale, out=out)), scale
+    return (A if scale == 1.0 and not copy else np.divide(A, scale, out=out)), scale
+
+
+def _lapack_function(name, *argtypes):
+    """LAPACK `name` from scipy's Cython LAPACK table, called by ctypes, which
+    releases the GIL for the call (scipy's f2py wrappers hold it)."""
+    capsule, api = cython_lapack.__pyx_capi__[name], ctypes.pythonapi
+    signature = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))
+    return ctypes.CFUNCTYPE(None, *argtypes)(address(capsule, signature(capsule)))
+
+
+# dsytrd(uplo, n, a, lda, d, e, tau, work, lwork, info), every argument but uplo an address
+_DSYTRD = _lapack_function("dsytrd", ctypes.c_char_p, *[ctypes.c_void_p] * 9)
+
+
+def _dsytrd(T):
+    """(d, e) of dsytrd on a contiguous, exactly symmetric T, which it overwrites,
+    called as sla.lapack.dsytrd(T.T, lower=1, lwork=dsytrd_lwork(n, lower=1)[0])
+    calls it, so with the same bits, but with the GIL released."""
+    n = len(T)
+    ints = np.array([n, int(sla.lapack.dsytrd_lwork(n, lower=1)[0]), 0], np.intc)  # n, lwork, info
+    out = np.empty(3 * n + ints[1])  # d, e and tau, n entries apart, then work
+    i, f, step = ints.ctypes.data, out.ctypes.data, n * out.itemsize
+    _DSYTRD(b"L", i, T.ctypes.data, i, f, f + step, f + 2 * step, f + 3 * step,
+            i + ints.itemsize, i + 2 * ints.itemsize)
+    return out[:n], out[n : 2 * n - 1]
 
 
 def _tridiagonal_norm(B, out=None):
     """||B|| = max(-lambda_min, lambda_max) of an exactly symmetric B with
-    no zero row (|b| of a 1x1 B, 0.0 of an empty one): LAPACK dsytrd
-    reduces _scaled(B, out) to tridiagonal form once, and bisection (dstebz)
-    finds its two extreme eigenvalues. No convergence tolerance enters."""
+    no zero row (|b| of a 1x1 B, 0.0 of an empty one): _dsytrd reduces a copy
+    _scaled(B, out) to tridiagonal form once, without the GIL, so a _beside
+    worker leaves the caller free, and bisection (dstebz) finds its two
+    extreme eigenvalues. No convergence tolerance enters."""
     if len(B) < 2:  # dstebz takes no 1x1 matrix
         return _absmax(B)
-    (T, scale), n, lapack = _scaled(B, out), len(B), sla.lapack
-    # T is exactly symmetric, so T.T is T in LAPACK's Fortran order; B stays
-    d, e = lapack.dsytrd(T.T, lower=1, lwork=int(lapack.dsytrd_lwork(n, lower=1)[0]),
-                         overwrite_a=int(T is not B))[1:3]
-    low, high = (lapack.dstebz(d, e, 2, 0.0, 0.0, i, i, 0.0, "E")[1][0] for i in (1, n))
+    (T, scale), n = _scaled(B, out, copy=True), len(B)
+    # T is exactly symmetric, so in C or in Fortran order it is T; B stays
+    d, e = _dsytrd(T)
+    low, high = (sla.lapack.dstebz(d, e, 2, 0.0, 0.0, i, i, 0.0, "E")[1][0] for i in (1, n))
     return scale * float(max(-low, high))
 
 
@@ -215,6 +245,20 @@ def _lu_rcond(A, out=None):
 def _two_cpus():
     """Whether this process may run on a second CPU (not where os lacks sched_getaffinity)."""
     return len(getattr(os, "sched_getaffinity", lambda pid: "")(0)) > 1
+
+
+@contextlib.contextmanager
+def _beside(call, order):
+    """Run call() beside the with-block, which gets a function returning its
+    value or raising its error. From OVERLAP_MIN_ORDER on, given two CPUs, call
+    runs on one worker thread made for it, joined before the block is left by
+    return or by error; otherwise that function runs it inline when the block
+    calls it. A None call runs nothing."""
+    if call is None or order < OVERLAP_MIN_ORDER or not _two_cpus():
+        yield call or (lambda: None)
+        return
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:  # joined on leaving
+        yield pool.submit(call).result
 
 
 def _kept(owner, slot, build, *key):
@@ -319,16 +363,18 @@ class StructuredPencil:
             self._norms = (_spec_norm(self.M_u), _spec_norm(self.K))
         return self._norms
 
-    def _fill_call(self):
-        """The call that fills whichever of the k_rcond() and norms() caches is
-        empty (None when neither is) in one array made here, so that a worker
-        thread running it allocates little and starts with work that releases the GIL."""
-        if self._k_rcond is not None and self._norms is not None:
+    def _fill_call(self, rcond=True):
+        """The call that fills whichever of the norms() cache and, with `rcond`,
+        the k_rcond() cache is empty (None when neither is) in one array made
+        here, so that a worker thread running it allocates little and spends
+        most of its time in LAPACK calls that release the GIL."""
+        rcond = rcond and self._k_rcond is None
+        if not rcond and self._norms is not None:
             return None
         out = np.empty(self.K.size)
 
         def call():
-            if self._k_rcond is None:
+            if rcond:
                 self._k_rcond = _lu_rcond(self.K, out)[1]
             if self._norms is None:
                 self._norms = (_spec_norm(self.M_u, out), _spec_norm(self.K, out))
@@ -461,22 +507,30 @@ def _pivots(X):
     return X[np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0), np.arange(X.shape[1])]
 
 
-def _real_product(A, X):
-    """A @ X for a real A and a C-contiguous complex X, as one real product."""
-    return (A @ X.view(float)).view(complex)
+def _column_norms(Z, work):
+    """np.linalg.norm(Z, axis=0) of a complex Z, by its own steps, so bit for
+    bit, but with its one temporary formed in `work`, an array of Z's shape."""
+    return np.sqrt(np.add.reduce(np.multiply(np.conjugate(Z, out=work), Z, out=work).real, axis=0))
 
 
-def _pair_residuals(p, lam, X):
+def _pair_residuals(p, lam, X, work=None):
     """(r, eta, MX, x) for eigenpairs (lam_j, x_j), x_j the columns of X:
     the residual norms r_j = ||lam_j M x_j + K x_j||, the backward errors
     eta_j = r_j / ((||M_u|| |lam_j| + ||K||) ||x_j||) (Tisseur, LAA 2000;
-    NaN for a zero column), the product M X and the norms ||x_j||."""
+    NaN for a zero column), the product M X and the norms ||x_j||, formed in
+    `work`, three complex arrays of X's shape (made here when None; the
+    third may be the first, which then no longer holds M X), with the
+    pencil's norms, if not cached, taken _beside them."""
     X = np.ascontiguousarray(X, dtype=complex)
-    MX = np.zeros_like(X)
-    MX[: p.n_u] = _real_product(p.M_u, X[: p.n_u])
-    r = np.linalg.norm(MX * lam + _real_product(p.K, X), axis=0)
+    MX, KX, T = work or [np.empty_like(X) for _ in range(3)]
+    with _beside(p._fill_call(rcond=False), p.n_u) as filled:
+        MX[p.n_u :] = 0.0
+        np.matmul(p.M_u, X[: p.n_u].view(float), out=MX[: p.n_u].view(float))
+        np.matmul(p.K, X.view(float), out=KX.view(float))
+        np.add(np.multiply(MX, lam, out=T), KX, out=T)
+        r, x = _column_norms(T, KX), _column_norms(X, KX)
+        filled()
     norm_m, norm_k = p.norms()
-    x = np.linalg.norm(X, axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         eta = r / ((norm_m * np.abs(lam) + norm_k) * x)
     return r, eta, MX, x
@@ -527,14 +581,11 @@ def _eigenpairs(p, S, R, qz):
     QZ on (S, M_u) or else as the eigenvalues of M_u^-1 S; the indices
     of the real ones and of the upper member of each conjugate pair, a
     mask of the real ones among them, and their eigenvectors [u; R u],
-    normalized. The standard eigensolve runs beside p._fill_call(), on one
-    worker thread from OVERLAP_MIN_ORDER on given two CPUs, else after it."""
+    normalized. The standard eigensolve runs _beside p._fill_call()."""
     A, fill = (None, None) if qz else (sla.lu_solve(p._lu_mu, S), p._fill_call())
-    with concurrent.futures.ThreadPoolExecutor(1) as pool:  # joined on leaving
-        if fill and len(A) >= OVERLAP_MIN_ORDER and _two_cpus():
-            fill = pool.submit(fill).result
+    with _beside(fill, p.n_u) as filled:
         w, V = sla.eig(S, p.M_u) if qz else np.linalg.eig(A)  # sla.eig's bits, GIL released
-        fill and fill()
+        filled()
     if not np.all(np.isfinite(w)):
         raise SingularBlock(
             "reduced eigenproblem returned non-finite eigenvalues; "
@@ -551,10 +602,27 @@ def _eigenpairs(p, S, R, qz):
         )
     keep = np.flatnonzero(is_real | (lam.imag > 0))
     U = np.ascontiguousarray(V[:, keep], dtype=complex)
-    X = np.vstack([U, _real_product(R, U)])
+    X = np.vstack([U, (R @ U.view(float)).view(complex)])  # R U as one real product
     X /= np.linalg.norm(X, axis=0)
     pivot = _pivots(X)
     return lam, keep, is_real[keep], X * (np.conj(pivot) / np.abs(pivot))
+
+
+def _sorted_layout(lam, keep, real, X):
+    """(finite, gaps) of a solve: the checked eigenpairs laid out, pairs
+    first by (real, imaginary) part, then the real eigenvalues ascending,
+    and each expanded eigenvalue's gap to its nearest neighbor."""
+    _check_degeneracy(lam)
+    kept = lam[keep]
+    unrotated = real & (np.linalg.norm(X.imag, axis=0) > 1e-8)
+    if unrotated.any():
+        raise DegenerateSpectrum(
+            f"eigenvector of the nearly real eigenvalue {kept[np.argmax(unrotated)]:.6e} "
+            f"could not be rotated real"
+        )
+    order = np.lexsort((kept.imag, kept.real, real))
+    finite = _layout(kept[order], X[:, order], int(np.count_nonzero(~real)))
+    return finite, _nearest_gaps(_expanded_values(finite.Lambda, finite.s))
 
 
 def solve_spectrum(p):
@@ -577,34 +645,33 @@ def solve_spectrum(p):
 
     Only a spectrum that passed that check is cached on the pencil, so
     a cached call returns it unchecked.
-    Its arrays are read-only because every later caller shares them.
+    Its arrays are read-only because every later caller shares them. The
+    backward errors are taken _beside the checks and the layout, whose error
+    is raised only for the solve kept, as if the two ran in turn.
     """
     if p._spectrum is not None:
         return p._spectrum
     S, R = schur_reduce(p)
     for qz in (False, True):
         lam, keep, real, X = _eigenpairs(p, S, R, qz)
-        eta = _pair_residuals(p, lam[keep], X)[1].max()
+        work = [np.empty(X.shape, complex) for _ in range(2)]  # made here, not on a worker
+        work.append(work[0])  # the residuals overwrite M X, which is not wanted here
+        with _beside(lambda: _pair_residuals(p, lam[keep], X, work)[1].max(), p.n_u) as backward:
+            try:
+                laid_out = _sorted_layout(lam, keep, real, X)
+            except Exception as exc:  # raised below if this solve is kept
+                laid_out = exc
+            eta = backward()
         if eta <= SOLVE_BACKWARD_ERROR:
             break
-    _check_degeneracy(lam)
-
-    kept = lam[keep]
-    unrotated = real & (np.linalg.norm(X.imag, axis=0) > 1e-8)
-    if unrotated.any():
-        raise DegenerateSpectrum(
-            f"eigenvector of the nearly real eigenvalue {kept[np.argmax(unrotated)]:.6e} "
-            f"could not be rotated real"
-        )
-    # pairs first by (real, imaginary) part, then the real eigenvalues
-    # ascending
-    order = np.lexsort((kept.imag, kept.real, real))
-    finite = _layout(kept[order], X[:, order], int(np.count_nonzero(~real)))
+    if isinstance(laid_out, Exception):
+        raise laid_out
+    finite, gaps = laid_out
 
     spectrum = SpectrumResult(
         finite=finite,
         infinite_basis=_infinite_basis(p),
-        condition_summary=_nearest_gaps(_expanded_values(finite.Lambda, finite.s)),
+        condition_summary=gaps,
         n_u=p.n_u,
         n_phi=p.n_phi,
         backward_error=float(eta),

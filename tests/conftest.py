@@ -60,22 +60,28 @@ def ill_scaled_pencil(seed):
 
 def record_norm_eigensolves(monkeypatch):
     """{"gram": [...], "tridiagonal": [...]}: the shape of each Gram matrix
-    (LAPACK dsyevr) and of each symmetric operand (dsytrd) that a norm
-    eigensolves from now on. scipy's own wrappers do not go through these
-    names, so only pencil._spec_norm's calls are seen."""
+    (LAPACK dsyevr) and of each symmetric operand (pencil._dsytrd) that a
+    norm eigensolves from now on. scipy's own wrappers do not go through
+    these names, so only pencil._spec_norm's calls are seen."""
     calls = {"gram": [], "tridiagonal": []}
-    for name, log in (("dsyevr", calls["gram"]), ("dsytrd", calls["tridiagonal"])):
-        f = getattr(sla.lapack, name)
-        monkeypatch.setattr(sla.lapack, name,
-                            lambda a, *args, _f=f, _log=log, **kw: _log.append(a.shape)
-                            or _f(a, *args, **kw))
+    dsyevr, dsytrd = sla.lapack.dsyevr, sf.pencil._dsytrd
+    monkeypatch.setattr(sla.lapack, "dsyevr", lambda a, *args, **kw: calls["gram"].append(a.shape)
+                        or dsyevr(a, *args, **kw))
+    monkeypatch.setattr(sf.pencil, "_dsytrd", lambda T: calls["tridiagonal"].append(T.shape)
+                        or dsytrd(T))
     return calls
+
+
+def forbid_norm_eigensolves(monkeypatch):
+    """Make any later Gram or tridiagonal eigensolve of a norm fail."""
+    monkeypatch.setattr(sla.lapack, "dsyevr", None)
+    monkeypatch.setattr(sf.pencil, "_dsytrd", None)
 
 
 @contextlib.contextmanager
 def solve_worker(on):
-    """solve_spectrum's worker thread forced on at every order, with two
-    CPUs, or off, with one (mmio then takes one thread too)."""
+    """The worker thread of every pencil._beside site forced on at every
+    order, with two CPUs, or off, with one (mmio then takes one thread too)."""
     with mock.patch.object(sf.pencil, "OVERLAP_MIN_ORDER", 0), \
             mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1} if on else {0}):
         yield
@@ -102,12 +108,32 @@ def record_fill_threads(monkeypatch, delay=0.0):
     and rcond runs on; each fill first sleeps `delay` seconds."""
     threads, fill_call = [], sf.pencil.StructuredPencil._fill_call
 
-    def recording(self):
-        call = fill_call(self)
+    def recording(self, *args, **kwargs):
+        call = fill_call(self, *args, **kwargs)
         return call and (lambda: threads.append(threading.current_thread())
                          or time.sleep(delay) or call())
     monkeypatch.setattr(sf.pencil.StructuredPencil, "_fill_call", recording)
     return threads
+
+
+def record_beside_threads(monkeypatch, delay=0.0, fail=None):
+    """The list of (thread, call name) of each later call that pencil._beside
+    runs, in pencil and in objective; each first sleeps `delay` seconds, and
+    one whose name contains `fail` then raises RuntimeError("worker failed")."""
+    calls, beside = [], sf.pencil._beside
+
+    def recording(call, order):
+        def recorded():
+            name = call.__qualname__
+            calls.append((threading.current_thread(), name))
+            time.sleep(delay)
+            if fail and fail in name:
+                raise RuntimeError("worker failed")
+            return call()
+        return beside(call and recorded, order)
+    for module in (sf.pencil, sf.objective):
+        monkeypatch.setattr(module, "_beside", recording)
+    return calls
 
 
 @pytest.fixture

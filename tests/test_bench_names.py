@@ -13,7 +13,7 @@ import numpy as np
 
 import spilloverfree as sf
 
-from conftest import make_pencil, record_fill_threads, solve_worker
+from conftest import make_pencil, record_beside_threads, solve_worker
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -85,9 +85,11 @@ def test_tracer_records_each_layer_and_restores_every_name():
 
 
 def test_traced_calls_stay_on_the_calling_thread_beside_the_solve_worker(monkeypatch):
-    # the tracer keeps one span stack for all threads: the worker that
-    # takes the pencil's norms and rcond beside the eigensolve must call
-    # nothing it wraps (StructuredPencil.k_rcond among them)
+    # the tracer keeps one span stack for all threads: the worker of every
+    # pencil._beside site (the norms and rcond beside the eigensolve, the
+    # backward errors beside the solve's layout, ||K~|| and Rec.MK beside
+    # the report's retained side, the norms beside the certificate's
+    # products) must call nothing it wraps (StructuredPencil.k_rcond among them)
     tracer = _load("tracing").Tracer()
     span, threads = tracer.span, []
 
@@ -96,7 +98,7 @@ def test_traced_calls_stay_on_the_calling_thread_beside_the_solve_worker(monkeyp
         return span(name)
     tracer.span = recorded
     source = make_pencil(12, 5, seed=5)
-    fills = record_fill_threads(monkeypatch)
+    workers = record_beside_threads(monkeypatch)
     with solve_worker(True), tracer.installed(_load("layers").TARGETS), tracer.job(0):
         p = sf.validate_pencil(source.M_u, source.K, source.n_u, source.n_phi)
         spectrum = sf.solve_spectrum(p)
@@ -110,8 +112,11 @@ def test_traced_calls_stay_on_the_calling_thread_beside_the_solve_worker(monkeyp
         seed = sf.default_gamma_tilde(sf.compute_gamma1(p, old.X, s=old.s), old.s, target.s)
         updated = sf.embed(p, old, target.Lambda, seed)
         sf.residual_report(p, updated, old, target.Lambda, retained)
+        sf.certified_spectrum(sf.validate_pencil(p.M_u, p.K, p.n_u, p.n_phi), spectrum.finite)
     main = threading.main_thread()
-    assert len(fills) == 1 and fills[0] is not main
+    assert [name.split(".")[0] for _, name in workers] == [
+        "StructuredPencil", "solve_spectrum", "residual_report", "StructuredPencil"]
+    assert all(thread is not main for thread, _ in workers)
     assert threads and all(t is main for t in threads)
     spans = {s[0]: s for s in tracer.spans}
     names = [s[1] for s in tracer.spans]

@@ -20,9 +20,10 @@ import pytest
 import spilloverfree as sf
 from spilloverfree import cli, mmio
 from spilloverfree.cli import main
+from spilloverfree.spectral import _expanded_values
 
-from conftest import (ILL_SCALED_SEEDS, ill_scaled_pencil, multiset_match, record_fill_threads,
-                      solve_worker, spectrum_values)
+from conftest import (ILL_SCALED_SEEDS, ill_scaled_pencil, multiset_match, record_beside_threads,
+                      record_fill_threads, solve_worker, spectrum_values)
 
 
 def run(*argv):
@@ -381,6 +382,36 @@ def test_verify_detects_a_tampered_artifact(gen_dir, tmp_path, capsys):
     assert int(read_report(emb, "verify.report")["failures"]) >= 1
 
 
+def test_verify_refuses_a_target_on_a_retained_eigenvalue(embed_run, tmp_path, capsys):
+    # a run whose target sits on a retained eigenvalue, its stored hash
+    # updated to match: the rule embed applies before it writes refuses it
+    gen, emb = embed_run
+    run_dir = str(tmp_path / "emb")
+    shutil.copytree(emb, run_dir)
+    path = os.path.join(run_dir, "targets.spectral")
+    target = mmio.read_spectral(path)
+    selection = mmio.read_spectral(os.path.join(run_dir, "selection.spectral"))
+    chosen = _expanded_values(selection.Lambda, selection.s)
+    spectrum = mmio.read_spectral(os.path.join(gen, "spectrum.spectral"))
+    retained = [v for v in _expanded_values(spectrum.Lambda, spectrum.s)
+                if v.imag == 0 and np.abs(chosen - v).min() > 1e-6 * abs(v)]
+    values = _expanded_values(target.Lambda, target.s)
+    values[-1] = retained[0]
+    mmio.write_spectral(sf.real_lambda_from_eigenvalues(list(values)), path)
+    report = os.path.join(run_dir, "embed.report")
+    stored = read_report(run_dir, "embed.report")["sha256_targets.spectral"]
+    with open(report) as fh:
+        text = fh.read()
+    with open(report, "w") as fh:
+        fh.write(text.replace(stored, mmio.sha256_file(path)))
+    capsys.readouterr()
+    assert run("verify", "--in", run_dir, "--pencil", gen) == 28
+    err = capsys.readouterr().err
+    assert "targets.spectral with the retained eigenvalues: two finite eigenvalues are only" in err
+    assert "hash mismatch" not in err
+    assert int(read_report(run_dir, "verify.report")["failures"]) >= 1
+
+
 def test_verify_needs_a_run_report(tmp_path):
     assert run("verify", "--in", str(tmp_path)) == 28
 
@@ -522,17 +553,25 @@ def _parity_set():
 
 
 def test_the_solve_worker_writes_the_same_bytes(tmp_path, monkeypatch):
-    files, threads = {}, record_fill_threads(monkeypatch)
+    files, calls, recorded = {}, {}, record_beside_threads(monkeypatch)
     for on in (True, False):
         (tmp_path / str(on)).mkdir()
         monkeypatch.chdir(tmp_path / str(on))
         with solve_worker(on):
             files[on] = _parity_set()
+        calls[on] = recorded[:]
+        del recorded[:]
     assert len(files[True]) == 53 and files[True] == files[False]
-    # gen, both demos and their verify runs solve (a demo run stores no
-    # spectrum); the other commands certify the stored spectrum
     main = threading.main_thread()
-    assert [t is main for t in threads] == [False] * 5 + [True] * 5
+    names = [name for _, name in calls[True]]
+    assert names == [name for _, name in calls[False]]
+    assert all(t is not main for t, _ in calls[True]) and all(t is main for t, _ in calls[False])
+    # gen, both demos and their verify runs solve (a demo run stores no
+    # spectrum); the other commands certify the stored spectrum, whose
+    # norms fill beside its products; every run but gen reports, a demo twice
+    fills = [name for name in names if "_fill_call" in name]
+    assert len(fills) == 5 + 6 and names.count("solve_spectrum.<locals>.<lambda>") == 5
+    assert names.count("residual_report.<locals>.updated_k") == 12
 
 
 # -- one spectrum per chain: stored, certified, or solved --------------------

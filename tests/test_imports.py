@@ -2,7 +2,9 @@
 every module-level private function or class, and every private method
 of a module-level class, is read somewhere in the package. A deletion that leaves an import or a helper behind fails here;
 no linter is part of the test run. The package also calls no SVD: matrix
-2-norms go through pencil._spec_norm and rank tests through a QR."""
+2-norms go through pencil._spec_norm and rank tests through a QR. Worker
+threads start only in pencil._beside and mmio._in_order, each from a pool
+that a with block joins."""
 
 import ast
 from pathlib import Path
@@ -109,3 +111,38 @@ def test_the_guard_sees_an_svd():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_no_svd_in_the_package(path):
     assert svd_calls(path.read_text()) == []
+
+
+def thread_pools(source):
+    """(function, joined) for each mention of ThreadPoolExecutor in `source`:
+    the innermost function around it (None at module level), and whether it
+    is called as the context expression of a with block."""
+    tree = ast.parse(source)
+    joined = {id(item.context_expr.func) for node in ast.walk(tree) if isinstance(node, ast.With)
+              for item in node.items if isinstance(item.context_expr, ast.Call)}
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        name = getattr(node, "attr", getattr(node, "id", getattr(node, "name", None)))
+        if name == "ThreadPoolExecutor":
+            found.append((function, id(node) in joined))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+    visit(tree, None)
+    return found
+
+
+def test_the_guard_sees_a_thread_pool_outside_a_with_block():
+    source = ("import concurrent.futures as cf\nfrom concurrent.futures import ThreadPoolExecutor\n"
+              "def f():\n    with cf.ThreadPoolExecutor(1) as pool:\n        pass\n"
+              "def g():\n    pool = cf.ThreadPoolExecutor(1)\n"
+              "    with ThreadPoolExecutor(2) as a, open('x'):\n        pass\n")
+    assert thread_pools(source) == [(None, False), ("f", True), ("g", False), ("g", True)]
+
+
+def test_worker_threads_start_only_in_the_two_helpers():
+    found = sorted((path.stem, *use) for path in SRC.glob("*.py")
+                   for use in thread_pools(path.read_text()))
+    assert found == [("mmio", "_in_order", True), ("pencil", "_beside", True)]

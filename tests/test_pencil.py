@@ -1,6 +1,8 @@
 """Structured pencil container, reduction, eigensolve, relation checks."""
 
+import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -24,7 +26,8 @@ from spilloverfree.errors import (
 from spilloverfree.pencil import _spec_norm, rcond_estimate
 from spilloverfree.spectral import _rank_rcond
 
-from conftest import (dense_finite_eigs, make_pencil, multiset_match, record_fill_threads,
+from conftest import (EmbeddingCase, dense_finite_eigs, forbid_norm_eigensolves, make_pencil,
+                      multiset_match, record_beside_threads, record_fill_threads,
                       record_norm_eigensolves, rerun_at_one_blas_thread, solve_worker,
                       spectrum_values)
 
@@ -623,6 +626,66 @@ def test_no_thread_outlives_solve_spectrum(monkeypatch):
     assert failing._norms is not None and failing._k_rcond is not None  # it ran to the end
 
 
+# the call each site runs _beside its caller's work, and a step of that work
+WORKER_SITES = {"residual_report": ("updated_k", sf.objective, "_retained_side"),
+                "certified_spectrum": ("_fill_call", pencil, "_column_norms"),
+                "solve_spectrum": ("solve_spectrum", pencil, "_sorted_layout")}
+
+
+@pytest.mark.parametrize("outcome", ["returns", "worker_raises", "caller_raises"])
+@pytest.mark.parametrize("site", sorted(WORKER_SITES))
+def test_no_thread_outlives_a_worker_site(site, outcome, monkeypatch):
+    c = EmbeddingCase(12, 5, s_sel=1, n_real=2, s_tilde=1, seed=5)
+    u = sf.embed(c.pencil, c.old, c.target.Lambda, c.params)
+    worker, module, step = WORKER_SITES[site]
+    # each worker call sleeps first, so the caller leaves while it still runs
+    calls = record_beside_threads(monkeypatch, delay=0.05,
+                                  fail=worker if outcome == "worker_raises" else None)
+    if outcome == "caller_raises":
+        def fails(*args, **kwargs):
+            raise RuntimeError("caller failed")
+        monkeypatch.setattr(module, step, fails)
+    call = {"residual_report": lambda: sf.residual_report(c.pencil, u, c.old, c.target.Lambda,
+                                                           c.retained),
+            "certified_spectrum": lambda: sf.certified_spectrum(_fresh(c.pencil),
+                                                                c.spectrum.finite),
+            "solve_spectrum": lambda: sf.solve_spectrum(_fresh(c.pencil))}[site]
+    before = threading.enumerate()
+    with solve_worker(True):
+        if outcome == "returns":
+            call()
+        else:
+            with pytest.raises(RuntimeError, match=outcome.split("_")[0] + " failed"):
+                call()
+    assert threading.enumerate() == before
+    ran = [thread for thread, name in calls if worker in name]
+    assert len(ran) == 1 and ran[0] is not threading.main_thread() and not ran[0].is_alive()
+
+
+def test_every_worker_site_gives_the_same_bits_at_n_u_400():
+    source, results = make_pencil(400, 160, seed=5), {}
+    for on in (True, False):
+        with solve_worker(on):
+            p = _fresh(source)
+            spectrum = sf.solve_spectrum(p)
+            values = spectrum_values(spectrum)
+            wanted = [v for v in values if v.imag > 0][:1]
+            wanted = wanted + [w.conjugate() for w in wanted] + [v for v in values
+                                                                 if v.imag == 0][:2]
+            old, kept = sf.select_eigendata(spectrum, wanted)
+            retained = sf.retained_eigendata(spectrum, kept)
+            target = sf.real_lambda_from_eigenvalues(
+                sf.perturb_targets(wanted, 1, 0.3, 1, avoid=[values[i] for i in kept]))
+            params = sf.default_gamma_tilde(sf.compute_gamma1(p, old.X, s=old.s), old.s, target.s)
+            updated = sf.embed(p, old, target.Lambda, params)
+            report = sf.residual_report(p, updated, old, target.Lambda, retained)
+            certified = sf.certified_spectrum(_fresh(source), spectrum.finite)
+        results[on] = (spectrum.finite.Lambda.tobytes(), spectrum.finite.X.tobytes(),
+                       spectrum.backward_error, spectrum.condition_summary.tobytes(), p.norms(),
+                       report, certified.backward_error, certified.enclosure_ratio)
+    assert results[True] == results[False]
+
+
 def test_the_fill_takes_its_large_operands_in_its_one_array():
     # a worker thread's malloc arena keeps what that thread frees, so the
     # fill takes |K|, K's LU and both scaled operands in the array that
@@ -650,6 +713,89 @@ def test_no_worker_below_the_order_gate_or_with_one_cpu(monkeypatch):
     main = threading.main_thread()
     assert pencil.OVERLAP_MIN_ORDER == 200
     assert [t is main for t in threads] == [True, False, True]
+
+
+def _wrapper_norm(B):
+    """_tridiagonal_norm of a B of order 2 or more as it was taken through
+    scipy's f2py wrapper of dsytrd, which holds the GIL for the call."""
+    T, scale, n, lapack = B / np.abs(B).max(), np.abs(B).max(), len(B), sla.lapack
+    d, e = lapack.dsytrd(T.T, lower=1, lwork=int(lapack.dsytrd_lwork(n, lower=1)[0]))[1:3]
+    low, high = (lapack.dstebz(d, e, 2, 0.0, 0.0, i, i, 0.0, "E")[1][0] for i in (1, n))
+    return scale * float(max(-low, high))
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+@pytest.mark.parametrize("n", [1, 2, 3, 199, 200, 560, 999])
+def test_the_gil_free_reduction_gives_the_wrapper_bits(n, scale):
+    rng = np.random.default_rng(n)
+    S = scale * _symmetric(rng, n)
+    S = S + S.T  # exactly symmetric
+    lwork = int(sla.lapack.dsytrd_lwork(n, lower=1)[0])
+    ref = sla.lapack.dsytrd(S.T, lower=1, lwork=lwork)[1:3]
+    for T in (S.copy(), np.asfortranarray(S)):  # each order holds the same symmetric matrix
+        d, e = pencil._dsytrd(T)
+        assert d.tobytes() == ref[0].tobytes() and e.tobytes() == ref[1].tobytes()
+    kept = S.copy()
+    value = pencil._tridiagonal_norm(S)
+    assert value == (_wrapper_norm(S) if n > 1 else abs(S[0, 0]))
+    assert S.tobytes() == kept.tobytes()
+    # max|S| == 1: the quotient is S itself, so the reduction takes a copy
+    unit = S / np.abs(S).max()
+    kept = unit.copy()
+    assert pencil._tridiagonal_norm(unit) == (_wrapper_norm(unit) if n > 1 else 1.0)
+    assert unit.tobytes() == kept.tobytes()
+
+
+@pytest.mark.skipif(not pencil._two_cpus(), reason="a second CPU runs the counter")
+def test_a_python_thread_runs_while_the_tridiagonal_reduction_does(monkeypatch):
+    # between the scaled copy and the bisection, _tridiagonal_norm runs only
+    # the reduction; a pure-Python counter stalls for all of it when the
+    # reduction holds the GIL, and for little of it when it does not
+    S = _symmetric(np.random.default_rng(3), 560)
+    S = S + S.T
+    scaled, dstebz, window = pencil._scaled, sla.lapack.dstebz, []
+
+    def scaled_then_mark(*args, **kwargs):
+        value = scaled(*args, **kwargs)
+        window[:] = [time.perf_counter()]
+        return value
+
+    def mark_then_dstebz(*args, **kwargs):
+        window.append(time.perf_counter())
+        return dstebz(*args, **kwargs)
+    monkeypatch.setattr(pencil, "_scaled", scaled_then_mark)
+    monkeypatch.setattr(sla.lapack, "dstebz", mark_then_dstebz)
+
+    def stalled_share():
+        stalls, stop = [], threading.Event()
+
+        def counter():
+            last = time.perf_counter()
+            while not stop.is_set():
+                now = time.perf_counter()
+                if now - last > 5e-4:
+                    stalls.append((last, now))
+                last = now
+        thread = threading.Thread(target=counter)
+        thread.start()
+        time.sleep(0.01)
+        try:
+            pencil._tridiagonal_norm(S)
+        finally:
+            stop.set()
+            thread.join()
+        t0, t1 = window[:2]
+        return sum(max(0.0, min(b, t1) - max(a, t0)) for a, b in stalls) / (t1 - t0)
+
+    # a short switch interval hands the GIL back soon after the reduction;
+    # a loaded host can stall the counter too, so the best of three counts
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        shares = [stalled_share() for _ in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert min(shares) < 0.5
 
 
 def _mp_finite_eigenvalues(p):
@@ -717,8 +863,7 @@ def test_gram_norm_matches_the_svd_norm(seed, rows, cols, scale, symmetric):
 
 
 def test_gram_norm_of_zero_and_empty_matrices(monkeypatch):
-    for name in ("dsyevr", "dsytrd"):
-        monkeypatch.setattr(sla.lapack, name, None)  # no eigensolve is needed
+    forbid_norm_eigensolves(monkeypatch)  # no eigensolve is needed
     assert _spec_norm(np.zeros((5, 3))) == 0.0
     assert _spec_norm(np.zeros((0, 4))) == 0.0
 
@@ -830,16 +975,14 @@ def test_block_diagonal_norm_of_other_matrices_is_spec_norm(monkeypatch):
         # crossover and not symmetric, the Gram reference
         assert _spec_norm(L) == pencil._gram_norm(L)
         assert len(calls) == 2 * (i + 1)
-    for name in ("dsyevr", "dsytrd"):
-        monkeypatch.setattr(sla.lapack, name, None)
+    forbid_norm_eigensolves(monkeypatch)
     assert _spec_norm(np.zeros((3, 3))) == 0.0
     assert type(_spec_norm(np.diag([1.0, -3.0]))) is float
 
 
 def test_lanczos_norm_of_an_all_zero_matrix_takes_no_eigensolve(monkeypatch):
     monkeypatch.setattr(pencil.spla, "eigsh", None)
-    for name in ("dsyevr", "dsytrd"):
-        monkeypatch.setattr(sla.lapack, name, None)
+    forbid_norm_eigensolves(monkeypatch)
     m = pencil.LANCZOS_MIN_ORDER
     assert _spec_norm(np.zeros((m + 10, m + 10))) == 0.0
 
@@ -874,7 +1017,7 @@ def test_norms_of_a_unit_scaled_operand_copy_only_for_lapack(monkeypatch):
     assert np.shares_memory(operands[1], S)
     assert tall.tobytes() == kept[0].tobytes() and S.tobytes() == kept[1].tobytes()
 
-    def copied(A, out=None):
+    def copied(A, out=None, copy=False):
         return A / (scale := pencil._absmax(A)), scale
 
     monkeypatch.setattr(pencil, "_scaled", copied)
@@ -939,8 +1082,7 @@ def test_tridiagonal_norm_matches_a_40_digit_oracle(family, scale):
 
 
 def test_tridiagonal_norm_of_1x1_and_all_zero_operands(monkeypatch):
-    for name in ("dsyevr", "dsytrd"):
-        monkeypatch.setattr(sla.lapack, name, None)  # no eigensolve is needed
+    forbid_norm_eigensolves(monkeypatch)  # no eigensolve is needed
     monkeypatch.setattr(pencil.spla, "eigsh", None)
     assert pencil._tridiagonal_norm(np.array([[-3.0]])) == 3.0
     assert pencil._tridiagonal_norm(np.zeros((0, 0))) == 0.0
