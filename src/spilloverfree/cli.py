@@ -13,6 +13,11 @@ embed, optimize and verify do not solve a spectrum that gen or solve
 stored next to the pencil: they read spectrum.spectral and certify it
 against the pencil, and solve only when the file is absent.
 
+Every command computes first and writes last, through one writer: a
+command refused before that step creates no directory and writes no
+file. A failure while writing (a full disk, say) can still leave part
+of a run behind.
+
 Matrices travel as Matrix Market files, eigendata in the spectral text
 format, run summaries as key-value reports. Every domain error exits
 with its own code; I/O failures exit 29. The SPILLOVERFREE_LOG
@@ -100,10 +105,21 @@ def _read_pencil(directory):
     return validate_pencil(M_u, K, n_u, n_phi), hashes
 
 
+def _write(directory, command, entries, files=()):
+    """Every command's last step and only writer: create `directory`,
+    write each (name, data) of `files` there (a .mtx name as Matrix
+    Market, any other in the spectral format) with its sha256_<name> in
+    `entries`, then `entries` as <command>.report."""
+    os.makedirs(directory, exist_ok=True)
+    entries["command"] = command
+    for name, data in files:
+        write = mmio.write_matrix if name.endswith(".mtx") else mmio.write_spectral
+        entries[f"sha256_{name}"] = write(data, os.path.join(directory, name))
+    mmio.write_report(entries, os.path.join(directory, command + ".report"))
+
+
 def _generate(args, p, s_tilde):
-    """Generate the pencil of a ProblemSpec from args and write it to
-    args.out_dir; return the spec, the pencil and the files' hash entries."""
-    os.makedirs(args.out_dir, exist_ok=True)
+    """The ProblemSpec from args, its pencil and the pencil's (name, matrix) files."""
     spec = ProblemSpec(
         n_u=args.nu,
         n_phi=args.nphi,
@@ -113,9 +129,7 @@ def _generate(args, p, s_tilde):
         seed=args.seed,
     )
     pencil = generate_pencil(spec)
-    hashes = {f"sha256_{name}": mmio.write_matrix(A, os.path.join(args.out_dir, name))
-              for name, A in zip(_PENCIL_FILES, (pencil.M_u, pencil.K))}
-    return spec, pencil, hashes
+    return spec, pencil, list(zip(_PENCIL_FILES, (pencil.M_u, pencil.K)))
 
 
 def _load_spectrum(pencil, directory):
@@ -142,27 +156,15 @@ def _load_spectrum(pencil, directory):
         ) from None
 
 
-def _write_spectrum(spectrum, directory):
-    """Write spectrum.spectral; return the spectrum's report entries."""
-    path = os.path.join(directory, "spectrum.spectral")
-    return {
-        "sha256_spectrum.spectral": mmio.write_spectral(spectrum.finite, path),
+def _spectrum_run(spectrum):
+    """The report entries and the (name, data) file of a solved spectrum."""
+    entries = {
         "finite_count": spectrum.finite.p,
         "pair_count": spectrum.pair_count(),
         "real_count": spectrum.real_count(),
         "min_gap": float(spectrum.condition_summary.min()),
     }
-
-
-def _write_run(directory, updated, old, target):
-    """Write the run files, creating `directory`; return their hash entries."""
-    os.makedirs(directory, exist_ok=True)
-    params = updated.params
-    data = (updated.M_u_tilde, updated.K_tilde, updated.X1_tilde,
-            params.Theta, params.GammaTilde1, old, target)
-    writers = (mmio.write_matrix,) * 5 + (mmio.write_spectral,) * 2
-    return {f"sha256_{name}": write(item, os.path.join(directory, name))
-            for name, write, item in zip(_RUN_FILES, writers, data)}
+    return entries, [("spectrum.spectral", spectrum.finite)]
 
 
 def _select_values(spectrum, p_sel, s_sel, rng):
@@ -203,13 +205,14 @@ def _residual_entries(report, prefix=""):
 
 def _run_pipeline(args, pencil, spectrum, *, optimize, demo=False):
     """select -> targets -> seed -> (optimize) -> embed -> report on the
-    pencil's spectrum, then write the run files to args.out_dir. embed,
-    optimize and demo all run this; demo is optimize with fixed settings.
+    pencil's spectrum. embed, optimize and demo all run this; demo is
+    optimize with fixed settings.
 
-    Returns the run's report entries and the search result (None without
-    a search). The residuals of the embedded parameters go under plain
-    keys, or for demo under choice_b_, after the seed parameters' own
-    residuals under choice_a_ (or seed_ when the structure changes).
+    Returns the run's report entries, the search result (None without a
+    search) and the (name, data) run files. The residuals of the embedded
+    parameters go under plain keys, or for demo under choice_b_, after the
+    seed parameters' own residuals under choice_a_ (or seed_ when the
+    structure changes).
     """
     if args.select is not None:
         selection = mmio.read_spectral(args.select)
@@ -273,27 +276,20 @@ def _run_pipeline(args, pencil, spectrum, *, optimize, demo=False):
         params = result.best_params
     updated = embed_and_report(params, "choice_b_" if demo else "")
     pencil._retained = None  # the last report is made: free its retained side before writing
-    entries.update(_write_run(args.out_dir, updated, old, target))
-    return entries, result
+    return entries, result, list(zip(_RUN_FILES, (
+        updated.M_u_tilde, updated.K_tilde, updated.X1_tilde, updated.params.Theta,
+        updated.params.GammaTilde1, old, target)))
 
 
 def _cmd_gen(args):
     p_sel = args.p if args.p is not None else min(6, args.nu)
     s_tilde = args.stilde if args.stilde is not None else min(2, p_sel // 2)
-    spec, pencil, hashes = _generate(args, p_sel, s_tilde)
+    spec, pencil, files = _generate(args, p_sel, s_tilde)
     spectrum = solve_spectrum(pencil)  # cached by generate_pencil
-    entries = {
-        "command": "gen",
-        "n_u": pencil.n_u,
-        "n_phi": pencil.n_phi,
-        "p": spec.p,
-        "s_tilde": spec.s_tilde,
-        "max_perturb": spec.max_perturbation,
-        "seed": spec.seed,
-    }
-    entries.update(_write_spectrum(spectrum, args.out_dir))
-    entries.update(hashes)
-    mmio.write_report(entries, os.path.join(args.out_dir, "gen.report"))
+    entries, spectrum_file = _spectrum_run(spectrum)
+    entries.update(n_u=pencil.n_u, n_phi=pencil.n_phi, p=spec.p, s_tilde=spec.s_tilde,
+                   max_perturb=spec.max_perturbation, seed=spec.seed)
+    _write(args.out_dir, "gen", entries, files + spectrum_file)
     print(
         f"gen: n_u={pencil.n_u} n_phi={pencil.n_phi} "
         f"pairs={spectrum.pair_count()} reals={spectrum.real_count()} "
@@ -304,18 +300,11 @@ def _cmd_gen(args):
 
 def _cmd_solve(args):
     out_dir = args.out_dir or args.in_dir
-    os.makedirs(out_dir, exist_ok=True)
     pencil, hashes = _read_pencil(args.in_dir)
     spectrum = solve_spectrum(pencil)
-    entries = {
-        "command": "solve",
-        "input_dir": args.in_dir,
-        "n_u": pencil.n_u,
-        "n_phi": pencil.n_phi,
-    }
-    entries.update(_write_spectrum(spectrum, out_dir))
-    entries.update(hashes)
-    mmio.write_report(entries, os.path.join(out_dir, "solve.report"))
+    entries, spectrum_file = _spectrum_run(spectrum)
+    entries.update(hashes, input_dir=args.in_dir, n_u=pencil.n_u, n_phi=pencil.n_phi)
+    _write(out_dir, "solve", entries, spectrum_file)
     print(
         f"solve: {spectrum.finite.p} finite eigenvalues "
         f"({spectrum.pair_count()} pairs, {spectrum.real_count()} real), "
@@ -329,11 +318,10 @@ def _cmd_embed(args):
     pencil, hashes = _read_pencil(args.in_dir)
     spectrum, _ = _load_spectrum(pencil, args.in_dir)
     command = args.command  # embed, or optimize: embed and then search
-    entries, result = _run_pipeline(args, pencil, spectrum, optimize=command == "optimize")
+    entries, result, files = _run_pipeline(args, pencil, spectrum, optimize=command == "optimize")
     # relative to the run directory, so that the two directories move together
-    entries.update(command=command, input_dir=os.path.relpath(args.in_dir, args.out_dir),
+    entries.update(hashes, input_dir=os.path.relpath(args.in_dir, args.out_dir),
                    max_perturb=args.max_perturb)
-    entries.update(hashes)
     if result is not None:
         entries.update(
             {
@@ -344,7 +332,7 @@ def _cmd_embed(args):
                 "converged": result.converged,
             }
         )
-    mmio.write_report(entries, os.path.join(args.out_dir, command + ".report"))
+    _write(args.out_dir, command, entries, files)
     print(
         f"{command}: p={entries['p']} s={entries['s']} s_tilde={entries['s_tilde']} "
         f"res1_updated={entries['res1_updated']:.3e} rec_mk={entries['rec_mk']:.6f} "
@@ -398,11 +386,10 @@ def _cmd_verify(args):
             failures.append(f"{name}: hash mismatch (stored {report[key][:12]}.., "
                             f"actual {actual[key][:12]}..)")
 
-    old, target = (mmio.read_spectral(os.path.join(args.in_dir, name), run_files.pop(name, None))
-                   for name in _RUN_FILES[5:])
-    M_u_t, K_t, X1_t, theta, gamma_t = (
-        mmio.read_matrix(os.path.join(args.in_dir, name), run_files.pop(name, None))
-        for name in _RUN_FILES[:5]
+    M_u_t, K_t, X1_t, theta, gamma_t, old, target = (
+        (mmio.read_matrix if name.endswith(".mtx") else mmio.read_spectral)(
+            os.path.join(args.in_dir, name), run_files.pop(name, None))
+        for name in _RUN_FILES
     )
     params = ParameterSet(
         Theta=theta,
@@ -452,7 +439,6 @@ def _cmd_verify(args):
             )
 
     entries = {
-        "command": "verify",
         "input_dir": args.in_dir,
         "pencil_dir": pencil_dir,
         "failures": len(failures),
@@ -462,7 +448,7 @@ def _cmd_verify(args):
         "spectrum_source": source,
         "spectrum_enclosure_ratio": _or_unavailable(spectrum.enclosure_ratio),
     }
-    mmio.write_report(entries, os.path.join(args.in_dir, "verify.report"))
+    _write(args.in_dir, "verify", entries)
 
     if failures:
         raise VerificationFailed(
@@ -475,20 +461,18 @@ def _cmd_verify(args):
 def _cmd_demo(args):
     _check_weights(args.tau1, args.tau2)
     args.stilde = 2 if args.example == 1 else 1
-    _, pencil, hashes = _generate(args, args.p, args.stilde)
-    entries, result = _run_pipeline(args, pencil, solve_spectrum(pencil),
-                                    optimize=True, demo=True)
+    _, pencil, files = _generate(args, args.p, args.stilde)
+    entries, result, run_files = _run_pipeline(args, pencil, solve_spectrum(pencil),
+                                               optimize=True, demo=True)
     entries.update(
         {
-            "command": "demo",
             "example": args.example,
             "choice_b_iterations": result.iterations,
             "choice_b_seed_certificate": _or_unavailable(result.certificate),
             "choice_b_converged": result.converged,
         }
     )
-    entries.update(hashes)
-    mmio.write_report(entries, os.path.join(args.out_dir, "demo.report"))
+    _write(args.out_dir, "demo", entries, files + run_files)
     seed_label = "choice_a" if "choice_a_rec_mk" in entries else "seed"
     print(
         f"demo {args.example}: {seed_label} rec_mk={entries[seed_label + '_rec_mk']:.4f} "

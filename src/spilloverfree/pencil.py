@@ -621,7 +621,7 @@ def _sorted_layout(lam, keep, real, X):
             f"could not be rotated real"
         )
     order = np.lexsort((kept.imag, kept.real, real))
-    finite = _layout(kept[order], X[:, order], int(np.count_nonzero(~real)))
+    finite = _layout(kept, X, order, int(np.count_nonzero(~real)))
     return finite, _nearest_gaps(_expanded_values(finite.Lambda, finite.s))
 
 

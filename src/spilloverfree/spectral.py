@@ -143,14 +143,16 @@ def block_matrix(values, s):
     return Lam
 
 
-def _layout(values, V, s):
-    """RealSpectralData of the eigenpairs (values[i], V[:, i]) given in
-    layout order: s pair values (positive imaginary part), then reals."""
-    X = np.empty((V.shape[0], len(values) + s))
-    X[:, 0 : 2 * s : 2] = V[:, :s].real
-    X[:, 1 : 2 * s : 2] = V[:, :s].imag
-    X[:, 2 * s :] = V[:, s:].real
-    return RealSpectralData(Lambda=block_matrix(values, s), X=X, s=s)
+def _layout(values, V, order, s):
+    """RealSpectralData of the eigenpairs (values[i], V[:, i]) taken in
+    layout `order`: s pair values (positive imaginary part), then reals.
+    V's columns are read through `order`, one real slice at a time."""
+    pairs, reals = order[:s], order[s:]
+    X = np.empty((V.shape[0], len(order) + s))
+    X[:, 0 : 2 * s : 2] = V.real[:, pairs]
+    X[:, 1 : 2 * s : 2] = V.imag[:, pairs]
+    X[:, 2 * s :] = V.real[:, reals]
+    return RealSpectralData(Lambda=block_matrix(values[order], s), X=X, s=s)
 
 
 def infer_pair_count(Lam):
@@ -240,7 +242,7 @@ def to_real_representation(pairs):
             raise MalformedBlocks(
                 f"eigenvector of real eigenvalue {lams[i].real:.8e} has a significant imaginary part"
             )
-    return _layout(lams[order], np.column_stack([pairs[i][1] for i in order]), s)
+    return _layout(lams, np.column_stack([v for _, v in pairs]), order, s)
 
 
 def _expand(d, conjugates=True):
@@ -269,7 +271,7 @@ def real_lambda_from_eigenvalues(values):
     closed list of targets. Returns RealSpectralData with an empty X."""
     values = np.array([complex(v) for v in values])
     order, s = _canonical_order(values)
-    return _layout(values[order], np.zeros((0, len(order))), s)
+    return _layout(values, np.zeros((0, len(values))), order, s)
 
 
 def _columns(d, indices):

@@ -232,12 +232,23 @@ def test_embed_refuses_inadmissible_target_files(gen_dir, tmp_path, values):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["embed", "optimize"])
+@pytest.mark.parametrize("command", ["embed", "optimize", "gen", "solve", "demo"])
 def test_a_refused_run_leaves_no_directory(gen_dir, tmp_path, command):
+    # every command writes last, so one refused before that creates nothing
     sel_path = str(tmp_path / "sel.spectral")
     mmio.write_spectral(sf.real_lambda_from_eigenvalues([99.0]), sel_path)
     out = tmp_path / "out"
-    assert run(command, "--in", gen_dir, "--out", out, "--select", sel_path) == 18
+    argv, code = {
+        "embed": (("embed", "--in", gen_dir, "--select", sel_path, "--out", out), 18),
+        "optimize": (("optimize", "--in", gen_dir, "--select", sel_path, "--out", out), 18),
+        # more eigenvalues to replace than the pencil has
+        "gen": (("gen", "--nu", 2, "--nphi", 1, "--p", 4, "--out", out), 25),
+        # no pencil to read, and the spectrum would go beside it
+        "solve": (("solve", "--in", out), 29),
+        # the spectrum offers fewer conjugate pairs than the example replaces
+        "demo": (("demo", "--example", 1, "--nu", 6, "--nphi", 3, "--seed", 1, "--out", out), 25),
+    }[command]
+    assert run(*argv) == code
     assert not out.exists()
 
 
@@ -628,7 +639,7 @@ def test_a_run_frees_the_retained_side_before_it_writes(command, gen_dir, tmp_pa
     # still finds the first one's, and none is kept while the run files are
     # written
     pencils, kept_at_report, kept_at_write = [], [], []
-    report, write = cli.residual_report, cli._write_run
+    report, write = cli.residual_report, cli._write
 
     def recording_report(pencil, *args):
         pencils.append(pencil)
@@ -640,7 +651,7 @@ def test_a_run_frees_the_retained_side_before_it_writes(command, gen_dir, tmp_pa
         return write(*args)
 
     monkeypatch.setattr(cli, "residual_report", recording_report)
-    monkeypatch.setattr(cli, "_write_run", recording_write)
+    monkeypatch.setattr(cli, "_write", recording_write)
     out = str(tmp_path / command)
     if command == "demo":
         assert run("demo", "--example", 1, "--nu", 8, "--nphi", 3, "--seed", 5, "--out", out) == 0

@@ -4,7 +4,8 @@ of a module-level class, is read somewhere in the package. A deletion that leave
 no linter is part of the test run. The package also calls no SVD: matrix
 2-norms go through pencil._spec_norm and rank tests through a QR. Worker
 threads start only in pencil._beside and mmio._in_order, each from a pool
-that a with block joins."""
+that a with block joins. In cli, only the one writer creates directories
+and writes files."""
 
 import ast
 from pathlib import Path
@@ -113,6 +114,23 @@ def test_no_svd_in_the_package(path):
     assert svd_calls(path.read_text()) == []
 
 
+def mentions(tree, names):
+    """(function, node) for each node of `tree` that names one of `names`
+    (a name, an attribute, an imported or a defined name): the innermost
+    function around it (None at module level), and the node."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if getattr(node, "attr", getattr(node, "id", getattr(node, "name", None))) in names:
+            found.append((function, node))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+    visit(tree, None)
+    return found
+
+
 def thread_pools(source):
     """(function, joined) for each mention of ThreadPoolExecutor in `source`:
     the innermost function around it (None at module level), and whether it
@@ -120,18 +138,8 @@ def thread_pools(source):
     tree = ast.parse(source)
     joined = {id(item.context_expr.func) for node in ast.walk(tree) if isinstance(node, ast.With)
               for item in node.items if isinstance(item.context_expr, ast.Call)}
-    found = []
-
-    def visit(node, function):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
-        name = getattr(node, "attr", getattr(node, "id", getattr(node, "name", None)))
-        if name == "ThreadPoolExecutor":
-            found.append((function, id(node) in joined))
-        for child in ast.iter_child_nodes(node):
-            visit(child, function)
-    visit(tree, None)
-    return found
+    return [(function, id(node) in joined)
+            for function, node in mentions(tree, {"ThreadPoolExecutor"})]
 
 
 def test_the_guard_sees_a_thread_pool_outside_a_with_block():
@@ -146,3 +154,25 @@ def test_worker_threads_start_only_in_the_two_helpers():
     found = sorted((path.stem, *use) for path in SRC.glob("*.py")
                    for use in thread_pools(path.read_text()))
     assert found == [("mmio", "_in_order", True), ("pencil", "_beside", True)]
+
+
+# what creates a directory or writes a file in cli
+WRITES = {"makedirs", "write_matrix", "write_spectral", "write_report"}
+
+
+def writers(source):
+    """The innermost function (None at module level) around each mention
+    of one of WRITES in `source`."""
+    return [function for function, _ in mentions(ast.parse(source), WRITES)]
+
+
+def test_the_guard_sees_a_write_outside_the_writer():
+    source = ("import os\nfrom os import makedirs\nfrom . import mmio\n"
+              "def _write(d):\n    os.makedirs(d)\n    mmio.write_report({}, d)\n"
+              "def _cmd_gen(d):\n    write = mmio.write_matrix\n    mmio.write_spectral(x, d)\n")
+    assert writers(source) == [None, "_write", "_write", "_cmd_gen", "_cmd_gen"]
+
+
+def test_every_command_writes_through_the_one_writer():
+    # so no command can write before it has computed everything it writes
+    assert set(writers((SRC / "cli.py").read_text())) == {"_write"}
