@@ -52,7 +52,7 @@ from .errors import (
 )
 from .objective import OptimizeConfig, _check_weights, optimize_gamma_tilde, residual_report
 from .pencil import _check_degeneracy, certified_spectrum, solve_spectrum, validate_pencil
-from .probgen import ProblemSpec, generate_pencil, perturb_targets
+from .probgen import ProblemSpec, _check_nonnegative, generate_pencil, perturb_targets
 from .spectral import (
     DEFAULT_MATCH_TOL,
     _expanded_values,
@@ -221,7 +221,7 @@ def _run_pipeline(args, pencil, spectrum, *, optimize, demo=False):
         if args.p is None:
             raise DimensionMismatch("provide --p (with optional --s) or --select FILE")
         s_sel = args.s if args.s is not None else args.stilde
-        if 2 * s_sel > args.p:
+        if not 0 <= 2 * s_sel <= args.p:
             raise StructureInfeasible(
                 f"s={s_sel} conjugate pairs do not fit into p={args.p}"
             )
@@ -315,6 +315,7 @@ def _cmd_solve(args):
 
 def _cmd_embed(args):
     _check_weights(args.tau1, args.tau2)
+    _check_nonnegative(seed=args.seed)
     pencil, hashes = _read_pencil(args.in_dir)
     spectrum, _ = _load_spectrum(pencil, args.in_dir)
     command = args.command  # embed, or optimize: embed and then search

@@ -44,6 +44,7 @@ from .pencil import (
     CheckReport,
     ConditionCheck,
     DEFAULT_RCOND,
+    _as_matrix,
     _asymmetry,
     _kept,
     _spec_norm,
@@ -120,19 +121,13 @@ class ParameterSet:
     mode: str = "custom"
 
     def __post_init__(self):
-        Th = np.ascontiguousarray(np.asarray(self.Theta, dtype=float))
-        G = np.ascontiguousarray(np.asarray(self.GammaTilde1, dtype=float))
-        object.__setattr__(self, "Theta", Th)
-        object.__setattr__(self, "GammaTilde1", G)
         if self.mode not in ("choice_a", "choice_b", "custom"):
             raise MalformedBlocks(f"unknown parameter mode {self.mode!r}")
-        p = Th.shape[0]
-        if Th.ndim != 2 or Th.shape != (p, p):
-            raise DimensionMismatch(f"Theta must be square, got {Th.shape}")
-        if G.shape != (p, p):
-            raise DimensionMismatch(
-                f"GammaTilde1 has shape {G.shape}, expected {(p, p)}"
-            )
+        Th = np.ascontiguousarray(_as_matrix(self.Theta, "Theta"))
+        G = np.ascontiguousarray(_as_matrix(self.GammaTilde1, "GammaTilde1", Th.shape))
+        object.__setattr__(self, "Theta", Th)
+        object.__setattr__(self, "GammaTilde1", G)
+        p = len(Th)
         if not (0 <= 2 * self.s_tilde <= p):
             raise MalformedBlocks(f"s_tilde={self.s_tilde} impossible for p={p}")
         if rcond_estimate(Th) < DEFAULT_RCOND:
@@ -185,11 +180,7 @@ def compute_gamma1(p, X1, s):
     a warning is logged if the matrix strays from it, which indicates
     the columns are not eigendata of the pencil.
     """
-    X1 = np.asarray(X1, dtype=float)
-    if X1.ndim != 2 or X1.shape[0] != p.n:
-        raise DimensionMismatch(
-            f"X1 has shape {X1.shape}, expected {p.n} rows"
-        )
+    X1 = _as_matrix(X1, "X1", (p.n, None))
     X1u = X1[: p.n_u]
     if _rank_rcond(X1u) < DEFAULT_RCOND:
         raise RankDeficient(
@@ -286,12 +277,8 @@ class PreparedUpdate:
     """
 
     def __init__(self, p, old, target_Lambda):
-        X1, q = old.X, old.p
-        if X1.shape[0] != p.n:
-            raise DimensionMismatch(f"eigendata has {X1.shape[0]} rows, pencil order is {p.n}")
-        Lt = np.ascontiguousarray(np.asarray(target_Lambda, dtype=float))
-        if Lt.shape != (q, q):
-            raise DimensionMismatch(f"target matrix has shape {Lt.shape}, expected {(q, q)}")
+        X1 = _as_matrix(old.X, "the eigendata X", (p.n, None))
+        Lt = np.ascontiguousarray(_as_matrix(target_Lambda, "the target matrix", (old.p,) * 2))
         self.X1, self.s_tilde = X1, infer_pair_count(Lt)
 
         self.iL1 = _inverse_of(old.Lambda, "Lambda_1")
@@ -508,27 +495,15 @@ def verify_theorem1(X, J1, Gamma11, Phi, tol):
 
 def _theorem1(X, J1, Gamma11, Phi, tol):
     """(verify_theorem1's report, the normalization matrix T it solved
-    for), so that reconstruct_theorem1 forms and solves T^-1 once."""
-    X, J1, Gamma11, Phi = (np.asarray(A, dtype=float) for A in (X, J1, Gamma11, Phi))
-    n = X.shape[0]
-    if X.ndim != 2 or X.shape != (n, n):
-        raise DimensionMismatch(f"X must be square, got {X.shape}")
-    n_u = J1.shape[0]
-    if J1.shape != (n_u, n_u):
-        raise DimensionMismatch(f"J1 must be square, got {J1.shape}")
-    if Gamma11.shape != (n_u, n_u):
-        raise DimensionMismatch(
-            f"Gamma11 has shape {Gamma11.shape}, expected {(n_u, n_u)}"
-        )
+    for, X, J1, Gamma11 as checked float arrays), so that
+    reconstruct_theorem1 forms and solves T^-1 once."""
+    X, J1 = _as_matrix(X, "X"), _as_matrix(J1, "J1")
+    Gamma11 = _as_matrix(Gamma11, "Gamma11", J1.shape)
+    n, n_u = len(X), len(J1)
     n_phi = n - n_u
     if n_phi < 0:
-        raise DimensionMismatch(
-            f"J1 order {n_u} exceeds the full order {n}"
-        )
-    if Phi.shape != (n_phi, n_phi):
-        raise DimensionMismatch(
-            f"Phi has shape {Phi.shape}, expected {(n_phi, n_phi)}"
-        )
+        raise DimensionMismatch(f"J1 order {n_u} exceeds the full order {n}")
+    Phi = _as_matrix(Phi, "Phi", (n_phi, n_phi))
 
     X_u = X[:n_u]
     X_phi = X[n_u:]
@@ -568,7 +543,7 @@ def _theorem1(X, J1, Gamma11, Phi, tol):
         relative("phi_normalization", _spec_norm(X_phi @ T @ X_phi.T - iPhi),
                  max(_spec_norm(iPhi), 1e-300))
 
-    return CheckReport(checks), T
+    return CheckReport(checks), T, X, J1, Gamma11
 
 
 def reconstruct_theorem1(X, J1, Gamma11, Phi, K22prime=None, *, tol=RECONSTRUCT_TOL):
@@ -582,24 +557,18 @@ def reconstruct_theorem1(X, J1, Gamma11, Phi, K22prime=None, *, tol=RECONSTRUCT_
     matrix, identity when omitted) parameterizes the genuine freedom in
     the electric stiffness block.
     """
-    X, J1, Gamma11 = (np.asarray(A, dtype=float) for A in (X, J1, Gamma11))
-    report, T = _theorem1(X, J1, Gamma11, Phi, tol)
+    report, T, X, J1, Gamma11 = _theorem1(X, J1, Gamma11, Phi, tol)
     if not report.passed:
         raise IllDefined(
             "spectral data fails realizability conditions: "
             + ", ".join(report.failed_names())
         )
 
-    n = X.shape[0]
-    n_u = J1.shape[0]
+    n, n_u = len(X), len(J1)
     n_phi = n - n_u
     if K22prime is None:
         K22prime = np.eye(n_phi)
-    K22prime = np.asarray(K22prime, dtype=float)
-    if K22prime.shape != (n_phi, n_phi):
-        raise DimensionMismatch(
-            f"K22prime has shape {K22prime.shape}, expected {(n_phi, n_phi)}"
-        )
+    K22prime = _as_matrix(K22prime, "K22prime", (n_phi, n_phi))
     if _asymmetry(K22prime) > ASYMMETRY_WARN:
         raise IllDefined("K22prime must be symmetric")
     if rcond_estimate(K22prime) < DEFAULT_RCOND:

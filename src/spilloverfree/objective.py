@@ -81,27 +81,23 @@ def _check_operands(M_u, K, X, Lam, names=("X", "Lam")):
     finite matrices, all but X square, K of at least M_u's order, and X
     has K's order of rows and Lam's of columns."""
     M_u, K, Lam = (_as_matrix(A, name) for A, name in ((M_u, "M_u"), (K, "K"), (Lam, names[1])))
-    X, (n_u, n, m) = _as_matrix(X, names[0], square=False), (len(M_u), len(K), len(Lam))
-    if n < n_u or X.shape != (n, m):
-        raise DimensionMismatch(f"M_u of order {n_u}, K of order {n} and {names[1]} of order {m} "
-                                f"need n >= n_u and {names[0]} of shape {(n, m)}, got {X.shape}")
-    return M_u, K, X, Lam
+    if len(K) < len(M_u):
+        raise DimensionMismatch(f"K of order {len(K)} is smaller than M_u of order {len(M_u)}")
+    return M_u, K, _as_matrix(X, names[0], (len(K), len(Lam))), Lam
 
 
 def rec_mk(M_u, K, M_u_tilde, K_tilde, tau1=1.0, tau2=1.0):
     """Weighted relative update distance
     tau1 * ||M_u - M_u~|| / ||M_u|| + tau2 * ||K - K~|| / ||K||."""
-    M_u, K, M_u_tilde, K_tilde = (_as_matrix(A, name) for A, name in (
-        (M_u, "M_u"), (K, "K"), (M_u_tilde, "M_u_tilde"), (K_tilde, "K_tilde")))
-    if M_u_tilde.shape != M_u.shape or K_tilde.shape != K.shape:
-        raise DimensionMismatch(f"M_u_tilde and K_tilde have shapes {M_u_tilde.shape} and "
-                                f"{K_tilde.shape}, expected {M_u.shape} and {K.shape}")
+    M_u, K = _as_matrix(M_u, "M_u"), _as_matrix(K, "K")
+    M_u_tilde = _as_matrix(M_u_tilde, "M_u_tilde", M_u.shape)
+    K_tilde = _as_matrix(K_tilde, "K_tilde", K.shape)
     return _rec_mk(M_u, K, M_u_tilde, K_tilde, _spec_norm(M_u), _spec_norm(K), tau1, tau2)
 
 
 def _check_weights(tau1, tau2):
-    if tau1 <= 0 or tau2 <= 0:
-        raise DimensionMismatch("weights tau1, tau2 must be positive")
+    if not (0 < tau1 < np.inf and 0 < tau2 < np.inf):
+        raise DimensionMismatch("weights tau1, tau2 must be positive and finite")
 
 
 def eigen_residual(M_u, K, X, Lam):
@@ -146,9 +142,7 @@ def _retained_side(p, retained):
     on Lambda's nonzeros with their flat positions and on X: equal
     retained eigendata, in any object, get them again. The side's X2_u is
     a view of the one copy of X kept with them."""
-    if retained.X.shape[0] != p.n:
-        raise DimensionMismatch(f"retained eigendata has {retained.X.shape[0]} rows, "
-                                f"pencil order is {p.n}")
+    _as_matrix(retained.X, "the retained eigendata X", (p.n, None))
 
     def build(_, X):
         # each block of Lambda is |lam| times a rotation, so its singular
@@ -181,14 +175,12 @@ def residual_report(p, u, old, target_Lambda, retained=None, tau1=1.0, tau2=1.0)
     """
     if not isinstance(u, UpdatedSystem):
         raise DimensionMismatch("u must be an UpdatedSystem")
-    target_Lambda = np.asarray(target_Lambda, dtype=float)
-    if old.X.shape[0] != p.n:
-        raise DimensionMismatch(f"eigendata has {old.X.shape[0]} rows, pencil order is {p.n}")
-    if u.n_u != p.n_u or u.n != p.n:
-        raise DimensionMismatch("updated system dimensions do not match the pencil")
-    if target_Lambda.shape != (old.p, old.p):
-        raise DimensionMismatch(f"target matrix has shape {target_Lambda.shape}, expected "
-                                f"({old.p}, {old.p})")
+    for A, name, shape in ((old.X, "the eigendata X", (p.n, None)),
+                           (u.X1_tilde, "X1_tilde", (p.n, old.p)),
+                           (u.M_u_tilde, "M_u_tilde", (p.n_u, p.n_u)),
+                           (u.K_tilde, "K_tilde", (p.n, p.n))):
+        _as_matrix(A, name, shape)
+    target_Lambda = _as_matrix(target_Lambda, "the target matrix", (old.p, old.p))
     _check_weights(tau1, tau2)
 
     # each pencil norm once: the residuals and Rec.MK share them; Rec.MK first caps peak memory
@@ -304,9 +296,7 @@ def optimize_gamma_tilde(p, old, target_Lambda, Theta, seed, config=None):
         config = OptimizeConfig()
     q = old.p
     s_tilde = seed.s_tilde
-    Theta = np.asarray(Theta, dtype=float)
-    if Theta.shape != (q, q):
-        raise DimensionMismatch(f"Theta has shape {Theta.shape}, expected ({q}, {q})")
+    Theta = _as_matrix(Theta, "Theta", (q, q))
     if not np.array_equal(Theta, seed.Theta):
         raise DimensionMismatch("Theta differs from the seed's Theta; the search "
                                 "varies GammaTilde1 only, with the seed's Theta")

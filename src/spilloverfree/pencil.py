@@ -68,16 +68,24 @@ OVERLAP_MIN_ORDER = 200
 _REAL_AXIS_TOL = 1e-10
 
 
-def _as_matrix(A, name, square=True):
+def _as_matrix(A, name, shape=None):
+    """A as a float array: the one check of a matrix operand. DimensionMismatch
+    unless A is a finite, numeric, 2-D matrix of `shape`, a None entry of
+    which is free; with no shape, A must be square."""
     try:
         A = np.asarray(A, dtype=float)
     except (TypeError, ValueError):
-        raise DimensionMismatch(f"{name} is not a numeric array") from None
-    if A.ndim != 2 or square and A.shape[0] != A.shape[1]:
-        raise DimensionMismatch(f"{name} must be a {'square ' * square}matrix, got {A.shape}")
-    if A.size and not np.all(np.isfinite(A)):
-        raise DimensionMismatch(f"{name} contains non-finite entries")
-    return A
+        got = "a non-numeric array"
+    else:
+        expected = shape or A.shape[:1] * 2
+        if A.ndim != 2 or any(k not in (None, a) for k, a in zip(expected, A.shape)):
+            got = f"shape {A.shape}"
+        elif not np.isfinite(A).all():
+            got = "non-finite entries"
+        else:
+            return A
+    want = "square" if shape is None else " x ".join("any" if k is None else str(k) for k in shape)
+    raise DimensionMismatch(f"{name} must be a finite numeric {want} matrix, got {got}")
 
 
 def _absmax(A):
@@ -297,14 +305,8 @@ class StructuredPencil:
             raise DimensionMismatch(f"n_u must be positive, got {n_u}")
         if n_phi < 0:
             raise DimensionMismatch(f"n_phi must be nonnegative, got {n_phi}")
-        M_u = _as_matrix(M_u, "M_u")
-        K = _as_matrix(K, "K")
-        if M_u.shape[0] != n_u:
-            raise DimensionMismatch(f"M_u has order {M_u.shape[0]}, expected n_u={n_u}")
-        if K.shape[0] != n_u + n_phi:
-            raise DimensionMismatch(
-                f"K has order {K.shape[0]}, expected n_u+n_phi={n_u + n_phi}"
-            )
+        M_u = _as_matrix(M_u, "M_u", (n_u, n_u))
+        K = _as_matrix(K, "K", (n_u + n_phi,) * 2)
         M_u = _check_symmetric(M_u, "M_u", SYMMETRY_TOL)
         K = _check_symmetric(K, "K", SYMMETRY_TOL)
 
@@ -815,18 +817,9 @@ def check_jordan_pair(p, c, tol):
     Every entry is a relative quantity compared with tol (its
     threshold); the report carries one entry per condition.
     """
-    X = np.asarray(c.X, dtype=float)
-    J = np.asarray(c.J, dtype=float)
-    n = p.n
-    if X.ndim != 2 or X.shape[0] != n:
-        raise DimensionMismatch(
-            f"candidate X has shape {X.shape}, expected {n} rows"
-        )
+    X = _as_matrix(c.X, "candidate X", (p.n, None))
     m = X.shape[1]
-    if J.shape != (m, m):
-        raise DimensionMismatch(
-            f"candidate J has shape {J.shape}, expected ({m}, {m})"
-        )
+    J = _as_matrix(c.J, "candidate J", (m, m))
 
     rank_resid = _rank_rcond(X)
     checks = [ConditionCheck("rank", rank_resid, tol, rank_resid > tol)]
@@ -848,7 +841,7 @@ def check_jordan_pair(p, c, tol):
         side = _RetainedSide(X, np.linalg.inv(J1), norm_X, p.n_u)
         relations = {name: side.residual(p.M_u, p.K, norm_M, norm_K)}
 
-    if m == n and p.n_phi:
+    if m == p.n and p.n_phi:
         relations["block_form"] = _spec_norm(X[: p.n_u, q:]) / norm_X if norm_X else 0.0
 
     return CheckReport(checks + [ConditionCheck(name, r, tol, r <= tol)

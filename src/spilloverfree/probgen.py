@@ -29,6 +29,13 @@ _RESAMPLE_BUDGET = 100
 _GENERATION_RETRIES = 5
 
 
+def _check_nonnegative(**values):
+    """DimensionMismatch naming the first of `values` that is below zero or not finite."""
+    for name, value in values.items():
+        if not 0 <= value < np.inf:
+            raise DimensionMismatch(f"{name} must be finite and nonnegative, got {value}")
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Dimensions and replacement layout of one generated instance."""
@@ -43,8 +50,7 @@ class ProblemSpec:
     def __post_init__(self):
         if self.n_u < 1:
             raise DimensionMismatch(f"n_u must be positive, got {self.n_u}")
-        if self.n_phi < 0:
-            raise DimensionMismatch(f"n_phi must be nonnegative, got {self.n_phi}")
+        _check_nonnegative(n_phi=self.n_phi)
         if not (1 <= self.p <= self.n_u):
             raise StructureInfeasible(
                 f"selection size p={self.p} must satisfy 1 <= p <= n_u={self.n_u}"
@@ -53,8 +59,7 @@ class ProblemSpec:
             raise StructureInfeasible(
                 f"s_tilde={self.s_tilde} conjugate pairs do not fit into p={self.p}"
             )
-        if self.max_perturbation < 0:
-            raise DimensionMismatch("max_perturbation must be nonnegative")
+        _check_nonnegative(max_perturbation=self.max_perturbation, seed=self.seed)
 
 
 def _random_symmetric(rng, n):
@@ -125,6 +130,7 @@ def perturb_targets(old_eigs, s_tilde, max_perturbation, seed, avoid=()):
     the others and `avoid` (pass the retained spectrum there). Targets
     are returned pairs first, conjugate partners adjacent.
     """
+    _check_nonnegative(max_perturbation=max_perturbation)
     old_eigs = [complex(v) for v in old_eigs]
     pair_idx, real_idx = _split_conjugates(old_eigs)
     pairs = [old_eigs[i] for i in pair_idx]

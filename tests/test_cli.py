@@ -337,6 +337,36 @@ def test_bad_weights_exit_before_any_output(gen_dir, tmp_path, argv):
     assert not out.exists()
 
 
+EMBED = ("--in", "GEN", "--p", 4, "--stilde", 1, "--seed", 3)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("gen", "--nu", 8, "--nphi", 3, "--seed", -1), 10),
+    (("embed", *EMBED, "--seed", -1), 10),
+    (("optimize", *EMBED, "--seed", -1), 10),
+    (("demo", "--example", 1, "--nu", 8, "--nphi", 3, "--seed", -1), 10),
+    (("embed", *EMBED, "--max-perturb", -0.1), 10),
+    (("optimize", *EMBED, "--max-perturb", -0.1), 10),
+    (("embed", *EMBED, "--max-perturb", "nan"), 10),
+    (("embed", *EMBED, "--max-perturb", "inf"), 10),
+    (("gen", "--nu", 8, "--nphi", 3, "--max-perturb", "nan"), 10),
+    (("embed", *EMBED, "--tau1", "nan"), 10),
+    (("optimize", *EMBED, "--tau2", "inf"), 10),
+    # without --s the selection takes --stilde conjugate pairs; at p = 2
+    # the spectrum has the 2 - 2 * (-1) reals such a selection would draw
+    (("embed", *EMBED, "--p", 2, "--stilde", -1), 25),
+    (("optimize", *EMBED, "--p", 2, "--stilde", -1), 25),
+], ids=["gen-seed", "embed-seed", "optimize-seed", "demo-seed", "embed-max-perturb",
+        "optimize-max-perturb", "embed-max-perturb-nan", "embed-max-perturb-inf",
+        "gen-max-perturb-nan", "embed-tau1-nan", "optimize-tau2-inf", "embed-stilde",
+        "optimize-stilde"])
+def test_a_negative_or_non_finite_argument_exits_with_its_code(gen_dir, tmp_path, argv, code):
+    out = tmp_path / "out"
+    argv = [gen_dir if a == "GEN" else a for a in argv]
+    assert run(*argv, "--out", out) == code
+    assert not out.exists()
+
+
 LEGACY_RUNS = os.path.join(os.path.dirname(__file__), "data", "legacy_runs")
 
 

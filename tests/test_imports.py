@@ -5,7 +5,8 @@ no linter is part of the test run. The package also calls no SVD: matrix
 2-norms go through pencil._spec_norm and rank tests through a QR. Worker
 threads start only in pencil._beside and mmio._in_order, each from a pool
 that a with block joins. In cli, only the one writer creates directories
-and writes files."""
+and writes files. A matrix operand's shape is tested only by
+pencil._as_matrix."""
 
 import ast
 from pathlib import Path
@@ -160,19 +161,39 @@ def test_worker_threads_start_only_in_the_two_helpers():
 WRITES = {"makedirs", "write_matrix", "write_spectral", "write_report"}
 
 
-def writers(source):
+def around(source, names):
     """The innermost function (None at module level) around each mention
-    of one of WRITES in `source`."""
-    return [function for function, _ in mentions(ast.parse(source), WRITES)]
+    of one of `names` in `source`."""
+    return [function for function, _ in mentions(ast.parse(source), names)]
 
 
 def test_the_guard_sees_a_write_outside_the_writer():
     source = ("import os\nfrom os import makedirs\nfrom . import mmio\n"
               "def _write(d):\n    os.makedirs(d)\n    mmio.write_report({}, d)\n"
               "def _cmd_gen(d):\n    write = mmio.write_matrix\n    mmio.write_spectral(x, d)\n")
-    assert writers(source) == [None, "_write", "_write", "_cmd_gen", "_cmd_gen"]
+    assert around(source, WRITES) == [None, "_write", "_write", "_cmd_gen", "_cmd_gen"]
 
 
 def test_every_command_writes_through_the_one_writer():
     # so no command can write before it has computed everything it writes
-    assert set(writers((SRC / "cli.py").read_text())) == {"_write"}
+    assert set(around((SRC / "cli.py").read_text(), WRITES)) == {"_write"}
+
+
+# (module, function) where .ndim may be read: the one check of a matrix
+# operand, a parameter vector or stack, the Matrix Market writer, and
+# RealSpectralData, which keeps its own checks
+NDIM_READERS = {("pencil", "_as_matrix"), ("embedding", "structured_gamma"),
+                ("mmio", "write_matrix"), ("spectral", "__post_init__")}
+
+
+def test_the_guard_sees_a_shape_test_outside_the_operand_check():
+    source = ("import numpy as np\ndef _as_matrix(A):\n    return A.ndim\n"
+              "def f(A):\n    if A.ndim != 2 or np.ndim(A[0]) != 1:\n        raise ValueError\n")
+    assert around(source, {"ndim"}) == ["_as_matrix", "f", "f"]
+
+
+def test_matrix_operands_are_checked_only_by_as_matrix():
+    # a hand-written shape test would skip the numeric and finiteness tests
+    found = {(path.stem, function) for path in SRC.glob("*.py")
+             for function in around(path.read_text(), {"ndim"})}
+    assert found == NDIM_READERS

@@ -19,7 +19,7 @@ import spilloverfree.objective
 from spilloverfree.errors import DimensionMismatch, IllDefined, MalformedBlocks, NoFeasiblePoint
 from spilloverfree.pencil import _kept, _spec_norm
 
-from conftest import EmbeddingCase, make_pencil, record_norm_eigensolves
+from conftest import EmbeddingCase, make_pencil, record_norm_eigensolves, theorem_data
 from test_acceptance import scale_case
 
 
@@ -272,6 +272,68 @@ def test_public_definitions_take_nested_lists(case):
         with pytest.raises(DimensionMismatch) as err:
             f(*ragged)
         assert err.value.exit_code == 10
+
+
+# Each entry that takes a matrix operand from its caller, and the checked
+# operand it is called on below: every such operand goes through
+# pencil._as_matrix, so each malformed form is DimensionMismatch (exit 10).
+_OPERAND_ENTRIES = ("StructuredPencil", "ParameterSet", "compute_gamma1", "PreparedUpdate",
+                    "residual_report", "_retained_side", "optimize_gamma_tilde",
+                    "check_jordan_pair", "verify_theorem1", "reconstruct_theorem1",
+                    "eigen_residual", "rec_mk")
+
+
+@pytest.fixture(scope="module")
+def operand_entries():
+    """{entry: (call on one operand, a valid value of it)}."""
+    c = EmbeddingCase(10, 4, s_sel=1, n_real=2, s_tilde=1, seed=3)
+    p, old, target, params = c.pencil, c.old, c.target.Lambda, c.params
+    u = sf.embed(p, old, target, params)
+    pair = sf.assemble_jordan_pair(c.spectrum)
+    _, X, J1, G11, Phi = theorem_data(6, 2, seed=11)
+
+    def holding(data, X):  # eigendata whose X has not passed RealSpectralData's own checks
+        return types.SimpleNamespace(Lambda=data.Lambda, X=X, s=data.s, p=data.p)
+
+    return {
+        "StructuredPencil": (lambda A: sf.StructuredPencil(A, p.K, p.n_u, p.n_phi), p.M_u),
+        "ParameterSet": (lambda A: sf.ParameterSet(params.Theta, A, params.s_tilde),
+                         params.GammaTilde1),
+        "compute_gamma1": (lambda A: sf.compute_gamma1(p, A, old.s), old.X),
+        "PreparedUpdate": (lambda A: spilloverfree.embedding.PreparedUpdate(p, old, A), target),
+        "residual_report": (lambda A: sf.residual_report(p, u, old, A, c.retained), target),
+        "_retained_side": (lambda A: spilloverfree.objective._retained_side(
+            p, holding(c.retained, A)), c.retained.X),
+        "optimize_gamma_tilde": (lambda A: sf.optimize_gamma_tilde(p, old, target, A, params),
+                                 params.Theta),
+        "check_jordan_pair": (lambda A: sf.check_jordan_pair(
+            p, sf.JordanPairCandidate(X=A, J=pair.J), 1e-8), pair.X),
+        "verify_theorem1": (lambda A: sf.verify_theorem1(X, J1, A, Phi, 1e-10), G11),
+        "reconstruct_theorem1": (lambda A: sf.reconstruct_theorem1(X, J1, G11, Phi, A),
+                                 np.eye(2)),
+        "eigen_residual": (lambda A: sf.eigen_residual(p.M_u, p.K, A, old.Lambda), old.X),
+        "rec_mk": (lambda A: sf.rec_mk(p.M_u, p.K, A, p.K), p.M_u),
+    }
+
+
+def _malformed(A, how):
+    if how == "shape":
+        return A[:-1]
+    if how == "non_numeric":
+        return np.full(A.shape, "abc")
+    A = np.array(A, dtype=float)
+    A[0, -1] = np.nan
+    return A
+
+
+@pytest.mark.parametrize("how", ["shape", "non_numeric", "nan"])
+@pytest.mark.parametrize("entry", _OPERAND_ENTRIES)
+def test_every_entry_refuses_a_malformed_operand(operand_entries, entry, how):
+    call, valid = operand_entries[entry]
+    call(valid)
+    with pytest.raises(DimensionMismatch) as err:
+        call(_malformed(valid, how))
+    assert err.value.exit_code == 10
 
 
 def test_residual_report_res2_unavailable_without_retained():

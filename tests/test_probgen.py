@@ -28,6 +28,16 @@ def test_problem_spec_feasibility():
         sf.ProblemSpec(n_u=4, n_phi=-1, p=1, s_tilde=0)
     with pytest.raises(DimensionMismatch):
         sf.ProblemSpec(n_u=4, n_phi=2, p=2, s_tilde=1, max_perturbation=-0.1)
+    with pytest.raises(DimensionMismatch, match="seed must be finite and nonnegative"):
+        sf.ProblemSpec(n_u=4, n_phi=2, p=2, s_tilde=1, seed=-1)
+
+
+def test_perturb_targets_refuses_a_negative_bound_as_problem_spec_does():
+    with pytest.raises(DimensionMismatch) as spec:
+        sf.ProblemSpec(n_u=4, n_phi=2, p=2, s_tilde=1, max_perturbation=-0.1)
+    with pytest.raises(DimensionMismatch) as draw:
+        sf.perturb_targets([1j, -1j], s_tilde=1, max_perturbation=-0.1, seed=0)
+    assert str(draw.value) == str(spec.value)
 
 
 def test_generate_pencil_is_deterministic():
