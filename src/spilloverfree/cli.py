@@ -96,13 +96,7 @@ def _read_pencil(directory):
     files, hashes = _read_files(directory, _PENCIL_FILES)
     M_u, K = (mmio.read_matrix(os.path.join(directory, name), files.pop(name, None))
               for name in _PENCIL_FILES)
-    n_u = M_u.shape[0]
-    n_phi = K.shape[0] - n_u
-    if n_phi < 0:
-        raise DimensionMismatch(
-            f"K (order {K.shape[0]}) is smaller than M_u (order {n_u})"
-        )
-    return validate_pencil(M_u, K, n_u, n_phi), hashes
+    return validate_pencil(M_u, K, M_u.shape[0], K.shape[0] - M_u.shape[0]), hashes
 
 
 def _write(directory, command, entries, files=()):
@@ -315,7 +309,8 @@ def _cmd_solve(args):
 
 def _cmd_embed(args):
     _check_weights(args.tau1, args.tau2)
-    _check_nonnegative(seed=args.seed)
+    _check_nonnegative(seed=args.seed, tol_match=args.tol_match,
+                       restarts=getattr(args, "restarts", 0))
     pencil, hashes = _read_pencil(args.in_dir)
     spectrum, _ = _load_spectrum(pencil, args.in_dir)
     command = args.command  # embed, or optimize: embed and then search
@@ -354,6 +349,7 @@ def _stored_number(report, key, default=None):
 
 
 def _cmd_verify(args):
+    _check_nonnegative(tol_match=args.tol_match, tol_check=args.tol_check)
     report = None
     for name in ("embed.report", "optimize.report", "demo.report"):
         path = os.path.join(args.in_dir, name)

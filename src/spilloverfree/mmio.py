@@ -4,8 +4,8 @@ The Matrix Market support is deliberately self-contained rather than
 delegated: parse failures must report file, line, and column, which the
 scipy reader does not surface. Coverage is what this package needs:
 real array and coordinate data, general or symmetric. Values are
-written with 17 significant digits, so write/read round trips are exact
-for double precision.
+written as '%.17e', 18 significant digits (17 after the point), so
+write/read round trips are exact for double precision.
 
 Array bodies and spectral eigenvectors are written one value per line,
 `[-]d.ddddddddddddddddde±dd[d]\n`, and read in bulk in exactly that layout,
@@ -18,6 +18,21 @@ line, several values on a line, '\r\n', a token like 1.0, the wrong count)
 and every coordinate body go through the line parser, which skips comments
 and reports a malformed body with its file, line and column. Every value
 must be finite: inf and nan are ParseError.
+
+Why the kernels' shortcuts are exact:
+- A product with the double 2.0**b is exact in the normal range, so
+  hi * 2**b is 10**e rounded.
+- floor(log10 |x|) is a decade off only next to a power of ten; the exact
+  product finds those values, and only they are scaled again.
+- s = m1 * 1e9 + m2 rounded is |t| <= 64 off the 18-digit mantissa, and
+  t * (10**q rounded) is within 2**-46 * 10**q of t * 10**q: under 2**-48
+  of a half ulp of the value, so that head suffices.
+- The read's fast test takes half the gap below v, never wider than the
+  gap above, so it can only send more values to float(). A written value
+  is within 5e-18 relative of its double and each half gap is at least
+  5.5e-17 relative: in the window every one still passes.
+- Byte tables are gathered as words made by np.frombuffer and viewed back
+  as bytes, so byte order does not matter.
 
 The spectral format is line-oriented:
 
@@ -56,9 +71,10 @@ def sha256_file(path):
 
 @functools.cache
 def _tables():
-    """Built at first use: (hi, hh, hl, lo, b), (hi + lo) * 2**b = 10**e to
-    2**-105 relative for e = -300..300 (int / int rounds correctly), hh + hl
-    = hi in [0.5, 2] split; the '%04d' of 0..9999; 'e%+03d\\n' of -300..300."""
+    """Built at first use: (hi, hh, hl, lo, 2**b, 10**e rounded), (hi + lo) *
+    2**b = 10**e to 2**-105 relative for e = -300..300 (int / int rounds
+    correctly), hh + hl = hi in [0.5, 2] split; as words of their bytes,
+    '-d.d' of 0..99, '%04d' of 0..9999, 'e%+03d\\n' of -300..300 (8 bytes)."""
     rows = []
     for e in range(-300, 301):
         num, den = (10**e, 1) if e >= 0 else (1, 10**-e)
@@ -68,17 +84,19 @@ def _tables():
         a, c = hi.as_integer_ratio()
         rows.append((hi, (num * c - a * den) / (den * c), b))
     hi, lo, b = (np.array(col) for col in zip(*rows))
-    hh = 134217729.0 * hi - (134217729.0 * hi - hi)
-    digits = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + 48).astype(np.uint8)
-    exponents = "".join(("e%+03d\n\n" % e)[:6] for e in range(-300, 301)).encode()
-    return hi, hh, hi - hh, lo, b, digits, np.frombuffer(exponents, np.uint8).reshape(-1, 6)
+    hh, scale = 134217729.0 * hi - (134217729.0 * hi - hi), np.ldexp(1.0, b)
+    lead = b"".join(b"-%d.%d" % divmod(t, 10) for t in range(100))
+    quads = b"".join(b"%04d" % t for t in range(10000))
+    exponents = b"".join((b"e%+03d\n\n\n\n" % e)[:8] for e in range(-300, 301))
+    return (hi, hh, hi - hh, lo, scale, hi * scale, np.frombuffer(lead, np.uint32),
+            np.frombuffer(quads, np.uint32), np.frombuffer(exponents, np.uint64))
 
 
 def _scaled(a, e):
     """a * 10**e as a double-double (p, r), to 2**-103 relative: p + r is
     a 2**b * hi exactly (Dekker's product; numpy has no FMA) + a 2**b * lo."""
-    i, (hi, hh, hl, lo, b) = e + 300, _tables()[:5]
-    a = np.ldexp(a, b[i])
+    i, (hi, hh, hl, lo, scale) = e + 300, _tables()[:5]
+    a = a * scale[i]  # exact: a power of two, and no value leaves the normal range
     ah = 134217729.0 * a
     ah -= ah - a
     al = a - ah
@@ -88,15 +106,16 @@ def _scaled(a, e):
 
 def _format_rows(x):
     """The bytes of '%.17e\\n' % v for the values v of x, as uint8."""
-    digits, exponents = _tables()[5:]
+    lead, quads, exponents = _tables()[6:]
     ax = np.abs(x)
     zero, inside = ax == 0, (ax >= 1e-280) & (ax <= 1e280)
     a = np.where(inside, ax, 1.0)
     # |x| = y * 10**(k - 17) with 10**17 <= y < 10**18, decided on y
     k = np.floor(np.log10(a)).astype(np.int64)
-    for _ in range(2):  # the second pass only confirms k
-        p, r = _scaled(a, 17 - k)
-        k += ((p - 1e18) + r >= 0).astype(np.int64) - ((p - 1e17) + r < 0)
+    p, r = _scaled(a, 17 - k)
+    k += (step := ((p - 1e18) + r >= 0).astype(np.int64) - ((p - 1e17) + r < 0))
+    off = np.flatnonzero(step)  # log10 is a decade off only next to a power of ten
+    p[off], r[off] = _scaled(a[off], 17 - k[off])
     frac = r - np.floor(r)
     slow = ~(inside | zero) | (np.abs(frac - 0.5) <= _MARGIN)
     D = p.astype(np.int64) + (r - frac).astype(np.int64) + (frac > 0.5)
@@ -104,14 +123,14 @@ def _format_rows(x):
     D[D == 10**18] = 10**17
     D[zero] = k[zero] = 0
     del ax, a, p, r, frac  # before the layout's temporaries
-    top, D = np.divmod(D, 10**16)
-    high, low = np.divmod(D, 10**8)
-    rows = np.empty((len(x), 26), np.uint8)
-    rows[:, :3] = [ord("-"), 0, ord(".")]
-    rows[:, 1:4:2] = digits[top, 2:]
-    quads = np.stack([*np.divmod(high, 10**4), *np.divmod(low, 10**4)], 1)
-    rows[:, 4:20] = digits[quads].reshape(-1, 16)
-    rows[:, 20:] = exponents[k + 300]
+    top, h = D // 10**16, D // 10**8  # '-d.d', then two 8-digit halves: // beats np.divmod
+    halves = np.stack([h - top * 10**8, D - h * 10**8], 1)
+    g = halves // 10**4
+    rows = np.empty((len(x), 13), np.uint16)  # a row's 26 bytes, written as words
+    rows[:, :2] = lead[top].view(np.uint16).reshape(-1, 2)
+    rows[:, 2:10] = quads[np.stack([g, halves - g * 10**4], 2)].view(np.uint16).reshape(-1, 8)
+    rows[:, 10:] = exponents[k + 300].view(np.uint16).reshape(-1, 4)[:, :3]
+    rows = rows.view(np.uint8)
     keep = np.ones(rows.shape, bool)
     keep[:, 0] = np.signbit(x)
     keep[:, 25] = np.abs(k) >= 100
@@ -136,22 +155,23 @@ def _parse_rows(c):
     if not ((d[:, :20] < 10).all() and (d[big, 20] < 10).all() and (w[:, 1] == ord(".")).all()
             and (w[:, 19] == ord("e")).all() and ((sign == ord("+")) | (sign == ord("-"))).all()):
         return None
-    m1, m2 = d[:, 0] * 1.0, d[:, 9] * 1.0
-    for j in range(1, 9):  # each 9-digit half by exact Horner steps
-        m1, m2 = m1 * 10 + d[:, j], m2 * 10 + d[:, j + 9]
+    # 9-digit halves from digit pairs, fours, eights: exact in uint8, uint16, uint32
+    g = d[:, 1:17:2] * np.uint8(10) + d[:, 2:18:2]
+    g = g[:, ::2] * np.uint16(100) + g[:, 1::2]
+    g = g[:, ::2] * np.uint32(10**4) + g[:, 1::2]
+    m1, m2 = d[:, 0] * 1e8 + g[:, 0], g[:, 1] * 10.0 + d[:, 17]
     E = d[:, 18] * 10 + d[:, 19].astype(np.int64)
     E = np.where(big, E * 10 + d[:, 20], E) * np.where(sign == ord("-"), -1, 1)
     q = np.clip(E, -280, 279) - 17
-    del w, d, width  # before the products' temporaries
+    del w, d, width, g  # before the products' temporaries
     s = m1 * 1e9 + m2  # the 18-digit mantissa is s + (m2 - (s - m1 * 1e9)) exactly
     p, r = _scaled(s, q)
-    r += _scaled(m2 - (s - m1 * 1e9), q)[0]
+    r += (m2 - (s - m1 * 1e9)) * _tables()[5][q + 300]  # that low part's product's head
     v = p + r
     rem = (p - v) + r
-    half = np.where(rem >= 0, np.spacing(v), v - np.nextafter(v, 0)) / 2
-    fast = (np.abs(rem) <= half - half * _MARGIN) & (
-        (m1 >= 1e8) & (E >= -280) & (E <= 279) | (m1 == 0) & (m2 == 0))
-    v[neg] *= -1
+    half = (v - (v.view(np.int64) - 1).view(float)) / 2  # half the gap below v > 0 (v = 0: nan)
+    fast = (np.abs(rem) <= half - half * _MARGIN) & (m1 >= 1e8) & (q == E - 17) | (s == 0)
+    v *= np.where(neg, -1.0, 1.0)  # a product: a masked store is slow on mixed signs
     for i in np.flatnonzero(~fast):
         v[i] = _parse_one(c[start[i]:end[i]].tobytes())
     return v
@@ -236,8 +256,7 @@ def _line_values(path, data, line_no, start, count, what):
     """The same values, one data line at a time from byte `start`, the
     line after line `line_no`: skips comments and reports a bad file with
     its line and column."""
-    values = np.empty(count)
-    filled = 0
+    values, filled = np.empty(count), 0
     for line_no, line, _ in _data_lines(data, line_no, start, False):
         for tok in line.split():
             if filled >= count:

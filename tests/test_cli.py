@@ -352,19 +352,42 @@ EMBED = ("--in", "GEN", "--p", 4, "--stilde", 1, "--seed", 3)
     (("gen", "--nu", 8, "--nphi", 3, "--max-perturb", "nan"), 10),
     (("embed", *EMBED, "--tau1", "nan"), 10),
     (("optimize", *EMBED, "--tau2", "inf"), 10),
+    (("embed", *EMBED, "--tol-match", -1), 10),
+    (("optimize", *EMBED, "--tol-match", -1), 10),
+    (("optimize", *EMBED, "--restarts", -2), 10),
     # without --s the selection takes --stilde conjugate pairs; at p = 2
     # the spectrum has the 2 - 2 * (-1) reals such a selection would draw
     (("embed", *EMBED, "--p", 2, "--stilde", -1), 25),
     (("optimize", *EMBED, "--p", 2, "--stilde", -1), 25),
 ], ids=["gen-seed", "embed-seed", "optimize-seed", "demo-seed", "embed-max-perturb",
         "optimize-max-perturb", "embed-max-perturb-nan", "embed-max-perturb-inf",
-        "gen-max-perturb-nan", "embed-tau1-nan", "optimize-tau2-inf", "embed-stilde",
-        "optimize-stilde"])
+        "gen-max-perturb-nan", "embed-tau1-nan", "optimize-tau2-inf", "embed-tol-match",
+        "optimize-tol-match", "optimize-restarts", "embed-stilde", "optimize-stilde"])
 def test_a_negative_or_non_finite_argument_exits_with_its_code(gen_dir, tmp_path, argv, code):
     out = tmp_path / "out"
     argv = [gen_dir if a == "GEN" else a for a in argv]
     assert run(*argv, "--out", out) == code
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [("--tol-match", -1), ("--tol-check", -1)])
+def test_verify_refuses_a_negative_tolerance(embed_run, tmp_path, flags):
+    run_dir = shutil.copytree(embed_run[1], tmp_path / "run")
+    (run_dir / "verify.report").unlink(missing_ok=True)
+    assert run("verify", "--in", run_dir, *flags) == 10
+    assert not (run_dir / "verify.report").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "embed"])
+def test_a_K_of_lower_order_than_M_u_exits_10(gen_dir, tmp_path, command):
+    M_u = mmio.read_matrix(os.path.join(gen_dir, "M_u.mtx"))
+    pencil = tmp_path / "pencil"
+    pencil.mkdir()
+    mmio.write_matrix(M_u, pencil / "M_u.mtx")
+    mmio.write_matrix(M_u[:5, :5], pencil / "K.mtx")
+    argv = ("--out", tmp_path / "out", "--p", 2, "--stilde", 1) if command == "embed" else ()
+    assert run(command, "--in", pencil, *argv) == 10
+    assert sorted(os.listdir(pencil)) == ["K.mtx", "M_u.mtx"]
 
 
 LEGACY_RUNS = os.path.join(os.path.dirname(__file__), "data", "legacy_runs")

@@ -477,6 +477,27 @@ def test_kernels_match_python_on_a_million_values():
     assert len(formatted) == len(parsed) == 2
 
 
+def test_the_sweep_takes_no_more_per_value_fallbacks_than_the_two_sided_test():
+    # the sweep's 1,016,504 values take 49,180 '%.17e' and 48,328 float()
+    # calls, both with the gap on the remainder's side in the reader's fast
+    # test and with the stricter gap below v alone; no change may add any
+    x, calls = _kernel_sweep(), {"_format_one": 0, "_parse_one": 0}
+
+    def counted(name):
+        f = getattr(sf.mmio, name)
+
+        def call(arg):
+            calls[name] += 1
+            return f(arg)
+
+        return mock.patch.object(sf.mmio, name, call)
+
+    with _one_cpu(), counted("_format_one"), counted("_parse_one"):
+        _assert_kernels_match_python(x)
+    assert len(x) == 1_016_504
+    assert calls["_format_one"] <= 49_180 and calls["_parse_one"] <= 48_328
+
+
 @settings(max_examples=200)
 @example(values=[1e23, 1e22, 9.999999999999999e22, 1 + 2**-26, -0.0, 5e-324])
 @given(values=st.lists(st.floats(), min_size=1, max_size=40))
